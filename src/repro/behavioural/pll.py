@@ -21,6 +21,7 @@ variation model propagates block-level spread to the system performances
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -232,7 +233,12 @@ class BehaviouralPll:
             vctrl = min(max(vctrl, vctrl_min), vctrl_max)
             frequency = fmin + gain * (vctrl - vctrl_min)
             frequency = min(max(frequency, fmin), fmax)
-            vco_period = 1.0 / frequency
+            try:
+                vco_period = 1.0 / frequency
+            except ZeroDivisionError:
+                # A stalled VCO (e.g. a min-variant fmin floored at 0) never
+                # produces an edge: IEEE division, as on the lane path, gives +-inf.
+                vco_period = math.copysign(math.inf, frequency)
             if rng is not None:
                 fb_period = ratio * vco_period + float(rng.normal(0.0, sigma))
             else:

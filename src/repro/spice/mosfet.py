@@ -391,7 +391,7 @@ class MOSFETArrays:
         ratio = vov / self.n_vt
         # Clip before exponentiating so extreme lanes cannot overflow; the
         # np.where selections reproduce the scalar model's three branches.
-        ratio_clipped = np.clip(ratio, -745.0, 40.0)
+        ratio_clipped = np.minimum(np.maximum(ratio, -745.0), 40.0)
         exp_ratio = np.exp(ratio_clipped)
         vov_eff = np.where(
             ratio > 40.0,
@@ -418,19 +418,27 @@ class MOSFETArrays:
         ids = self._channel_current(nvg - vref, np.abs(nvd - nvs), nvb - vref)
         return np.where(forward, p * ids, -p * ids)
 
-    def currents_and_derivatives(
-        self, vd: np.ndarray, vg: np.ndarray, vs: np.ndarray, vb: np.ndarray
-    ):
+    def currents_and_derivatives(self, terminals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Drain currents plus the four finite-difference derivatives.
 
-        Mirrors the ``delta = 1e-6`` finite differences of
-        :meth:`MOSFET.contribute` so the compiled Jacobian matches the
-        reference engine's linearisation.
+        ``terminals`` stacks the ``vd``, ``vg``, ``vs`` and ``vb`` arrays
+        on a leading axis of size 4.  Mirrors the ``delta = 1e-6`` finite
+        differences of :meth:`MOSFET.contribute` so the compiled Jacobian
+        matches the reference engine's linearisation.  The base point and
+        its four perturbations go through one :meth:`drain_current` call
+        on a leading stack axis of size 5; every operation is elementwise,
+        so each slice equals its own separate call bit for bit.
+
+        Returns ``(ids, derivatives)``: ``ids`` has the shape of one
+        terminal array and ``derivatives`` stacks ``dI/dvd``, ``dI/dvg``,
+        ``dI/dvs`` and ``dI/dvb`` on a leading axis of size 4.
         """
         delta = 1e-6
-        ids = self.drain_current(vd, vg, vs, vb)
-        did_dvd = (self.drain_current(vd + delta, vg, vs, vb) - ids) / delta
-        did_dvg = (self.drain_current(vd, vg + delta, vs, vb) - ids) / delta
-        did_dvs = (self.drain_current(vd, vg, vs + delta, vb) - ids) / delta
-        did_dvb = (self.drain_current(vd, vg, vs, vb + delta) - ids) / delta
-        return ids, did_dvd, did_dvg, did_dvs, did_dvb
+        # stacked[t, k] holds terminal t's voltages at stack point k: the
+        # base point (k = 0), then terminal k - 1 raised by delta.
+        stacked = np.repeat(terminals[:, None], 5, axis=1)
+        terminal = np.arange(4)
+        stacked[terminal, terminal + 1] += delta
+        currents = self.drain_current(*stacked)
+        ids = currents[0]
+        return ids, (currents[1:] - ids) / delta

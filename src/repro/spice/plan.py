@@ -4,17 +4,19 @@ The reference engine (:mod:`repro.spice.mna`) re-stamps the circuit
 element by element in pure Python on every Newton iteration of every time
 step.  This module compiles a :class:`~repro.spice.netlist.Circuit` *once*
 into per-element-type index and parameter arrays and then performs
-assembly as vectorised scatter-adds into reused buffers:
+assembly as vectorised scatter-adds whose flat indices are built once:
 
 * :func:`compile_circuits` builds a :class:`CircuitPlan` from ``n_lanes``
   circuits that share one topology (same element types, names and nodes at
   every position) but may carry different parameter values — exactly the
   (design, technology, mismatch) triples that bottom-up verification fans
   out.
-* :class:`LaneSystem` owns the reused ``(n_lanes, n, n)`` Jacobian and
-  ``(n_lanes, n)`` residual buffers and assembles all lanes at once;
-  MOSFET and diode model equations are evaluated array-wise over every
-  (lane, device) pair via :class:`~repro.spice.mosfet.MOSFETArrays`.
+* :class:`LaneSystem` holds the per-step ``(n_lanes, n, n)`` linear
+  matrix and ``(n_lanes, n)`` constant vector and assembles all lanes at
+  once; MOSFET and diode model equations are evaluated array-wise over
+  every (lane, device) pair via :class:`~repro.spice.mosfet.MOSFETArrays`
+  (one stacked device call per assembly), and each target's stamps land
+  in one ``np.bincount`` scatter.
 * :func:`lane_newton` / :func:`lane_dc_solve` mirror the reference
   Newton-Raphson semantics (damping, voltage-step limiting, gmin shunt,
   gmin/source-stepping homotopies) with per-lane convergence masks and one
@@ -267,8 +269,10 @@ class CircuitPlan:
         self.cap_c = as_params(cap_c)
         self.n_caps = self.cap_a.size
         a, b = self.cap_a, self.cap_b
-        self.cap_jac_idx = np.concatenate([a * P + a, b * P + b, a * P + b, b * P + a])
-        self.cap_res_rows = np.concatenate([a, b])
+        # Stamp columns are stored one row per stamp block, matching the
+        # order in which LaneSystem passes the stamp values.
+        self.cap_jac_idx = np.stack([a * P + a, b * P + b, a * P + b, b * P + a])
+        self.cap_res_rows = np.stack([a, b])
 
         # Inductors.
         self.ind_a = as_index(ind_a)
@@ -284,7 +288,7 @@ class CircuitPlan:
         self.is_a = as_index(is_a)
         self.is_b = as_index(is_b)
         self.is_table = _SourceTable(list(map(list, zip(*is_waveforms))) or [[]] * self.n_lanes)
-        self.is_res_rows = np.concatenate([self.is_a, self.is_b])
+        self.is_res_rows = np.stack([self.is_a, self.is_b])
         self.n_isources = self.is_a.size
 
         # Diodes.
@@ -294,8 +298,8 @@ class CircuitPlan:
         self.d_nvt = as_params(d_nvt)
         self.n_diodes = self.d_a.size
         a, b = self.d_a, self.d_b
-        self.d_jac_idx = np.concatenate([a * P + a, b * P + b, a * P + b, b * P + a])
-        self.d_res_rows = np.concatenate([a, b])
+        self.d_jac_idx = np.stack([a * P + a, b * P + b, a * P + b, b * P + a])
+        self.d_res_rows = np.stack([a, b])
 
         # MOSFETs.
         self.n_mosfets = len(mos_nodes)
@@ -304,18 +308,18 @@ class CircuitPlan:
             self.mos_d, self.mos_g, self.mos_s, self.mos_b = (nodes[:, i] for i in range(4))
             self.mos_arrays = MOSFETArrays.from_devices(list(map(list, zip(*mos_devices))))
             nd, ng, ns, nb = self.mos_d, self.mos_g, self.mos_s, self.mos_b
-            self.mos_jac_idx = np.concatenate(
+            self.mos_jac_idx = np.stack(
                 [
                     nd * P + nd, nd * P + ng, nd * P + ns, nd * P + nb,
                     ns * P + nd, ns * P + ng, ns * P + ns, ns * P + nb,
                 ]
             )
-            self.mos_res_rows = np.concatenate([nd, ns])
+            self.mos_res_rows = np.stack([nd, ns])
         else:
             self.mos_d = self.mos_g = self.mos_s = self.mos_b = as_index([])
             self.mos_arrays = None
-            self.mos_jac_idx = as_index([])
-            self.mos_res_rows = as_index([])
+            self.mos_jac_idx = as_index([]).reshape(8, 0)
+            self.mos_res_rows = as_index([]).reshape(2, 0)
 
     @staticmethod
     def _check_same_topology(base: Circuit, other: Circuit, lane: int) -> None:
@@ -348,8 +352,38 @@ def compile_circuits(circuits: Sequence[Circuit]) -> CircuitPlan:
     return CircuitPlan(circuits)
 
 
+class _Scatter:
+    """``np.add.at`` into a lane buffer, with flat indices built once.
+
+    ``np.add.at(target, (lanes[:, None], columns), values)`` adds the
+    stamps cell by cell in (lane, column) order.  This helper does the
+    same with one ``np.bincount`` whose weights are the target itself
+    followed by the stamps, so every cell accumulates
+    ``target + v1 + v2 + ...`` in ``add.at``'s order and ends with the
+    same bytes.  The one exception: ``bincount`` starts each cell from
+    +0.0, so a -0.0 cell that receives only -0.0 stamps ends as +0.0.
+
+    ``blocks`` is a sequence of column-index rows, one per stamp block;
+    a call passes the matching ``(n_lanes, k)`` value arrays (or stacks
+    of them) in the same order.  Lanes touch disjoint cells, so laying
+    the stamps out block by block keeps each cell's order.
+    """
+
+    def __init__(self, n_lanes: int, size: int, blocks: Sequence[np.ndarray]) -> None:
+        self.size = n_lanes * size
+        lane_offset = np.arange(n_lanes)[:, None] * size
+        self.index = np.concatenate(
+            [np.arange(self.size)] + [(lane_offset + block).ravel() for block in blocks]
+        )
+
+    def __call__(self, target: np.ndarray, *values: np.ndarray) -> np.ndarray:
+        """Return ``target`` plus the scattered ``values`` as a new array."""
+        weights = np.concatenate((target, *values), axis=None)
+        return np.bincount(self.index, weights, minlength=self.size).reshape(target.shape)
+
+
 class LaneSystem:
-    """Reused assembly buffers plus per-analysis constant terms.
+    """Per-analysis constant terms plus precomputed scatter indices.
 
     The nonlinear residual decomposes as ``res = A_step x + b_step + n(x)``
     where ``A_step`` collects every linear stamp of the current analysis
@@ -363,11 +397,20 @@ class LaneSystem:
         L, P = plan.n_lanes, plan.pad_size
         self.a_step = np.zeros((L, P, P))
         self.b_step = np.zeros((L, P))
-        self.jacobian = np.zeros((L, P, P))
-        self.residual = np.zeros((L, P))
-        self._lane = np.arange(L)[:, None]
+        self.identity = np.eye(plan.n_unknowns)
         self._node_diag = np.arange(plan.n_nodes)
         self.analysis = "dc"
+        self._cap_jac = _Scatter(L, P * P, plan.cap_jac_idx)
+        self._cap_res = _Scatter(L, P, plan.cap_res_rows)
+        self._is_res = _Scatter(L, P, plan.is_res_rows)
+        # In every cell, diode stamps are summed before MOSFET stamps.
+        self._device_jac = _Scatter(L, P * P, [*plan.d_jac_idx, *plan.mos_jac_idx])
+        self._device_res = _Scatter(L, P, [*plan.d_res_rows, *plan.mos_res_rows])
+        # Flat indices of every MOSFET terminal voltage in ``x``, shaped
+        # (terminal, lane, device) for one gather per assembly.
+        self._mos_terminals = np.arange(L)[:, None] * P + np.stack(
+            [plan.mos_d, plan.mos_g, plan.mos_s, plan.mos_b]
+        )[:, None, :]
 
     # -- per-step constant terms -----------------------------------------------------
 
@@ -386,11 +429,7 @@ class LaneSystem:
             self.b_step[:, plan.vs_k] -= source_scale * plan.vs_table.dc_values
         if plan.n_isources:
             values = source_scale * plan.is_table.dc_values
-            np.add.at(
-                self.b_step,
-                (self._lane, plan.is_res_rows),
-                np.concatenate([values, -values], axis=1),
-            )
+            self.b_step = self._is_res(self.b_step, values, -values)
 
     def begin_tran(
         self,
@@ -415,20 +454,12 @@ class LaneSystem:
         if plan.n_caps:
             factor = 2.0 if integrator == "trap" else 1.0
             geq = factor * plan.cap_c / dt_col
-            np.add.at(
-                self.a_step.reshape(plan.n_lanes, -1),
-                (self._lane, plan.cap_jac_idx),
-                np.concatenate([geq, geq, -geq, -geq], axis=1),
-            )
+            self.a_step = self._cap_jac(self.a_step, geq, geq, -geq, -geq)
             v_prev = x_prev[:, plan.cap_a] - x_prev[:, plan.cap_b]
             const = -geq * v_prev
             if integrator == "trap" and cap_i_prev is not None:
                 const = const - cap_i_prev
-            np.add.at(
-                self.b_step,
-                (self._lane, plan.cap_res_rows),
-                np.concatenate([const, -const], axis=1),
-            )
+            self.b_step = self._cap_res(self.b_step, const, -const)
         if plan.n_inductors:
             req = plan.ind_l / dt_col
             self.a_step[:, plan.ind_k, plan.ind_k] -= req
@@ -437,23 +468,20 @@ class LaneSystem:
             self.b_step[:, plan.vs_k] -= source_scale * plan.vs_table.values(time)
         if plan.n_isources:
             values = source_scale * plan.is_table.values(time)
-            np.add.at(
-                self.b_step,
-                (self._lane, plan.is_res_rows),
-                np.concatenate([values, -values], axis=1),
-            )
+            self.b_step = self._is_res(self.b_step, values, -values)
 
     # -- assembly -----------------------------------------------------------------------
 
     def assemble(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Residual and Jacobian of every lane at the padded estimate ``x``."""
+        """Residual and Jacobian of every lane at the padded estimate ``x``.
+
+        Both are new arrays, so callers may overwrite them.
+        """
         plan = self.plan
-        jac = self.jacobian
-        res = self.residual
-        jac[:] = self.a_step
-        res[:] = np.matmul(self.a_step, x[:, :, None])[:, :, 0]
+        res = np.matmul(self.a_step, x[:, :, None])[:, :, 0]
         res += self.b_step
-        jac_flat = jac.reshape(plan.n_lanes, -1)
+        res_stamps: List[np.ndarray] = []
+        jac_stamps: List[np.ndarray] = []
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             if plan.n_diodes:
                 v = x[:, plan.d_a] - x[:, plan.d_b]
@@ -465,35 +493,14 @@ class LaneSystem:
                 current = np.where(
                     v > v_limited, current + conductance * (v - v_limited), current
                 )
-                np.add.at(
-                    res,
-                    (self._lane, plan.d_res_rows),
-                    np.concatenate([current, -current], axis=1),
-                )
-                np.add.at(
-                    jac_flat,
-                    (self._lane, plan.d_jac_idx),
-                    np.concatenate(
-                        [conductance, conductance, -conductance, -conductance], axis=1
-                    ),
-                )
+                res_stamps += [current, -current]
+                jac_stamps += [conductance, conductance, -conductance, -conductance]
             if plan.n_mosfets:
-                vd = x[:, plan.mos_d]
-                vg = x[:, plan.mos_g]
-                vs = x[:, plan.mos_s]
-                vb = x[:, plan.mos_b]
-                ids, gd, gg, gs, gb = plan.mos_arrays.currents_and_derivatives(vd, vg, vs, vb)
-                np.add.at(
-                    res,
-                    (self._lane, plan.mos_res_rows),
-                    np.concatenate([ids, -ids], axis=1),
-                )
-                np.add.at(
-                    jac_flat,
-                    (self._lane, plan.mos_jac_idx),
-                    np.concatenate([gd, gg, gs, gb, -gd, -gg, -gs, -gb], axis=1),
-                )
-        return res, jac
+                terminals = x.take(self._mos_terminals)
+                ids, derivatives = plan.mos_arrays.currents_and_derivatives(terminals)
+                res_stamps += [ids, -ids]
+                jac_stamps += [derivatives, -derivatives]
+        return self._device_res(res, *res_stamps), self._device_jac(self.a_step, *jac_stamps)
 
     def cap_currents(
         self,
@@ -530,60 +537,58 @@ def lane_newton(
     failed = np.zeros(L, dtype=bool)
     iterations = np.zeros(L, dtype=int)
     last_residual = np.full(L, np.inf)
-    identity = np.eye(n)
-    for iteration in range(1, options.max_iterations + 1):
-        pending = active & ~converged & ~failed
-        if not pending.any():
-            break
-        res, jac = system.assemble(x)
-        r = res[:, :n]
-        j = jac[:, :n, :n]
-        with np.errstate(invalid="ignore"):
-            residual_norm = np.max(np.abs(r), axis=1) if n else np.zeros(L)
-        bad = pending & ~np.isfinite(residual_norm)
-        failed |= bad
-        pending &= ~bad
-        # Inactive / failed lanes get an identity system so the batched
-        # factorisation cannot be poisoned by their (meaningless) rows.
-        j[~pending] = identity
-        rhs = np.where(pending[:, None], -r, 0.0)
-        try:
-            delta = np.linalg.solve(j, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            delta = np.zeros((L, n))
-            for lane in np.flatnonzero(pending):
-                try:
-                    delta[lane] = np.linalg.solve(j[lane], rhs[lane])
-                except np.linalg.LinAlgError:
-                    failed[lane] = True
-                    pending[lane] = False
-        bad = pending & ~np.isfinite(delta).all(axis=1)
-        failed |= bad
-        pending &= ~bad
-        if not pending.any():
-            continue
-        voltage_step = (
-            np.max(np.abs(delta[:, :n_nodes]), axis=1) if n_nodes else np.zeros(L)
-        )
-        scale = np.ones(L)
-        if options.voltage_step_limit > 0.0:
-            limited = voltage_step > options.voltage_step_limit
-            scale[limited] = options.voltage_step_limit / voltage_step[limited]
-        step = (options.damping * scale)[:, None] * delta
-        x[:, :n] += np.where(pending[:, None], step, 0.0)
-        delta_norm = np.max(np.abs(delta), axis=1) if n else np.zeros(L)
-        x_norm = np.max(np.abs(x[:, :n]), axis=1) if n else np.zeros(L)
-        iterations[pending] = iteration
-        now_converged = (
-            (residual_norm < options.abs_tolerance)
-            | (delta_norm < options.abs_tolerance)
-            | (
-                (residual_norm < options.rel_tolerance * np.maximum(last_residual, 1e-30))
-                & (delta_norm < options.rel_tolerance * np.maximum(x_norm, 1.0))
+    identity = system.identity
+    with np.errstate(invalid="ignore"):
+        for iteration in range(1, options.max_iterations + 1):
+            pending = active & ~converged & ~failed
+            if not pending.any():
+                break
+            res, jac = system.assemble(x)
+            r = res[:, :n]
+            j = jac[:, :n, :n]
+            residual_norm = np.abs(r).max(axis=1) if n else np.zeros(L)
+            bad = pending & ~np.isfinite(residual_norm)
+            failed |= bad
+            pending &= ~bad
+            # Inactive / failed lanes get an identity system so the batched
+            # factorisation cannot be poisoned by their (meaningless) rows.
+            j[~pending] = identity
+            rhs = np.where(pending[:, None], -r, 0.0)
+            try:
+                delta = np.linalg.solve(j, rhs[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                delta = np.zeros((L, n))
+                for lane in np.flatnonzero(pending):
+                    try:
+                        delta[lane] = np.linalg.solve(j[lane], rhs[lane])
+                    except np.linalg.LinAlgError:
+                        failed[lane] = True
+                        pending[lane] = False
+            bad = pending & ~np.isfinite(delta).all(axis=1)
+            failed |= bad
+            pending &= ~bad
+            if not pending.any():
+                continue
+            voltage_step = np.abs(delta[:, :n_nodes]).max(axis=1) if n_nodes else np.zeros(L)
+            scale = np.ones(L)
+            if options.voltage_step_limit > 0.0:
+                limited = voltage_step > options.voltage_step_limit
+                scale[limited] = options.voltage_step_limit / voltage_step[limited]
+            step = (options.damping * scale)[:, None] * delta
+            x[:, :n] += np.where(pending[:, None], step, 0.0)
+            delta_norm = np.abs(delta).max(axis=1) if n else np.zeros(L)
+            x_norm = np.abs(x[:, :n]).max(axis=1) if n else np.zeros(L)
+            iterations[pending] = iteration
+            now_converged = (
+                (residual_norm < options.abs_tolerance)
+                | (delta_norm < options.abs_tolerance)
+                | (
+                    (residual_norm < options.rel_tolerance * np.maximum(last_residual, 1e-30))
+                    & (delta_norm < options.rel_tolerance * np.maximum(x_norm, 1.0))
+                )
             )
-        )
-        converged |= pending & now_converged
-        last_residual = np.where(pending, residual_norm, last_residual)
+            converged |= pending & now_converged
+            last_residual = np.where(pending, residual_norm, last_residual)
     return converged, iterations
 
 

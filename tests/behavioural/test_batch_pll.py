@@ -139,6 +139,36 @@ def test_jitter_stream_is_shared_across_lanes():
         assert np.array_equal(batch.frequency[index], scalar.frequency)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("variant", ["nominal", "min"])
+def test_zero_vco_frequency_scalar_matches_batch(variant, seed):
+    # The loop starts at vctrl_min, so the clamped frequency is exactly
+    # 0 Hz in the first cycle: through a zero fmin for the nominal
+    # variant, and through a spread that floors the min-variant fmin at
+    # zero.  The scalar loop must follow the lane path's IEEE 1/0 = inf.
+    if variant == "nominal":
+        vco = BehaviouralVco(kvco=1.5e9, ivco=2e-3, jvco=4e-12, fmin=0.0, fmax=1.3e9)
+    else:
+        vco = BehaviouralVco(
+            kvco=1.5e9,
+            ivco=2e-3,
+            jvco=4e-12,
+            fmin=0.7e9,
+            fmax=1.3e9,
+            variation=VcoVariationTables.constant(fmin=150.0),
+        )
+    assert vco.frequency_bounds(variant)["fmin"] == 0.0
+    plls = [BehaviouralPll(vco, PllDesign()), *make_population(n=2)]
+    batch = BehaviouralPll.simulate_batch(plls, variant=variant, max_time=3e-6, seed=seed)
+    assert batch.frequency[0, 0] == 0.0
+    for index, pll in enumerate(plls):
+        scalar = pll.simulate(variant=variant, max_time=3e-6, seed=seed)
+        assert np.array_equal(batch.time, scalar.time)
+        assert np.array_equal(batch.control_voltage[index], scalar.control_voltage)
+        assert np.array_equal(batch.frequency[index], scalar.frequency)
+        assert np.array_equal(batch.phase_error[index], scalar.phase_error)
+
+
 def test_simulate_batch_rejects_mixed_reference_frequencies():
     plls = make_population(n=2)
     design = PllDesign(reference_frequency=50e6, divide_ratio=24)
