@@ -306,26 +306,36 @@ class _ModelBuildCheckpoint:
     finished optimiser state is never re-stored on resume, so the two
     never fight).  A crash during the model build therefore loses neither
     the optimisation nor the Monte Carlo points already evaluated.
+
+    The job's holder is the only writer of the slot, so the state is read
+    once and then kept: each ``store``/``clear`` writes the kept state
+    with its ``"mc"`` key replaced or dropped, without reading the slot
+    back (over HTTP, a download of the whole partial per point).
     """
 
     def __init__(self, partial: object) -> None:
         self._partial = partial
+        self._state: Optional[dict] = None
+
+    def _base(self) -> dict:
+        if self._state is None:
+            state = self._partial.load()
+            self._state = state if isinstance(state, dict) else {}
+        return self._state
 
     def load(self) -> Optional[object]:
-        state = self._partial.load()
-        if isinstance(state, dict):
-            return state.get("mc")
-        return None
+        return self._base().get("mc")
 
     def store(self, mc_state: object) -> None:
-        state = self._partial.load()
-        state = dict(state) if isinstance(state, dict) else {}
+        state = dict(self._base())
         state["mc"] = mc_state
         self._partial.store(state)
+        self._state = state
 
     def clear(self) -> None:
-        state = self._partial.load()
-        if isinstance(state, dict) and "mc" in state:
+        state = self._base()
+        if "mc" in state:
             state = dict(state)
             del state["mc"]
             self._partial.store(state)
+            self._state = state

@@ -32,9 +32,9 @@ import logging
 import os
 import pickle
 import re
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -126,12 +126,22 @@ class LocalArtifactStore(ArtefactCache, ArtifactStore):
     """
 
 
-class HttpTransport:
-    """Minimal stdlib HTTP byte transport: ``request() -> (status, body)``.
+#: How a *reused* keep-alive link fails when the server closed it while
+#: idle (its keep-alive timeout) before reading the next request: no
+#: response byte arrives, so no handler ran and the request is resent
+#: once on a fresh connection.
+_STALE_LINK_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
-    Shared by :class:`HttpArtifactStore` and
-    :class:`~repro.service.remote.RemoteJobStore`; the fault-injection
-    harness wraps this interface to drop/delay/duplicate calls.  Reads
+
+class HttpTransport:
+    """Minimal stdlib HTTP/1.1 byte transport: ``request() -> (status, body)``.
+
+    Shared by :class:`HttpArtifactStore`,
+    :class:`~repro.service.remote.RemoteJobStore` and
+    :class:`~repro.service.client.ServiceClient`; the fault-injection
+    harness wraps this interface to drop/delay/duplicate calls.  Each
+    thread keeps one keep-alive connection to the server (a worker's
+    heartbeat thread has its own), re-opened in a forked child.  Reads
     the full body and verifies it against the declared
     ``Content-Length``, so a connection cut mid-response surfaces as
     :class:`ArtifactTransportError` instead of truncated bytes.
@@ -140,10 +150,29 @@ class HttpTransport:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = float(timeout)
-        #: Response headers of the most recent exchange (lower-cased
-        #: keys).  The trace-context propagation on ``/v1/claim`` reads
-        #: the coordinator's ``X-Repro-Trace`` header from here.
-        self.last_response_headers: Dict[str, str] = {}
+        url = urllib.parse.urlsplit(self.base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._netloc = url.netloc
+        self._prefix = url.path
+        self._local = threading.local()
+
+    @property
+    def last_response_headers(self) -> Dict[str, str]:
+        """Response headers of the calling thread's most recent exchange
+        (lower-cased keys).  The trace-context propagation on
+        ``/v1/claim`` reads the coordinator's ``X-Repro-Trace`` header
+        from here; a concurrent heartbeat thread cannot overwrite it."""
+        return getattr(self._local, "headers", {})
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's keep-alive connection (lazily connected)."""
+        cached = getattr(self._local, "connection", None)
+        if cached is None or cached[0] != os.getpid():
+            connection = self._connection_class(self._netloc, timeout=self.timeout)
+            cached = self._local.connection = (os.getpid(), connection)
+        return cached[1]
 
     def request(
         self,
@@ -156,40 +185,35 @@ class HttpTransport:
 
         HTTP error statuses are *returned*, not raised -- the caller
         decides what a 404 means.  Network-level failures (refused,
-        reset, timeout, short read) raise :class:`ArtifactTransportError`.
+        reset, timeout, short read) raise :class:`ArtifactTransportError`;
+        the only one retried here is a reused link the server had already
+        closed (see :data:`_STALE_LINK_ERRORS`), resent once.
         """
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=body,
-            headers=dict(headers or {}),
-            method=method,
-        )
+        connection = self._connection()
+        reused = connection.sock is not None
+        url = self._prefix + path
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                payload = response.read()
-                declared = response.headers.get("Content-Length")
-                if declared is not None and len(payload) != int(declared):
-                    raise ArtifactTransportError(
-                        f"short read: got {len(payload)} of {declared} bytes"
-                        f" for {method} {path}"
-                    )
-                self.last_response_headers = {
-                    key.lower(): value for key, value in response.headers.items()
-                }
-                return response.status, payload
-        except urllib.error.HTTPError as error:
-            self.last_response_headers = {
-                key.lower(): value for key, value in error.headers.items()
-            }
-            return error.code, error.read()
-        except (
-            urllib.error.URLError,
-            http.client.HTTPException,
-            ConnectionError,
-            TimeoutError,
-            OSError,
-        ) as error:
+            try:
+                connection.request(method, url, body, headers or {})
+                response = connection.getresponse()
+            except _STALE_LINK_ERRORS:
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, url, body, headers or {})
+                response = connection.getresponse()
+            payload = response.read()
+        except (http.client.HTTPException, OSError) as error:
+            connection.close()
             raise ArtifactTransportError(f"{method} {path}: {error}") from error
+        declared = response.getheader("Content-Length")
+        if declared is not None and len(payload) != int(declared):
+            connection.close()
+            raise ArtifactTransportError(
+                f"short read: got {len(payload)} of {declared} bytes for {method} {path}"
+            )
+        self._local.headers = {key.lower(): value for key, value in response.getheaders()}
+        return response.status, payload
 
 
 class HttpArtifactStore(ArtifactStore):

@@ -36,7 +36,7 @@ resumable :class:`~repro.experiments.runner.ExperimentRunner`:
   dashboard at ``/``) and :func:`~repro.service.api.make_server` (the
   legacy threaded baseline, same JSON routes).  Unversioned paths stay
   as deprecated aliases.
-* :mod:`repro.service.client` -- thin ``urllib`` client used by ``repro
+* :mod:`repro.service.client` -- thin keep-alive client used by ``repro
   submit|status|jobs|cancel|events``: typed
   :class:`~repro.service.client.ServiceError`, transparent pagination,
   ``stream_events`` for SSE.

@@ -1,6 +1,9 @@
-"""Thin HTTP client of the experiment service (stdlib ``urllib`` only).
+"""Thin HTTP client of the experiment service (stdlib only).
 
-Speaks the versioned ``/v1`` API: typed errors
+JSON calls travel over the keep-alive
+:class:`~repro.experiments.artifacts.HttpTransport` (one connection per
+calling thread); the SSE stream opens its own connection.  Speaks the
+versioned ``/v1`` API: typed errors
 (:class:`ServiceError` with the server's machine-readable ``code``),
 transparent pagination of the job listing, and live Server-Sent-Events
 streaming via :meth:`ServiceClient.stream_events`.  Used by the ``repro
@@ -17,6 +20,8 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from typing import Any, Dict, Iterator, List, Optional
+
+from repro.experiments.artifacts import HttpTransport
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -89,27 +94,26 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self.transport = HttpTransport(self.base_url, timeout=timeout)
 
     # -- plumbing ------------------------------------------------------------------------
 
     def _request(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
-        request = urllib.request.Request(
-            self.base_url + path,
-            method=method,
-            data=json.dumps(body).encode("utf-8") if body is not None else None,
-            headers={"Content-Type": "application/json"} if body is not None else {},
+        status, raw = self.transport.request(
+            method,
+            path,
+            json.dumps(body).encode("utf-8") if body is not None else None,
+            {"Content-Type": "application/json"} if body is not None else None,
         )
+        if status < 400:
+            return json.loads(raw.decode("utf-8"))
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            try:
-                payload = json.loads(error.read().decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                payload = {"error": str(error)}
-            raise ServiceError.from_response(error.code, payload) from None
+            payload = json.loads(raw.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            payload = {"error": f"HTTP {status}"}
+        raise ServiceError.from_response(status, payload)
 
     # -- API -----------------------------------------------------------------------------
 
@@ -284,7 +288,7 @@ class ServiceClient:
             try:
                 self.health()
                 return
-            except (urllib.error.URLError, ConnectionError, OSError):
+            except OSError:
                 if time.monotonic() >= deadline:
                     raise TimeoutError(
                         f"service at {self.base_url} not ready after {timeout:.0f}s"

@@ -478,6 +478,11 @@ class AsyncHTTPServer:
             CLIENT_DISCONNECTS.inc()
             _log.warning("client disconnected mid-exchange")
             return
+        except asyncio.CancelledError:
+            # Shutdown cancels every open link (idle keep-alive clients
+            # included); ending normally keeps the stream protocol from
+            # reporting the cancelled handler as an error.
+            return
         finally:
             writer.close()
             with suppress(Exception):

@@ -42,7 +42,8 @@ artefacts stay bit-identical.
 All state lives in one SQLite database.  WAL mode plus short immediate
 transactions make the store safe for many concurrent workers and API
 threads on one host (the scale the stdlib HTTP front end targets);
-``claim`` is the only contended operation and touches one row.
+``claim`` is the only contended operation and touches one row.  Each
+thread of each process keeps one connection open across calls.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import json
 import logging
 import os
 import sqlite3
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -158,6 +160,7 @@ class SqliteJobStore(base.JobStore):
         self.path = Path(path)
         self.lease_ttl = float(lease_ttl)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._local = threading.local()
         with self._session() as connection:
             connection.executescript(_SCHEMA)
             # Databases written before cancellation existed lack the
@@ -172,19 +175,18 @@ class SqliteJobStore(base.JobStore):
                     " cancel_requested INTEGER NOT NULL DEFAULT 0"
                 )
 
-    @contextmanager
-    def _session(self, exclusive: bool = False) -> Iterator[sqlite3.Connection]:
-        """A short-lived connection, optionally wrapping one transaction.
+    def _connection(self) -> sqlite3.Connection:
+        """This thread's connection, opened on first use.
 
-        Connections run in autocommit (``isolation_level=None``): single
-        statements are atomic on their own, and multi-statement read-
-        modify-write sections opt into an explicit ``BEGIN IMMEDIATE``
-        transaction with ``exclusive=True`` (committed on success, rolled
-        back on any exception).  One connection per call keeps the store
-        trivially safe across worker processes and API threads.
+        Cached per thread (``sqlite3`` connections are single-thread) and
+        per process: the cache is keyed by pid, so a child forked after
+        the store was used opens its own connection and never uses -- or
+        closes -- the inherited one, which SQLite forbids.
         """
-        connection = sqlite3.connect(self.path, timeout=30.0, isolation_level=None)
-        try:
+        connections = self._local.__dict__.setdefault("by_pid", {})
+        connection = connections.get(os.getpid())
+        if connection is None:
+            connection = sqlite3.connect(self.path, timeout=30.0, isolation_level=None)
             connection.row_factory = sqlite3.Row
             # WAL survives crashes and lets readers proceed while a worker
             # commits; NORMAL sync is the standard WAL pairing (durable
@@ -192,18 +194,32 @@ class SqliteJobStore(base.JobStore):
             connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=NORMAL")
             connection.execute("PRAGMA busy_timeout=30000")
-            if exclusive:
-                connection.execute("BEGIN IMMEDIATE")
-                try:
-                    yield connection
-                except BaseException:
-                    connection.rollback()
-                    raise
-                connection.commit()
-            else:
+            connections[os.getpid()] = connection
+        return connection
+
+    @contextmanager
+    def _session(self, exclusive: bool = False) -> Iterator[sqlite3.Connection]:
+        """This thread's cached connection, optionally wrapping one transaction.
+
+        Connections run in autocommit (``isolation_level=None``): single
+        statements are atomic on their own and hold no read snapshot past
+        their own execution, so a cached connection always reads the
+        latest commit.  Multi-statement read-modify-write sections opt
+        into an explicit ``BEGIN IMMEDIATE`` transaction with
+        ``exclusive=True`` (committed on success, rolled back on any
+        exception, leaving the connection usable).
+        """
+        connection = self._connection()
+        if exclusive:
+            connection.execute("BEGIN IMMEDIATE")
+            try:
                 yield connection
-        finally:
-            connection.close()
+                connection.commit()
+            except BaseException:
+                connection.rollback()
+                raise
+        else:
+            yield connection
 
     # -- submission ----------------------------------------------------------------------
 

@@ -4,6 +4,7 @@ under duplicated PUTs."""
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -18,6 +19,10 @@ from repro.experiments.artifacts import (
     artifact_names,
 )
 from repro.experiments.cache import ArtefactCache
+from repro.service import http as service_http
+from repro.service.api import make_async_server
+from repro.service.client import ServiceClient
+from repro.service.remote import REMOTE_RETRIES, RemoteJobStore
 
 TINY = tiny_scenario("artifact-tiny", seed=53)
 
@@ -183,6 +188,139 @@ def test_transport_detects_short_reads_against_content_length():
         transport = HttpTransport(f"http://127.0.0.1:{server.port}")
         with pytest.raises(ArtifactTransportError):
             transport.request("GET", "/v1/artifacts/cafe0123deadbeef/circuit.pkl")
+    finally:
+        server.close()
+
+
+# -- keep-alive transport ------------------------------------------------------------------
+
+
+@pytest.fixture()
+def counted_coordinator(tmp_path, sqlite_store):
+    """A live coordinator that records every TCP connection it accepts."""
+    server = make_async_server("127.0.0.1", 0, sqlite_store, tmp_path / "cache")
+    accepted = []
+    handle = server._handle_connection
+
+    async def counted(reader, writer):
+        accepted.append(writer.get_extra_info("peername"))
+        await handle(reader, writer)
+
+    server._handle_connection = counted
+    host, port = server.start()
+    yield f"http://{host}:{port}", accepted
+    server.shutdown()
+
+
+def test_requests_from_one_thread_share_one_connection(counted_coordinator, tmp_path):
+    url, accepted = counted_coordinator
+    transport = HttpTransport(url)
+    store = HttpArtifactStore(url, tmp_path / "w", transport=transport)
+    remote = RemoteJobStore(url, transport=transport)
+    client = ServiceClient(url)
+    for index in range(5):
+        store.push("cafe0123deadbeef", "circuit.pkl", b"payload-%d" % index)
+        assert store.fetch("cafe0123deadbeef", "circuit.pkl") == b"payload-%d" % index
+        assert remote.count() == 0
+        assert store.fetch("cafe0123deadbeef", "system.pkl") is None  # a 404 keeps the link
+    assert len(accepted) == 1
+    for _ in range(5):
+        client.health()
+    assert len(accepted) == 2  # the client's own link, reused
+
+    # Another thread gets its own connection.
+    worker = threading.Thread(target=remote.count)
+    worker.start()
+    worker.join()
+    assert len(accepted) == 3
+    assert remote.count() == 0 and len(accepted) == 3
+
+
+def test_idle_link_closed_by_the_server_is_resent_once(counted_coordinator, monkeypatch):
+    url, accepted = counted_coordinator
+    monkeypatch.setattr(service_http, "KEEPALIVE_TIMEOUT", 0.1)
+    remote = RemoteJobStore(url, transport=HttpTransport(url), retry_delay=0.0)
+    retries = REMOTE_RETRIES.value()
+    assert remote.count() == 0
+    time.sleep(1.0)  # the server closes the idle link meanwhile
+    assert remote.transport._connection().sock is not None  # ...unknown to the client
+    assert remote.count() == 0  # delivered on a fresh link, no error
+    assert len(accepted) == 2
+    assert REMOTE_RETRIES.value() == retries
+
+
+class ScriptedServer:
+    """Raw HTTP server answering each request per a script of actions.
+
+    ``"ok"`` answers 200 on a kept-alive link, ``"truncate"`` declares
+    more body bytes than it sends and closes, ``"drop"`` closes without
+    answering.  Counts accepted connections and received requests.
+    """
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.connections = 0
+        self.requests = 0
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.listen(4)
+        self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}"
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        try:
+            while True:
+                connection, _ = self.sock.accept()
+                self.connections += 1
+                with connection, connection.makefile("rb") as requests:
+                    while self.script and self._read_request(requests):
+                        self.requests += 1
+                        action = self.script.pop(0)
+                        if action == "drop":
+                            break
+                        declared = 4 if action == "ok" else 1000
+                        connection.sendall(
+                            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\nbody" % declared
+                        )
+                        if action == "truncate":
+                            break
+        except OSError:
+            pass  # listener closed
+
+    @staticmethod
+    def _read_request(requests):
+        """Consume one request (head and body); ``False`` at end of stream."""
+        length = 0
+        line = requests.readline()
+        if not line:
+            return False
+        while line not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+            line = requests.readline()
+        requests.read(length)
+        return True
+
+    def close(self):
+        self.sock.close()
+
+
+@pytest.mark.parametrize(
+    "script",
+    [["drop"], ["truncate"], ["ok", "truncate"]],
+    ids=["post-dropped-on-fresh-link", "truncated-on-fresh-link", "truncated-on-reused-link"],
+)
+def test_failures_other_than_a_stale_link_are_never_resent(script):
+    server = ScriptedServer(script)
+    try:
+        transport = HttpTransport(server.url)
+        if script[0] == "ok":
+            assert transport.request("POST", "/v1/claim", b"{}") == (200, b"body")
+        with pytest.raises(ArtifactTransportError):
+            transport.request("POST", "/v1/claim", b"{}")
+        assert server.requests == len(script)  # the failed request was sent once
+        assert server.connections == 1
     finally:
         server.close()
 

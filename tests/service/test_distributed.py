@@ -19,6 +19,7 @@ from conftest import assert_artefacts_byte_identical, tiny_scenario
 from faults import FlakyStore, FlakyTransport, Partition
 from repro.experiments.artifacts import HttpArtifactStore, HttpTransport
 from repro.experiments.cache import ArtefactCache
+from repro.experiments.registry import get_scenario
 from repro.experiments.runner import ExperimentRunner
 from repro.service.api import make_async_server
 from repro.service.remote import RemoteJobStore
@@ -74,6 +75,54 @@ def test_remote_worker_executes_bit_identically(coordinator, tmp_path):
     assert_artefacts_byte_identical(
         direct, ArtefactCache(worker_cache).entry_for(scenario)
     )
+
+
+class CountingTransport:
+    """Passes every exchange through, logging ``"METHOD path"``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = []
+
+    @property
+    def base_url(self):
+        return self.inner.base_url
+
+    def request(self, method, path, body=None, headers=None):
+        self.log.append(f"{method} {path}")
+        return self.inner.request(method, path, body, headers)
+
+
+def test_remote_fast_smoke_job_pins_its_wire_traffic(coordinator, tmp_path):
+    """One remote ``fast-smoke`` job downloads the circuit partial at most
+    twice (the NSGA-II resume probe and the model build's, not once per
+    Monte Carlo point) and still lands artefacts byte-identical to a
+    direct run."""
+    scenario = get_scenario("fast-smoke").with_overrides(seed=10007)
+    transport = CountingTransport(HttpTransport(coordinator.url))
+    store = RemoteJobStore(coordinator.url, transport=transport)
+    job, _ = store.submit(scenario)
+    worker_cache = tmp_path / "worker-cache"
+    executed = remote_worker_loop(
+        coordinator.url,
+        worker_cache,
+        max_jobs=1,
+        poll_interval=0.05,
+        store=store,
+        artifacts=HttpArtifactStore(coordinator.url, worker_cache, transport=transport),
+    )
+    assert executed == 1 and coordinator.store.get(job.id).state == "done"
+    partial = f"/v1/artifacts/{job.id}/circuit.partial.pkl"
+    assert transport.log.count(f"PUT {partial}") >= 2  # the Monte Carlo points were checkpointed
+    assert transport.log.count(f"GET {partial}") <= 2
+
+    direct_cache = tmp_path / "direct"
+    ExperimentRunner(scenario, cache_dir=direct_cache).run()
+    direct = ArtefactCache(direct_cache).entry_for(scenario)
+    assert_artefacts_byte_identical(
+        direct, ArtefactCache(coordinator.cache_dir).entry_for(scenario)
+    )
+    assert_artefacts_byte_identical(direct, ArtefactCache(worker_cache).entry_for(scenario))
 
 
 def test_remote_worker_trace_lands_on_coordinator_under_job_trace_id(

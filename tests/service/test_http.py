@@ -2,6 +2,7 @@
 pagination, and the static dashboard."""
 
 import json
+import logging
 import socket
 
 import pytest
@@ -104,6 +105,19 @@ def test_keep_alive_serves_multiple_requests_on_one_connection(live):
     raw = _raw(host, port, blob)
     assert raw.count(b"HTTP/1.1 200") == 2
     assert b'"scenarios"' in raw
+
+
+def test_shutdown_with_an_idle_keep_alive_client_is_clean(tmp_path, caplog):
+    """Stopping the server drops open keep-alive links without the event
+    loop reporting the cancelled connection handlers as errors."""
+    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    server = make_async_server("127.0.0.1", 0, store, tmp_path / "cache")
+    host, port = server.start()
+    client = ServiceClient(f"http://{host}:{port}")
+    client.health()  # leaves the client's link open and idle
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        server.shutdown()
+    assert [record.getMessage() for record in caplog.records] == []
 
 
 def test_malformed_request_line_gets_a_400_envelope(live):

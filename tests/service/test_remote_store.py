@@ -9,6 +9,7 @@ a *clean* ``ok: false`` stays an authoritative lost-lease verdict.
 """
 
 import re
+import threading
 
 import pytest
 
@@ -176,3 +177,31 @@ def test_lossy_retry_does_not_steal_peer_outcomes(coordinator):
     assert flaky.transport.fired == 1
     final = coordinator.store.get(job.id)
     assert final.worker == "w1" and final.summary == {"yield_percent": 50.0}
+
+
+# -- per-thread exchanges ------------------------------------------------------------------
+
+
+def test_concurrent_heartbeat_does_not_change_the_claimed_trace_id(coordinator):
+    """Response headers belong to the calling thread's exchange: a
+    heartbeat another thread completes between the claim's exchange and
+    the read of its ``X-Repro-Trace`` header leaves the trace id alone."""
+    scenario = tiny_scenario("remote-trace-race", seed=306)
+
+    class HeartbeatAfterClaim(HttpTransport):
+        def request(self, method, path, body=None, headers=None):
+            answer = super().request(method, path, body, headers)
+            if path == "/v1/claim":
+                beat = threading.Thread(
+                    target=lambda: beats.append(remote.heartbeat(job.id, "w1"))
+                )
+                beat.start()
+                beat.join()
+            return answer
+
+    beats = []
+    remote = RemoteJobStore(coordinator.url, transport=HeartbeatAfterClaim(coordinator.url))
+    job, _ = remote.submit(scenario)
+    assert remote.claim("w1").id == job.id
+    assert beats == [True], "the heartbeat never landed -- test is vacuous"
+    assert remote.last_trace_id == job.id

@@ -7,7 +7,10 @@ Timing-sensitive lease tests and SQLite internals (meta table,
 migrations) stay pinned to the local backend.
 """
 
+import os
+import sqlite3
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -458,3 +461,86 @@ def test_meta_roundtrip_and_cross_instance_visibility(sqlite_store, tmp_path):
     # is a different process than the worker pool that publishes).
     twin = JobStore(tmp_path / "service.db", lease_ttl=60.0)
     assert twin.get_meta("shards") == 4
+
+
+# -- connections: one per thread, per process ---------------------------------------------
+
+
+def test_one_connection_per_thread_is_reused_across_calls(tmp_path, monkeypatch):
+    opened = []
+    connect = sqlite3.connect
+
+    def counting_connect(*args, **kwargs):
+        connection = connect(*args, **kwargs)
+        opened.append(connection)
+        return connection
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    job, _ = store.submit(TINY)
+    for _ in range(5):
+        store.get(job.id)
+        store.record_event(job.id, "circuit", "progress")
+    assert store.claim("w1").id == job.id
+    assert len(opened) == 1  # the constructor's connection, reused by every call
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(store.get, job.id).result().state == "leased"
+        other = pool.submit(store._connection).result()
+    assert len(opened) == 2
+    assert other is opened[1] and other is not opened[0]
+    assert store._connection() is opened[0]
+
+
+def test_forked_child_opens_its_own_connection(sqlite_store):
+    store = sqlite_store
+    job, _ = store.submit(TINY)
+    inherited = store._connection()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: never returns into pytest
+        code = 1
+        try:
+            os.close(read)
+            fresh = store._connection() is not inherited
+            claimed = store.claim("child")
+            code = 0 if fresh and claimed is not None and claimed.id == job.id else 1
+            os.write(write, b"ok" if code == 0 else b"bad")
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        report = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert report == b"ok" and os.waitstatus_to_exitcode(status) == 0
+    # The parent's cached connection is untouched and sees the child's claim.
+    assert store._connection() is inherited
+    assert store.get(job.id).worker == "child"
+
+
+def test_cached_connection_reads_commits_from_other_threads(sqlite_store):
+    """No read snapshot outlives a statement: a thread's cached connection
+    sees a write another thread committed after its previous read."""
+    store = sqlite_store
+    job, _ = store.submit(TINY)
+    with ThreadPoolExecutor(max_workers=1) as reader:
+        assert reader.submit(store.get, job.id).result().state == "queued"
+        assert reader.submit(store.claim, "w-probe").result() is not None
+        assert store.start(job.id, "w-probe")  # committed on this thread
+        assert reader.submit(store.get, job.id).result().state == "running"
+        assert store.complete(job.id, "w-probe", {"yield_percent": 1.0})
+        assert reader.submit(store.get, job.id).result().state == "done"
+
+
+def test_exclusive_session_rolls_back_and_keeps_the_connection_usable(sqlite_store):
+    store = sqlite_store
+    job, _ = store.submit(TINY)
+    connection = store._connection()
+    with pytest.raises(RuntimeError, match="boom"):
+        with store._session(exclusive=True) as session:
+            session.execute("UPDATE jobs SET state='failed' WHERE id=?", (job.id,))
+            raise RuntimeError("boom")
+    assert not connection.in_transaction
+    assert store.get(job.id).state == "queued"  # the update was rolled back
+    assert store.claim("w1").id == job.id  # a fresh exclusive session works
+    assert store._connection() is connection
