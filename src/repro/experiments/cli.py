@@ -508,7 +508,7 @@ def _print_run(result: ExperimentResult) -> None:
 
 
 def _cmd_report(args: argparse.Namespace, scenario: ScenarioConfig) -> int:
-    # The payload builder is shared with the service's GET /jobs/<id>/report,
+    # The payload builder is shared with the service's GET /v1/jobs/<id>/report,
     # so both front ends report the identical JSON for one configuration.
     payload = report_payload(scenario, args.cache_dir)
     if payload is None:
@@ -568,13 +568,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro.service.api import make_async_server
-    from repro.service.store import JobStore
+    from repro.service.store import SqliteJobStore
     from repro.service.worker import Autoscaler, WorkerPool
 
     _configure_logging(args.log_level)
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     db_path = Path(args.db) if args.db else cache_dir / "service.db"
-    store = JobStore(db_path, lease_ttl=args.lease_ttl)
+    store = SqliteJobStore(db_path, lease_ttl=args.lease_ttl)
     # The asyncio front end: one event loop serves every connection
     # (keep-alive, SSE streams, the dashboard) and bridges store calls to
     # a thread pool, so the API stays responsive under hundreds of clients.
@@ -751,7 +751,7 @@ def _cmd_submit(args: argparse.Namespace, scenario: ScenarioConfig) -> int:
         return code
     created = job.get("created")
     if args.wait:
-        # wait() polls GET /jobs/<id>, whose payload already carries the
+        # wait() polls GET /v1/jobs/<id>, whose payload already carries the
         # stage events -- no re-fetch needed once it turns terminal.
         job, code = _service_call(
             lambda: client.wait(job["id"], timeout=args.timeout)

@@ -1,7 +1,7 @@
 """The JSON report of a scenario's cached artefacts.
 
 One payload, two front ends: ``repro report --json`` prints it and the
-experiment service serves it as ``GET /jobs/<id>/report`` -- sharing the
+experiment service serves it as ``GET /v1/jobs/<id>/report`` -- sharing the
 builder is what guarantees the service reports exactly what the CLI
 reports for the same configuration.
 """

@@ -30,12 +30,10 @@ resumable :class:`~repro.experiments.runner.ExperimentRunner`:
 * :mod:`repro.service.http` -- the stdlib-asyncio HTTP/1.1 core: route
   table, keep-alive, SSE framing, and the thread-pool bridge that keeps
   the event loop clear of blocking SQLite work.
-* :mod:`repro.service.api` -- the versioned ``/v1`` API on two front
-  ends: :func:`~repro.service.api.make_async_server` (production:
-  asyncio, SSE streaming at ``GET /v1/jobs/<id>/events``, the static
-  dashboard at ``/``) and :func:`~repro.service.api.make_server` (the
-  legacy threaded baseline, same JSON routes).  Unversioned paths stay
-  as deprecated aliases.
+* :mod:`repro.service.api` -- the versioned ``/v1`` API served by
+  :func:`~repro.service.api.make_async_server`: JSON routes, SSE
+  streaming at ``GET /v1/jobs/<id>/events`` and the static dashboard at
+  ``/``.  Unversioned paths answer 404.
 * :mod:`repro.service.client` -- thin keep-alive client used by ``repro
   submit|status|jobs|cancel|events``: typed
   :class:`~repro.service.client.ServiceError`, transparent pagination,
@@ -57,19 +55,18 @@ from repro.service.api import (
     AsyncServiceServer,
     ExperimentService,
     make_async_server,
-    make_server,
 )
 from repro.service.base import (
     ACTIVE_STATES,
     JOB_STATES,
     TERMINAL_STATES,
     Job,
+    JobStore,
 )
-from repro.service.base import JobStore as BaseJobStore
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import AsyncHTTPServer, Request, Response, Router
 from repro.service.remote import RemoteJobStore, RemoteStoreError
-from repro.service.store import JobStore, SqliteJobStore
+from repro.service.store import SqliteJobStore
 from repro.service.worker import (
     Autoscaler,
     WorkerPool,
@@ -82,7 +79,6 @@ from repro.service.worker import (
 __all__ = [
     "Job",
     "JobStore",
-    "BaseJobStore",
     "SqliteJobStore",
     "RemoteJobStore",
     "RemoteStoreError",
@@ -101,7 +97,6 @@ __all__ = [
     "Request",
     "Response",
     "Router",
-    "make_server",
     "make_async_server",
     "DEFAULT_PORT",
     "ServiceClient",

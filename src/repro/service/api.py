@@ -1,20 +1,14 @@
 """HTTP API of the experiment service: versioned routes, SSE streaming.
 
-Two front ends share one application core and one route table:
+:func:`make_async_server` builds the front end on the stdlib-asyncio
+:class:`~repro.service.http.AsyncHTTPServer`: one event loop, HTTP/1.1
+keep-alive, hundreds of concurrent connections, live Server-Sent-Events
+streams, and the static dashboard.  All blocking
+:class:`~repro.service.base.JobStore` work crosses its thread-pool
+bridge, so the loop never blocks on SQLite.
 
-* :func:`make_async_server` -- the production server, built on the
-  stdlib-asyncio :class:`~repro.service.http.AsyncHTTPServer`: one event
-  loop, HTTP/1.1 keep-alive, hundreds of concurrent connections, live
-  Server-Sent-Events streams, and the static dashboard.  All blocking
-  :class:`~repro.service.store.JobStore` work crosses its thread-pool
-  bridge, so the loop never blocks on SQLite.
-* :func:`make_server` -- the legacy thread-per-connection server
-  (``http.server.ThreadingHTTPServer``), kept as the baseline the
-  connection-scaling benchmark compares against.  It serves the same
-  JSON routes byte-for-byte (SSE and the dashboard are asyncio-only).
-
-Routes live under ``/v1``; the unversioned paths of PRs 4-5 keep working
-as deprecated aliases answering with a ``Deprecation`` header::
+Every route lives under ``/v1``; an unversioned path answers the
+router's 404 ``unknown_route`` envelope::
 
     GET    /v1/healthz                 liveness, job counts, pool size, version
     GET    /v1/scenarios               the scenario registry, with config hashes
@@ -22,12 +16,12 @@ as deprecated aliases answering with a ``Deprecation`` header::
                                        paginated job listing, newest first
     POST   /v1/jobs                    submit {"scenario": ..., "overrides": ...}
     GET    /v1/jobs/<id>               job status + all progress events
-    GET    /v1/jobs/<id>/events       live SSE stream (asyncio server only)
+    GET    /v1/jobs/<id>/events       live SSE stream
     GET    /v1/jobs/<id>/report       the cached JSON report
     GET    /v1/jobs/<id>/trace        the job's span trace (timing profile)
     DELETE /v1/jobs/<id>               cancel (200 parked / 202 flagged / 409)
-    GET    /v1/metrics                 Prometheus text exposition (asyncio only)
-    GET    /                           the dashboard (asyncio server only)
+    GET    /v1/metrics                 Prometheus text exposition
+    GET    /                           the dashboard
 
 The distributed worker protocol (PR 8) rides the same ``/v1`` surface --
 these are what :class:`~repro.service.remote.RemoteJobStore` speaks, and
@@ -69,10 +63,8 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Tuple
-from urllib.parse import parse_qs, urlparse
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.experiments.artifacts import ARTIFACT_NAME_RE
@@ -96,13 +88,11 @@ from repro.service.http import (
     sse_comment,
     sse_event,
 )
-from repro.service.store import TERMINAL_STATES, JobStore
+from repro.service.base import TERMINAL_STATES, JobStore
 
 __all__ = [
     "ExperimentService",
     "AsyncServiceServer",
-    "ServiceHTTPServer",
-    "make_server",
     "make_async_server",
     "DEFAULT_PORT",
 ]
@@ -122,9 +112,8 @@ SSE_KEEPALIVE_INTERVAL = 15.0
 #: (status, payload) pair every service method returns.
 ServiceResponse = Tuple[int, Dict[str, Any]]
 
-#: The JSON route table shared by both servers: (method, pattern,
-#: endpoint).  Patterns are unversioned; each server registers them under
-#: ``/v1`` and -- as deprecated aliases -- at the bare path.
+#: The JSON route table: (method, pattern, endpoint).  The server
+#: registers each pattern under ``/v1``.
 JSON_ROUTES: Tuple[Tuple[str, str, str], ...] = (
     ("GET", "/healthz", "health"),
     ("GET", "/scenarios", "scenarios"),
@@ -201,19 +190,11 @@ def _error(status: int, code: str, message: str, **extra: Any) -> ServiceRespons
     return status, error_payload(code, message, **extra)
 
 
-def deprecation_headers(path: str) -> List[Tuple[str, str]]:
-    """Headers a legacy unversioned alias answers with."""
-    return [
-        ("Deprecation", "true"),
-        ("Link", f'</v1{path}>; rel="successor-version"'),
-    ]
-
-
 class ExperimentService:
     """The service's request-independent application logic.
 
-    Every public method returns a ``(status, payload)`` pair; both HTTP
-    front ends are thin route-and-serialise shims around it, which keeps
+    Every public method returns a ``(status, payload)`` pair; the HTTP
+    front end is a thin route-and-serialise shim around it, which keeps
     the whole API unit-testable without sockets.
     """
 
@@ -559,8 +540,7 @@ class ExperimentService:
     ) -> ServiceResponse:
         """Invoke one :data:`JSON_ROUTES` endpoint from parsed request parts.
 
-        The single place that maps route names to method signatures, so
-        the asyncio and the threaded server cannot drift apart.
+        The single place that maps route names to method signatures.
         """
         if endpoint == "health":
             return self.health()
@@ -623,12 +603,8 @@ class AsyncServiceServer(AsyncHTTPServer):
         self.service = service
         router = Router()
         for method, pattern, endpoint in JSON_ROUTES:
-            router.add(method, f"/v1{pattern}", self._json_handler(endpoint, pattern))
-            router.add(
-                method, pattern, self._json_handler(endpoint, pattern, legacy=True)
-            )
+            router.add(method, f"/v1{pattern}", self._json_handler(endpoint))
         router.add("GET", "/v1/jobs/{job_id}/events", self._events_handler())
-        router.add("GET", "/jobs/{job_id}/events", self._events_handler(legacy=True))
         router.add("GET", "/v1/metrics", self._metrics_handler())
         for method in ("GET", "PUT", "DELETE"):
             router.add(
@@ -645,7 +621,7 @@ class AsyncServiceServer(AsyncHTTPServer):
 
     # -- JSON ----------------------------------------------------------------------------
 
-    def _json_handler(self, endpoint: str, pattern: str, legacy: bool = False):
+    def _json_handler(self, endpoint: str):
         async def handle(request: Request) -> Response:
             body: Optional[Dict[str, Any]] = None
             if request.method == "POST":
@@ -662,10 +638,7 @@ class AsyncServiceServer(AsyncHTTPServer):
                 request.query,
                 body,
             )
-            headers: Sequence[Tuple[str, str]] = (
-                self._alias_headers(pattern, request.params) if legacy else ()
-            )
-            headers = list(headers) + _claim_trace_headers(endpoint, status, payload)
+            headers = _claim_trace_headers(endpoint, status, payload)
             return Response.json(status, payload, headers=headers)
 
         return handle
@@ -680,15 +653,6 @@ class AsyncServiceServer(AsyncHTTPServer):
             )
 
         return handle
-
-    @staticmethod
-    def _alias_headers(
-        pattern: str, params: Dict[str, str]
-    ) -> Sequence[Tuple[str, str]]:
-        path = pattern
-        for name, value in params.items():
-            path = path.replace("{" + name + "}", value)
-        return deprecation_headers(path)
 
     # -- artifacts -----------------------------------------------------------------------
 
@@ -749,7 +713,7 @@ class AsyncServiceServer(AsyncHTTPServer):
 
     # -- SSE -----------------------------------------------------------------------------
 
-    def _events_handler(self, legacy: bool = False):
+    def _events_handler(self):
         async def handle(request: Request) -> Response:
             job_id = request.params["job_id"]
             job = await self.call(self.service.store.get, job_id)
@@ -762,12 +726,7 @@ class AsyncServiceServer(AsyncHTTPServer):
                 return error_response(
                     400, "invalid_last_event_id", f"not an event sequence: {raw!r}"
                 )
-            headers = (
-                self._alias_headers("/jobs/{job_id}/events", request.params)
-                if legacy
-                else ()
-            )
-            return Response.event_stream(self._event_stream(job_id, after), headers)
+            return Response.event_stream(self._event_stream(job_id, after))
 
         return handle
 
@@ -836,140 +795,3 @@ def make_async_server(
 ) -> AsyncServiceServer:
     """Build the asyncio server (``port=0`` picks a free one on start)."""
     return AsyncServiceServer(host, port, ExperimentService(store, cache_dir))
-
-
-# -- the legacy threaded front end (benchmark baseline) ----------------------------------
-
-
-def match_json_route(
-    method: str, path: str
-) -> Optional[Tuple[str, Dict[str, str], bool]]:
-    """Match a path against :data:`JSON_ROUTES` (both prefixes).
-
-    Returns ``(endpoint, params, legacy)`` or ``None``.  Shared helper so
-    the threaded server resolves exactly the routes the asyncio one does.
-    """
-    parts = [part for part in path.split("/") if part]
-    legacy = True
-    if parts and parts[0] == "v1":
-        parts = parts[1:]
-        legacy = False
-    for route_method, pattern, endpoint in JSON_ROUTES:
-        expected = [segment for segment in pattern.split("/") if segment]
-        if route_method != method.upper() or len(expected) != len(parts):
-            continue
-        params: Dict[str, str] = {}
-        for segment, actual in zip(expected, parts):
-            if segment.startswith("{") and segment.endswith("}"):
-                params[segment[1:-1]] = actual
-            elif segment != actual:
-                break
-        else:
-            return endpoint, params, legacy
-    return None
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP shim: parse path -> ExperimentService -> JSON."""
-
-    server: "ServiceHTTPServer"
-
-    # -- plumbing ------------------------------------------------------------------------
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        pass  # request logging is the operator's business, not stderr's
-
-    def _send(
-        self,
-        response: ServiceResponse,
-        extra_headers: Sequence[Tuple[str, str]] = (),
-    ) -> None:
-        status, payload = response
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for key, value in extra_headers:
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up before (or while) reading the response.
-            # That is its prerogative -- letting the exception escape into
-            # ThreadingHTTPServer would spew a traceback per disconnect.
-            pass
-
-    def _read_json_body(self) -> Optional[Dict[str, Any]]:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            return None
-        if length <= 0:
-            return None
-        try:
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        return body if isinstance(body, dict) else None
-
-    # -- dispatch ------------------------------------------------------------------------
-
-    def _dispatch(self, method: str) -> None:
-        url = urlparse(self.path)
-        path = url.path
-        if method == "GET" and path.rstrip("/").endswith("/events"):
-            # SSE needs the event loop; the threaded baseline declines.
-            self._send(
-                _error(
-                    501,
-                    "streaming_unsupported",
-                    "event streaming requires the asyncio server (repro serve)",
-                )
-            )
-            return
-        matched = match_json_route(method, path)
-        if matched is None:
-            self._send(
-                _error(404, "unknown_route", f"no such route: {method} {url.path}")
-            )
-            return
-        endpoint, params, legacy = matched
-        query = {
-            key: values[0]
-            for key, values in parse_qs(url.query, keep_blank_values=True).items()
-        }
-        body = self._read_json_body() if method == "POST" else None
-        response = self.server.service.call_endpoint(endpoint, params, query, body)
-        headers: Sequence[Tuple[str, str]] = deprecation_headers(path) if legacy else ()
-        headers = list(headers) + _claim_trace_headers(endpoint, *response)
-        self._send(response, headers)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("DELETE")
-
-
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the :class:`ExperimentService`."""
-
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int], service: ExperimentService) -> None:
-        super().__init__(address, _Handler)
-        self.service = service
-
-
-def make_server(
-    host: str,
-    port: int,
-    store: JobStore,
-    cache_dir: Path,
-) -> ServiceHTTPServer:
-    """Bind the *threaded* server (the benchmark baseline; same JSON API)."""
-    return ServiceHTTPServer((host, port), ExperimentService(store, cache_dir))

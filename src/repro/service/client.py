@@ -282,7 +282,7 @@ class ServiceClient:
             time.sleep(poll_interval)
 
     def wait_until_ready(self, timeout: float = 10.0, poll_interval: float = 0.1) -> None:
-        """Block until the server answers ``/healthz`` (startup race guard)."""
+        """Block until the server answers ``/v1/healthz`` (startup race guard)."""
         deadline = time.monotonic() + timeout
         while True:
             try:

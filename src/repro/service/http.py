@@ -10,13 +10,13 @@ connection.  The pieces:
   API route answers with; :meth:`Response.event_stream` wraps an async
   generator of SSE frames.
 * :class:`Router` -- a small declarative route table: ``add("GET",
-  "/v1/jobs/{job_id}", handler)`` then ``match(method, path)``;
+  "/v1/jobs/{job_id}", handler)`` then ``match_route(method, path)``;
   ``{name}`` segments capture into ``request.params``.
 * :class:`AsyncHTTPServer` -- ``asyncio.start_server`` wrapper with
   HTTP/1.1 keep-alive, request parsing, bounded bodies, and a
   **thread-pool bridge** (:meth:`AsyncHTTPServer.call`): the application
   runs its blocking work (SQLite reads/writes through the
-  :class:`~repro.service.store.JobStore`) on a small executor, so the
+  :class:`~repro.service.base.JobStore`) on a small executor, so the
   event loop never blocks on the database.
 
 The error envelope every handler (and the server's own parse failures)
@@ -217,16 +217,12 @@ class Response:
         )
 
     @classmethod
-    def event_stream(
-        cls,
-        chunks: AsyncIterator[bytes],
-        headers: Sequence[Tuple[str, str]] = (),
-    ) -> "Response":
+    def event_stream(cls, chunks: AsyncIterator[bytes]) -> "Response":
         """A ``text/event-stream`` response fed by an async generator."""
         return cls(
             200,
             content_type="text/event-stream",
-            headers=[("Cache-Control", "no-cache"), *headers],
+            headers=[("Cache-Control", "no-cache")],
             stream=chunks,
         )
 
@@ -253,15 +249,10 @@ class Router:
             (method.upper(), pattern, self._segments(pattern), handler)
         )
 
-    def match(self, method: str, path: str) -> Optional[Tuple[Handler, Dict[str, str]]]:
-        """The handler and captured params for a request, or ``None``."""
-        matched = self.match_route(method, path)
-        return matched[:2] if matched is not None else None
-
     def match_route(
         self, method: str, path: str
     ) -> Optional[Tuple[Handler, Dict[str, str], str]]:
-        """Like :meth:`match`, plus the registered route pattern.
+        """The handler, captured params and registered pattern, or ``None``.
 
         The pattern (not the raw path) labels the per-route metrics, so
         metric cardinality is bounded by the route table.
@@ -406,10 +397,6 @@ class AsyncHTTPServer:
             self._thread = None
         self._executor.shutdown(wait=False)
 
-    def server_close(self) -> None:
-        """No-op for drop-in compatibility with the stdlib servers
-        (:meth:`shutdown` already closes the listening socket)."""
-
     def _run(self) -> None:
         try:
             asyncio.run(self._main())
@@ -494,11 +481,29 @@ class AsyncHTTPServer:
         writer: asyncio.StreamWriter,
         request: Request,
     ) -> bool:
-        """Read the declared body onto ``request``; ``False`` aborts the link."""
+        """Read the declared body onto ``request``; ``False`` aborts the link.
+
+        Only ``Content-Length`` framing is supported.  A body the server
+        cannot frame is refused and the link closed, so its bytes are
+        never parsed as the next request.
+        """
+        if "transfer-encoding" in request.headers:
+            await self._write(
+                writer,
+                error_response(
+                    501,
+                    "unsupported_transfer_encoding",
+                    "Transfer-Encoding is not supported; send Content-Length",
+                ),
+                keep_alive=False,
+            )
+            return False
         raw_length = request.headers.get("content-length", "0") or "0"
         try:
             length = int(raw_length)
         except ValueError:
+            length = -1
+        if length < 0:
             await self._write(
                 writer,
                 error_response(400, "malformed_request", "bad Content-Length"),

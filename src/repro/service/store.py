@@ -22,14 +22,14 @@ Job lifecycle::
 * ``done`` / ``failed`` / ``cancelled`` -- terminal.  Submitting a
   failed or cancelled configuration again requeues it.
 
-Cancellation is cooperative: :meth:`JobStore.cancel` moves a *queued*
-job straight to ``cancelled``, while a leased/running job only gets its
-``cancel_requested`` flag raised -- the executing worker polls the flag
-(through a :class:`~repro.cancel.CancelToken`) at its checkpoint
-boundaries, persists its mid-stage partial, and then parks the job in
-``cancelled`` via :meth:`JobStore.mark_cancelled`.  Resubmitting the
-same configuration requeues it, and the worker resumes from the
-persisted generation/batch bit-identically.
+Cancellation is cooperative: :meth:`SqliteJobStore.cancel` moves a
+*queued* job straight to ``cancelled``, while a leased/running job only
+gets its ``cancel_requested`` flag raised -- the executing worker polls
+the flag (through a :class:`~repro.cancel.CancelToken`) at its
+checkpoint boundaries, persists its mid-stage partial, and then parks
+the job in ``cancelled`` via :meth:`SqliteJobStore.mark_cancelled`.
+Resubmitting the same configuration requeues it, and the worker resumes
+from the persisted generation/batch bit-identically.
 
 A worker that dies mid-job stops heartbeating; once its lease expires the
 job is atomically flipped back to ``queued`` and another worker picks it
@@ -71,7 +71,6 @@ from repro.service.base import (
 
 __all__ = [
     "Job",
-    "JobStore",
     "SqliteJobStore",
     "JOB_STATES",
     "ACTIVE_STATES",
@@ -147,8 +146,8 @@ class SqliteJobStore(base.JobStore):
     ----------
     path:
         Database file.  Parent directories are created; every worker
-        process and API thread opens its own :class:`JobStore` on the same
-        path.
+        process and API thread opens its own :class:`SqliteJobStore` on
+        the same path.
     lease_ttl:
         Seconds a claim (and each subsequent heartbeat) keeps a job leased
         before it is considered abandoned and requeued.
@@ -662,10 +661,3 @@ class SqliteJobStore(base.JobStore):
                 "SELECT value FROM meta WHERE key=?", (key,)
             ).fetchone()
         return json.loads(row["value"]) if row is not None else default
-
-
-#: Backward-compatible alias: ``JobStore`` named the SQLite store before
-#: the interface extraction (PR 8); existing imports keep constructing
-#: the local backend.  New code should name :class:`SqliteJobStore` (or
-#: program against :class:`repro.service.base.JobStore`).
-JobStore = SqliteJobStore

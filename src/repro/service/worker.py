@@ -1,7 +1,7 @@
 """The sharded worker pool executing queued experiment jobs.
 
 Each worker is one OS process running :func:`worker_loop`: claim a job
-from the :class:`~repro.service.store.JobStore` (preferring its own shard
+from the :class:`~repro.service.base.JobStore` (preferring its own shard
 of the config-hash space), execute it through the resumable
 :class:`~repro.experiments.runner.ExperimentRunner`, and record one
 progress event per completed flow stage through the runner's
@@ -12,7 +12,7 @@ per-generation and the yield stage's per-batch partials), which is what
 makes crash recovery cheap and bit-identical.
 
 Workers also carry a :class:`~repro.cancel.CancelToken` polling the job's
-``cancel_requested`` flag: a ``DELETE /jobs/<id>`` raised mid-run is
+``cancel_requested`` flag: a ``DELETE /v1/jobs/<id>`` raised mid-run is
 observed at the next checkpoint boundary, the mid-stage partial stays
 persisted, and the job parks in ``cancelled`` -- resubmitting resumes it
 bit-identically.
@@ -58,7 +58,7 @@ from repro.obs import trace as obs_trace
 from repro.service import base
 from repro.service.base import Job
 from repro.service.remote import RemoteJobStore, RemoteStoreError
-from repro.service.store import JobStore
+from repro.service.store import SqliteJobStore
 
 __all__ = [
     "execute_job",
@@ -79,8 +79,8 @@ DEFAULT_POLL_INTERVAL = 0.2
 TRANSIENT_STORE_ERRORS = (ArtifactTransportError, RemoteStoreError, ConnectionError)
 
 
-def _publish_pool_meta(store: JobStore, workers: int, shards: int) -> None:
-    """Record the live pool size in the store for ``GET /healthz``.
+def _publish_pool_meta(store: base.JobStore, workers: int, shards: int) -> None:
+    """Record the live pool size in the store for ``GET /v1/healthz``.
 
     The API server and the workers are separate processes; the shared
     SQLite ``meta`` table is how external probes learn the pool size.
@@ -370,7 +370,7 @@ def worker_loop(
 ) -> int:
     """A local worker: SQLite store + local artefact cache (see
     :func:`run_worker` for loop semantics)."""
-    store = JobStore(db_path, lease_ttl=lease_ttl)
+    store = SqliteJobStore(db_path, lease_ttl=lease_ttl)
     worker = f"worker-{shard_index}@{os.getpid()}"
     return run_worker(
         store,
@@ -516,7 +516,7 @@ class WorkerPool:
                 )
             )
         _publish_pool_meta(
-            JobStore(self.db_path, lease_ttl=self.lease_ttl),
+            SqliteJobStore(self.db_path, lease_ttl=self.lease_ttl),
             self.n_workers,
             self.n_workers,
         )
@@ -529,7 +529,7 @@ class WorkerPool:
         """Terminate all workers and wait for them to exit."""
         _stop_processes(self._processes, timeout)
         self._processes = []
-        _publish_pool_meta(JobStore(self.db_path, lease_ttl=self.lease_ttl), 0, 0)
+        _publish_pool_meta(SqliteJobStore(self.db_path, lease_ttl=self.lease_ttl), 0, 0)
 
     def __enter__(self) -> "WorkerPool":
         self.start()
@@ -608,7 +608,7 @@ class Autoscaler:
         #: duplicating a survivor's.
         self._workers: List[Tuple[multiprocessing.Process, object, int]] = []
         self._retiring: List[multiprocessing.Process] = []
-        self._store = JobStore(self.db_path, lease_ttl=self.lease_ttl)
+        self._store = SqliteJobStore(self.db_path, lease_ttl=self.lease_ttl)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._pressure_ticks = 0

@@ -151,9 +151,9 @@ def test_jobs_unreachable_server_is_a_clean_error(capsys):
 @pytest.fixture()
 def live_service(tmp_path):
     from repro.service.api import make_async_server
-    from repro.service.store import JobStore
+    from repro.service.store import SqliteJobStore
 
-    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     server = make_async_server("127.0.0.1", 0, store, tmp_path / "cache")
     host, port = server.start()
     yield f"http://{host}:{port}", store, tmp_path / "cache"

@@ -8,22 +8,19 @@ The distributed PR's test backbone:
   :class:`~repro.service.remote.RemoteJobStore` speaking the ``/v1`` API
   of a live loopback coordinator.  A test written against ``any_store``
   proves the two backends agree.
-* ``live`` / ``threaded_live`` are the deduplicated serve+client
-  boilerplate previously copied across test_api / test_concurrency:
-  a real HTTP server (asyncio or threaded front end) plus a ready
-  client, torn down after the test.
+* ``live`` is the deduplicated serve+client boilerplate previously
+  copied across test_api / test_concurrency: a real asyncio HTTP server
+  plus a ready client, torn down after the test.
 * ``tiny_scenario`` builds the standard smallest-possible scenario
   budget used throughout the suite.
 """
-
-import threading
 
 import pickle
 
 import pytest
 
 from repro.experiments.config import ScenarioConfig
-from repro.service.api import make_async_server, make_server
+from repro.service.api import make_async_server
 from repro.service.client import ServiceClient
 from repro.service.remote import RemoteJobStore
 from repro.service.store import SqliteJobStore
@@ -92,18 +89,6 @@ def live(coordinator):
     client = ServiceClient(coordinator.url)
     client.wait_until_ready()
     return client, coordinator.store, coordinator.cache_dir
-
-
-@pytest.fixture()
-def threaded_live(tmp_path, sqlite_store):
-    """(client, store, cache_dir) against the threaded legacy front end."""
-    server = make_server("127.0.0.1", 0, sqlite_store, tmp_path / "cache")
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
-    client.wait_until_ready()
-    yield client, sqlite_store, tmp_path / "cache"
-    server.shutdown()
-    server.server_close()
 
 
 @pytest.fixture(params=["sqlite", "remote"])

@@ -13,7 +13,7 @@ import pytest
 from conftest import assert_artefacts_byte_identical, tiny_scenario
 from repro.experiments.cache import ArtefactCache
 from repro.experiments.runner import ExperimentRunner
-from repro.service.store import JobStore
+from repro.service.store import SqliteJobStore
 from repro.service.worker import worker_loop
 
 #: Enough NSGA-II generations (~1.5 s serial) that a cancel or SIGKILL
@@ -42,7 +42,7 @@ def test_cancel_running_job_parks_within_a_checkpoint_and_resumes(tmp_path):
     the partial survives, and resubmitting finishes bit-identically."""
     db = tmp_path / "service.db"
     cache = tmp_path / "cache"
-    store = JobStore(db, lease_ttl=30.0)
+    store = SqliteJobStore(db, lease_ttl=30.0)
     job, _ = store.submit(SLOW_CIRCUIT)
     entry = ArtefactCache(cache).entry_for(SLOW_CIRCUIT)
 
@@ -94,7 +94,7 @@ def test_sigkill_mid_nsga2_is_reclaimed_and_finishes_bit_identically(tmp_path):
     lease_ttl = 1.0
     db = tmp_path / "service.db"
     cache = tmp_path / "cache"
-    store = JobStore(db, lease_ttl=lease_ttl)
+    store = SqliteJobStore(db, lease_ttl=lease_ttl)
     job, _ = store.submit(SLOW_CIRCUIT)
     entry = ArtefactCache(cache).entry_for(SLOW_CIRCUIT)
 
@@ -132,7 +132,7 @@ def test_sigkill_mid_nsga2_is_reclaimed_and_finishes_bit_identically(tmp_path):
 
 def test_cancel_queued_job_never_executes(tmp_path):
     db = tmp_path / "service.db"
-    store = JobStore(db, lease_ttl=30.0)
+    store = SqliteJobStore(db, lease_ttl=30.0)
     job, _ = store.submit(SLOW_CIRCUIT)
     store.cancel(job.id)
     executed = worker_loop(db, tmp_path / "cache", max_jobs=1, poll_interval=0.01)

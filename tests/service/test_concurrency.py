@@ -11,7 +11,7 @@ from conftest import assert_artefacts_byte_identical, tiny_scenario
 from repro.experiments.cache import ArtefactCache
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import ExperimentRunner
-from repro.service.store import JobStore
+from repro.service.store import SqliteJobStore
 from repro.service.worker import worker_loop
 
 #: Slow enough (serial backend, fat Monte Carlo) to be killed mid-run,
@@ -29,10 +29,9 @@ SLOW = ScenarioConfig(
 )
 
 
-def test_concurrent_submissions_coalesce_to_one_job(threaded_live):
-    """Many clients posting the same scenario race into a single job
-    (via the threaded front end, keeping that code path covered)."""
-    client, store, _ = threaded_live
+def test_concurrent_submissions_coalesce_to_one_job(live):
+    """Many clients posting the same scenario race into a single job."""
+    client, store, _ = live
     results = []
     barrier = threading.Barrier(8)
 
@@ -61,7 +60,7 @@ def test_process_backend_job_runs_through_spawned_workers(tmp_path):
 
     db = tmp_path / "service.db"
     cache = tmp_path / "cache"
-    store = JobStore(db, lease_ttl=30.0)
+    store = SqliteJobStore(db, lease_ttl=30.0)
     tiny = tiny_scenario("proc-tiny", seed=29, evaluation="process", n_workers=2)
     job, _ = store.submit(tiny)
     with WorkerPool(db, cache, n_workers=1, lease_ttl=30.0):
@@ -78,7 +77,7 @@ def test_killed_worker_job_is_reclaimed_and_finishes_bit_identically(tmp_path):
     lease_ttl = 1.0
     db = tmp_path / "service.db"
     cache = tmp_path / "cache"
-    store = JobStore(db, lease_ttl=lease_ttl)
+    store = SqliteJobStore(db, lease_ttl=lease_ttl)
     job, _ = store.submit(SLOW)
 
     # Worker A: a real spawned process; SIGKILL it once the first stage

@@ -10,12 +10,12 @@ import pytest
 from repro.service.api import make_async_server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import Request, Response, Router, error_payload, sse_event
-from repro.service.store import JobStore
+from repro.service.store import SqliteJobStore
 
 
 @pytest.fixture()
 def live(tmp_path):
-    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     server = make_async_server("127.0.0.1", 0, store, tmp_path / "cache")
     host, port = server.start()
     client = ServiceClient(f"http://{host}:{port}")
@@ -49,15 +49,20 @@ def test_router_matches_literal_and_captured_segments():
     router.add("GET", "/v1/jobs", "list")
     router.add("GET", "/v1/jobs/{job_id}", "detail")
     router.add("GET", "/v1/jobs/{job_id}/events", "events")
-    assert router.match("GET", "/v1/jobs") == ("list", {})
-    assert router.match("GET", "/v1/jobs/abc123") == ("detail", {"job_id": "abc123"})
-    assert router.match("GET", "/v1/jobs/abc123/events") == (
+    assert router.match_route("GET", "/v1/jobs") == ("list", {}, "/v1/jobs")
+    assert router.match_route("GET", "/v1/jobs/abc123") == (
+        "detail",
+        {"job_id": "abc123"},
+        "/v1/jobs/{job_id}",
+    )
+    assert router.match_route("GET", "/v1/jobs/abc123/events") == (
         "events",
         {"job_id": "abc123"},
+        "/v1/jobs/{job_id}/events",
     )
-    assert router.match("POST", "/v1/jobs/abc123") is None  # wrong method
-    assert router.match("GET", "/v1/jobs/a/b/c") is None  # capture is single-segment
-    assert router.match("GET", "/v2/jobs") is None
+    assert router.match_route("POST", "/v1/jobs/abc123") is None  # wrong method
+    assert router.match_route("GET", "/v1/jobs/a/b/c") is None  # capture is single-segment
+    assert router.match_route("GET", "/v2/jobs") is None
 
 
 def test_request_keep_alive_semantics():
@@ -110,7 +115,7 @@ def test_keep_alive_serves_multiple_requests_on_one_connection(live):
 def test_shutdown_with_an_idle_keep_alive_client_is_clean(tmp_path, caplog):
     """Stopping the server drops open keep-alive links without the event
     loop reporting the cancelled connection handlers as errors."""
-    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     server = make_async_server("127.0.0.1", 0, store, tmp_path / "cache")
     host, port = server.start()
     client = ServiceClient(f"http://{host}:{port}")
@@ -148,21 +153,36 @@ def test_oversized_body_gets_413(live):
     assert json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]["code"] == "body_too_large"
 
 
-# -- versioning: /v1 + deprecated aliases -------------------------------------------------
+def test_unframeable_bodies_get_one_response_and_a_closed_link(live):
+    """A chunked body or a negative Content-Length is refused once; the
+    body bytes are never parsed as a second request."""
+    _, _, (host, port) = live
+    chunked = (
+        b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b'1a\r\n{"scenario": "fast-smoke"}\r\n0\r\n\r\n'
+    )
+    negative = b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n{}"
+    for blob, status, code in (
+        (chunked, b"501", "unsupported_transfer_encoding"),
+        (negative, b"400", "malformed_request"),
+    ):
+        raw = _raw(host, port, blob)
+        assert raw.count(b"HTTP/1.1 ") == 1, raw
+        assert raw.startswith(b"HTTP/1.1 " + status)
+        assert b"Connection: close\r\n" in raw
+        assert json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]["code"] == code
 
 
-def test_legacy_aliases_answer_with_deprecation_headers(live):
-    import urllib.request
+# -- versioning: /v1 only -----------------------------------------------------------------
 
-    client, _, (host, port) = live
+
+def test_unversioned_paths_answer_unknown_route(live):
+    _, _, (host, port) = live
     for path in ("/healthz", "/scenarios", "/jobs"):
-        with urllib.request.urlopen(f"http://{host}:{port}{path}") as response:
-            assert response.status == 200
-            assert response.headers["Deprecation"] == "true"
-            assert response.headers["Link"] == f'</v1{path}>; rel="successor-version"'
-    # The /v1 routes carry no deprecation marker.
-    with urllib.request.urlopen(f"http://{host}:{port}/v1/healthz") as response:
-        assert response.headers.get("Deprecation") is None
+        raw = _raw(host, port, f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        assert raw.startswith(b"HTTP/1.1 404")
+        payload = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+        assert payload["error"]["code"] == "unknown_route"
 
 
 def test_healthz_reports_counts_version_and_pool(live):

@@ -19,7 +19,7 @@ import pytest
 from repro.experiments.config import ScenarioConfig
 from repro.service.api import make_async_server
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.store import JobStore
+from repro.service.store import SqliteJobStore
 from repro.service.worker import worker_loop
 
 TINY = ScenarioConfig(
@@ -37,7 +37,7 @@ TINY = ScenarioConfig(
 
 @pytest.fixture()
 def live(tmp_path):
-    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     server = make_async_server("127.0.0.1", 0, store, tmp_path / "cache")
     host, port = server.start()
     client = ServiceClient(f"http://{host}:{port}")

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.experiments.config import ScenarioConfig
-from repro.service.store import ACTIVE_STATES, JOB_STATES, JobStore, shard_of
+from repro.service.store import ACTIVE_STATES, JOB_STATES, SqliteJobStore, shard_of
 
 TINY = ScenarioConfig(name="store-tiny", circuit_population=8, circuit_generations=2)
 
@@ -101,7 +101,7 @@ def test_requeue_adopts_the_resubmissions_execution_fields(store):
 
 
 def test_expired_lease_is_reclaimed_by_next_claim(tmp_path):
-    store = JobStore(tmp_path / "service.db", lease_ttl=0.05)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=0.05)
     job, _ = store.submit(TINY)
     store.claim("w1")
     store.start(job.id, "w1")
@@ -118,7 +118,7 @@ def test_expired_lease_is_reclaimed_by_next_claim(tmp_path):
 
 
 def test_heartbeat_extends_the_lease(tmp_path):
-    store = JobStore(tmp_path / "service.db", lease_ttl=0.3)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=0.3)
     job, _ = store.submit(TINY)
     store.claim("w1")
     for _ in range(3):
@@ -177,16 +177,16 @@ def test_jobs_listing_and_state_filter(store):
 
 def test_store_validation_and_constants(tmp_path):
     with pytest.raises(ValueError):
-        JobStore(tmp_path / "x.db", lease_ttl=0)
+        SqliteJobStore(tmp_path / "x.db", lease_ttl=0)
     assert set(ACTIVE_STATES) < set(JOB_STATES)
     assert store_is_persistent(tmp_path)
 
 
 def store_is_persistent(tmp_path):
-    """State written by one JobStore instance is visible to a fresh one."""
-    first = JobStore(tmp_path / "p.db")
+    """State written by one SqliteJobStore instance is visible to a fresh one."""
+    first = SqliteJobStore(tmp_path / "p.db")
     job, _ = first.submit(TINY)
-    second = JobStore(tmp_path / "p.db")
+    second = SqliteJobStore(tmp_path / "p.db")
     return second.get(job.id) is not None and second.get(job.id).state == "queued"
 
 
@@ -198,7 +198,7 @@ def test_heartbeat_refuses_to_revive_an_expired_lease(tmp_path):
     -- expiry is authoritative, matching the docstring's 'the worker
     should stop executing' contract (previously the UPDATE lacked the
     lease_expires >= now guard and revived the job, racing a reclaim)."""
-    store = JobStore(tmp_path / "service.db", lease_ttl=0.05)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=0.05)
     job, _ = store.submit(TINY)
     store.claim("w1")
     store.start(job.id, "w1")
@@ -211,7 +211,7 @@ def test_heartbeat_refuses_to_revive_an_expired_lease(tmp_path):
 
 
 def test_pending_count_includes_expired_leases(tmp_path):
-    store = JobStore(tmp_path / "service.db", lease_ttl=0.05)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=0.05)
     assert store.pending_count() == 0
     job, _ = store.submit(TINY)
     assert store.pending_count() == 1  # queued
@@ -291,7 +291,7 @@ def test_resubmitting_a_cancelled_job_requeues_it(store):
 def test_expired_lease_with_cancel_request_parks_cancelled(tmp_path):
     """A cancel raised against a worker that then died must win over the
     requeue: the operator asked for the job to stop."""
-    store = JobStore(tmp_path / "service.db", lease_ttl=0.05)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=0.05)
     job, _ = store.submit(TINY)
     store.claim("w1")
     store.start(job.id, "w1")
@@ -343,7 +343,7 @@ def test_store_migrates_pre_cancellation_databases(tmp_path):
     connection.commit()
     connection.close()
 
-    store = JobStore(path)
+    store = SqliteJobStore(path)
     legacy = store.get("abc123")
     assert legacy is not None
     assert legacy.cancel_requested is False
@@ -366,7 +366,7 @@ def test_cancel_parks_an_expired_lease_job_immediately(tmp_path):
     """Cancelling a job whose worker is dead (lease expired) must not
     wait for a worker that may never come: it parks in `cancelled` right
     away instead of merely raising the flag."""
-    store = JobStore(tmp_path / "service.db", lease_ttl=0.05)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=0.05)
     job, _ = store.submit(TINY)
     store.claim("w1")
     store.start(job.id, "w1")
@@ -459,7 +459,7 @@ def test_meta_roundtrip_and_cross_instance_visibility(sqlite_store, tmp_path):
     assert store.get_meta("workers") == 0
     # Visible from a second instance on the same path (the healthz reader
     # is a different process than the worker pool that publishes).
-    twin = JobStore(tmp_path / "service.db", lease_ttl=60.0)
+    twin = SqliteJobStore(tmp_path / "service.db", lease_ttl=60.0)
     assert twin.get_meta("shards") == 4
 
 
@@ -476,7 +476,7 @@ def test_one_connection_per_thread_is_reused_across_calls(tmp_path, monkeypatch)
         return connection
 
     monkeypatch.setattr(sqlite3, "connect", counting_connect)
-    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     job, _ = store.submit(TINY)
     for _ in range(5):
         store.get(job.id)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.experiments.config import ScenarioConfig
-from repro.service.store import JobStore
+from repro.service.store import SqliteJobStore
 from repro.service.worker import Autoscaler, worker_loop
 
 TINY = ScenarioConfig(
@@ -42,7 +42,7 @@ def test_drain_mode_waits_for_expired_lease_jobs(tmp_path, monkeypatch):
     reclaimable work behind.  Expired leases now count as pending."""
     db = tmp_path / "service.db"
     cache = tmp_path / "cache"
-    store = JobStore(db, lease_ttl=0.05)
+    store = SqliteJobStore(db, lease_ttl=0.05)
     job, _ = store.submit(TINY)
     store.claim("ghost")
     store.start(job.id, "ghost")
@@ -51,7 +51,7 @@ def test_drain_mode_waits_for_expired_lease_jobs(tmp_path, monkeypatch):
     # Simulate losing one contended claim (a peer's probe raced ours):
     # claim returns None exactly once, with zero queued jobs and one
     # expired lease on the books -- the situation the old break mishandled.
-    real_claim = JobStore.claim
+    real_claim = SqliteJobStore.claim
     calls = {"n": 0}
 
     def racy_claim(self, *args, **kwargs):
@@ -60,7 +60,7 @@ def test_drain_mode_waits_for_expired_lease_jobs(tmp_path, monkeypatch):
             return None
         return real_claim(self, *args, **kwargs)
 
-    monkeypatch.setattr(JobStore, "claim", racy_claim)
+    monkeypatch.setattr(SqliteJobStore, "claim", racy_claim)
     executed = worker_loop(db, cache, lease_ttl=30.0, poll_interval=0.01, max_jobs=1)
     assert executed == 1  # the drain reclaimed and finished the job
     assert store.get(job.id).state == "done"
@@ -94,7 +94,7 @@ def test_stop_event_retires_an_idle_worker(tmp_path):
 
     stop = Event()
     stop.set()
-    store = JobStore(tmp_path / "service.db")
+    store = SqliteJobStore(tmp_path / "service.db")
     store.submit(TINY)  # even with work queued, a retired worker exits
     executed = worker_loop(
         tmp_path / "service.db", tmp_path / "cache", stop_event=stop
@@ -117,7 +117,7 @@ def test_autoscaler_validation(tmp_path):
 def test_autoscaler_tick_logic_without_processes(tmp_path, monkeypatch):
     """The scaling decisions, exercised deterministically: _tick reads the
     store and grows/shrinks the bookkeeping (process spawning stubbed)."""
-    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     scaler = Autoscaler(
         tmp_path / "service.db",
         tmp_path / "cache",
@@ -189,7 +189,7 @@ def test_autoscaler_grows_under_burst_and_shrinks_when_drained(tmp_path):
     distinct submissions grows the pool, the drained queue shrinks it."""
     db = tmp_path / "service.db"
     cache = tmp_path / "cache"
-    store = JobStore(db, lease_ttl=30.0)
+    store = SqliteJobStore(db, lease_ttl=30.0)
     for seed in range(900, 906):
         store.submit(ScenarioConfig(name=f"burst-{seed}", seed=seed, **BURST_BUDGET))
 
@@ -223,7 +223,7 @@ def test_autoscaler_reaps_crashed_workers_and_holds_the_floor(tmp_path, monkeypa
     """A dead worker must not count toward the size the backlog is
     compared against: it is reaped out of the pool and replaced up to
     min_workers, so scale-up never stalls behind a corpse."""
-    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     scaler = Autoscaler(
         tmp_path / "service.db",
         tmp_path / "cache",
@@ -348,7 +348,7 @@ def test_scale_up_counts_in_flight_jobs_as_demand(tmp_path, monkeypatch):
     """A queued job must not starve behind a pool of busy workers: demand
     is queued + in-flight, so one long-running job plus one queued job
     exceeds a single-worker pool and triggers growth."""
-    store = JobStore(tmp_path / "service.db", lease_ttl=3600.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=3600.0)
     scaler = Autoscaler(
         tmp_path / "service.db",
         tmp_path / "cache",
@@ -390,7 +390,7 @@ def test_execute_job_records_per_generation_progress(tmp_path):
     NSGA-II generation (with the live Pareto front) and per Monte Carlo
     batch, interleaved with the stage-completed markers, all on one
     gapless monotonic sequence."""
-    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     job, _ = store.submit(TINY)
     assert worker_loop(store.path, tmp_path / "cache", lease_ttl=30.0, max_jobs=1) == 1
     assert store.get(job.id).state == "done"
@@ -426,7 +426,7 @@ def test_worker_pool_publishes_size_to_meta(tmp_path):
     pool publishes on start and zeroes on stop."""
     from repro.service.worker import WorkerPool
 
-    store = JobStore(tmp_path / "service.db", lease_ttl=30.0)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     with WorkerPool(store.path, tmp_path / "cache", n_workers=2, lease_ttl=30.0):
         assert store.get_meta("workers") == 2
         assert store.get_meta("shards") == 2
