@@ -37,6 +37,7 @@ from repro.circuits.testbench import VcoTestbench
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.process.mismatch import MismatchSample
+from repro.process.montecarlo import SampleBatch
 from repro.process.technology import TECH_012UM, Technology
 from repro.spice.mosfet import _ELECTRON_CHARGE, _EPS_OX, MOSFET
 
@@ -51,12 +52,10 @@ EVALUATIONS = obs_metrics.get_registry().counter(
     ("backend",),
 )
 
-#: Batch adapter signature used by ``MonteCarloEngine.run_batch``: lists of
-#: per-sample technologies and mismatch samples in, one performance
+#: Batch adapter signature used by ``MonteCarloEngine.run_batch``: one
+#: :class:`~repro.process.montecarlo.SampleBatch` in, one performance
 #: dictionary per sample out.
-BatchMonteCarloEvaluator = Callable[
-    [Sequence[Technology], Sequence[MismatchSample]], List[Dict[str, float]]
-]
+BatchMonteCarloEvaluator = Callable[[SampleBatch], List[Dict[str, float]]]
 
 
 class VcoEvaluator:
@@ -77,20 +76,22 @@ class VcoEvaluator:
         self,
         designs: Sequence[VcoDesign],
         technology: Optional[Technology] = None,
-        technologies: Optional[Sequence[Technology]] = None,
-        mismatches: Optional[Sequence[MismatchSample]] = None,
+        samples: Optional[SampleBatch] = None,
     ) -> List[VcoPerformance]:
-        """Evaluate many (design, technology, mismatch) combinations at once.
+        """Evaluate many design points and/or Monte Carlo samples at once.
 
-        Length-1 inputs broadcast against the longest input, covering both
+        ``samples`` is a :class:`~repro.process.montecarlo.SampleBatch`
+        drawn around its own nominal technology; without it every design
+        is evaluated under ``technology`` (default: the evaluator's).
+        Length-1 inputs broadcast against the longer one, covering both
         batch shapes the flow needs: N designs under one technology (the
-        NSGA-II population) and one design under N sampled technologies /
-        mismatch draws (the Monte Carlo analysis).  The base implementation
-        loops :meth:`evaluate`; the analytical evaluator overrides it with
-        numpy array math.
+        NSGA-II population) and one design under N samples (the Monte
+        Carlo analysis).  The base implementation loops :meth:`evaluate`
+        over materialised samples; the analytical evaluator overrides it
+        with numpy array math.
         """
         designs, technologies, mismatches = _broadcast_batch(
-            designs, technology or self.technology, technologies, mismatches
+            designs, _batch_or_nominal(samples, technology or self.technology)
         )
         return [
             self.evaluate(design, technology=tech, mismatch=mismatch)
@@ -110,39 +111,40 @@ class VcoEvaluator:
     def monte_carlo_batch_evaluator(self, design: VcoDesign) -> BatchMonteCarloEvaluator:
         """Batch adapter for ``MonteCarloEngine.run_batch``."""
 
-        def _evaluate(
-            technologies: Sequence[Technology], mismatches: Sequence[MismatchSample]
-        ) -> List[Dict[str, float]]:
-            performances = self.evaluate_batch(
-                [design], technologies=technologies, mismatches=mismatches
-            )
+        def _evaluate(samples: SampleBatch) -> List[Dict[str, float]]:
+            performances = self.evaluate_batch([design], samples=samples)
             return [performance.as_dict() for performance in performances]
 
         return _evaluate
 
 
-def _broadcast_batch(designs, technology, technologies, mismatches):
-    """Broadcast length-1 batch inputs against the longest one."""
+def _batch_or_nominal(samples: Optional[SampleBatch], technology: Technology) -> SampleBatch:
+    """The given sample batch, or a one-sample batch of the nominal technology."""
+    return samples if samples is not None else SampleBatch.nominal(technology)
+
+
+def _broadcast_designs(designs: Sequence, n_samples: int) -> List:
+    """Designs broadcast against ``n_samples`` draws (each side length 1 or N)."""
     designs = list(designs)
-    technologies = list(technologies) if technologies is not None else [technology]
-    mismatches = list(mismatches) if mismatches is not None else [None]
-    n = max(len(designs), len(technologies), len(mismatches))
-    for name, items in (
-        ("designs", designs),
-        ("technologies", technologies),
-        ("mismatches", mismatches),
-    ):
-        if len(items) not in (1, n):
-            raise ValueError(
-                f"batch input {name!r} has length {len(items)}, expected 1 or {n}"
-            )
-    if len(designs) == 1:
-        designs = designs * n
-    if len(technologies) == 1:
-        technologies = technologies * n
-    if len(mismatches) == 1:
-        mismatches = mismatches * n
-    return designs, technologies, mismatches
+    n = max(len(designs), n_samples)
+    if len(designs) not in (1, n) or n_samples not in (1, n):
+        raise ValueError(
+            f"cannot broadcast {len(designs)} design(s) against {n_samples} sample(s)"
+        )
+    return designs * n if len(designs) == 1 else designs
+
+
+def _broadcast_batch(designs, samples: SampleBatch):
+    """Per-element (design, technology, mismatch) lists of a batch.
+
+    The batch's samples are materialised into technologies and mismatch
+    samples, for evaluators that take one sample at a time.
+    """
+    designs = _broadcast_designs(designs, len(samples))
+    drawn = list(samples)
+    if len(drawn) == 1:
+        drawn = drawn * len(designs)
+    return designs, [sample.technology for sample in drawn], [sample.mismatch for sample in drawn]
 
 
 def _softplus_overdrive(vov: np.ndarray, n_vt: np.ndarray) -> np.ndarray:
@@ -253,37 +255,18 @@ _CARD_ATTRIBUTES = (
 )
 
 
-def _card_arrays(cards) -> Dict:
-    """Gather one model card per sample into attribute arrays.
+def _sample_card(samples: SampleBatch, polarity: str) -> Dict:
+    """A batch's model card as attribute values: shifted columns where varied.
 
-    When every sample shares the same card object (the optimisation batch
-    shape) plain scalars are returned, which keeps the array expressions
-    cheap; otherwise each attribute becomes a length-N array (the Monte
-    Carlo batch shape, where global variation shifts every card).
+    Parameters without global variation stay nominal scalars, which keeps
+    the array expressions cheap; scalar and column operands give the same
+    elementwise bits.
     """
-    first = cards[0]
-    if all(card is first for card in cards):
-        values = {attr: getattr(first, attr) for attr in _CARD_ATTRIBUTES}
-    else:
-        values = {
-            attr: np.array([getattr(card, attr) for card in cards])
-            for attr in _CARD_ATTRIBUTES
-        }
-    values["polarity"] = first.polarity
+    model = samples.technology.model(polarity)
+    columns = samples.card_columns(polarity)
+    values = {attr: columns.get(attr, getattr(model, attr)) for attr in _CARD_ATTRIBUTES}
+    values["polarity"] = model.polarity
     return values
-
-
-def _mismatch_deltas(mismatches, device_name: str):
-    """Per-sample (vth0, u0_rel) mismatch deltas of one device, as arrays."""
-    if mismatches is None:
-        return None
-    vth0 = np.empty(len(mismatches))
-    u0_rel = np.empty(len(mismatches))
-    for index, mismatch in enumerate(mismatches):
-        deltas = mismatch.for_device(device_name) if mismatch is not None else {}
-        vth0[index] = deltas.get("vth0", 0.0)
-        u0_rel[index] = deltas.get("u0_rel", 0.0)
-    return vth0, u0_rel
 
 
 def _device_arrays(card: Dict, width, length, deltas) -> _DeviceArrays:
@@ -567,13 +550,18 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         thermal = math.sqrt(2.0 * sum(s * s for s in sigma_edges))
         # Mismatch between stages converts into deterministic period error
         # through the spread of the stage delays (one-sigma estimate).
+        # Squares are written as products: a float ``** 2`` goes through
+        # libm ``pow``, which is not always correctly rounded, whereas the
+        # batch kernel's numpy ``** 2`` is one (exact-rounded) multiply.
         mean_delay = sum(delays) / len(delays)
         if len(delays) > 1:
-            variance = sum((d - mean_delay) ** 2 for d in delays) / (len(delays) - 1)
+            variance = sum((d - mean_delay) * (d - mean_delay) for d in delays) / (
+                len(delays) - 1
+            )
             deterministic = math.sqrt(variance)
         else:
             deterministic = 0.0
-        return self.jitter_scale * math.sqrt(thermal**2 + deterministic**2)
+        return self.jitter_scale * math.sqrt(thermal * thermal + deterministic * deterministic)
 
     # -- public API -----------------------------------------------------------------------
 
@@ -612,8 +600,7 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         self,
         designs: Sequence[VcoDesign],
         technology: Optional[Technology] = None,
-        technologies: Optional[Sequence[Technology]] = None,
-        mismatches: Optional[Sequence[MismatchSample]] = None,
+        samples: Optional[SampleBatch] = None,
     ) -> List[VcoPerformance]:
         """True array-in/array-out evaluation of a whole batch.
 
@@ -624,34 +611,28 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         Carlo analysis produces the same results on either path, only
         faster.  Supports the two batch shapes of the flow: N designs
         under one technology (optimisation) and one design under N
-        sampled technologies/mismatch draws (Monte Carlo).
+        samples (Monte Carlo).  The sample batch is read column by column
+        -- shifted card parameters and per-device mismatch deltas --
+        without building per-sample objects.
         """
-        base_tech = technology or self.technology
-        designs_b, techs, mms = _broadcast_batch(designs, base_tech, technologies, mismatches)
+        samples = _batch_or_nominal(samples, technology or self.technology)
+        designs_b = _broadcast_designs(designs, len(samples))
         n = len(designs_b)
         EVALUATIONS.inc(n, backend="analytical")
-        reference = techs[0]
-        if any(
-            tech.vdd != reference.vdd or tech.temperature != reference.temperature
-            for tech in techs
-        ):
-            # Mixed supplies/temperatures would turn the scalar bias
-            # branches into arrays; fall back to the generic loop.
-            return super().evaluate_batch(
-                designs, technology=base_tech, technologies=techs, mismatches=mms
-            )
+        reference = samples.technology
+        nmos = _sample_card(samples, "nmos")
+        pmos = _sample_card(samples, "pmos")
         params = self._design_arrays(designs_b, reference)
-        nmos = _card_arrays([tech.nmos for tech in techs])
-        pmos = _card_arrays([tech.pmos for tech in techs])
         load = self._batch_stage_capacitance(params, nmos, pmos, reference)
-        has_mismatch = any(mm is not None and mm.deltas for mm in mms)
 
         def stage_biases(vctrl: float) -> List[np.ndarray]:
-            if not has_mismatch:
-                current = self._batch_stage_current(params, nmos, pmos, reference, vctrl, None, 0)
+            if not samples.device_names:
+                current = self._batch_stage_current(
+                    params, nmos, pmos, reference, vctrl, samples, 0
+                )
                 return [current] * self.n_stages
             return [
-                self._batch_stage_current(params, nmos, pmos, reference, vctrl, mms, stage)
+                self._batch_stage_current(params, nmos, pmos, reference, vctrl, samples, stage)
                 for stage in range(self.n_stages)
             ]
 
@@ -739,29 +720,26 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         return gate + overlap + junction + technology.stage_load_capacitance
 
     def _batch_stage_current(
-        self, params, nmos, pmos, technology: Technology, vctrl, mismatches, stage: int
+        self, params, nmos, pmos, technology: Technology, vctrl, samples: SampleBatch, stage: int
     ) -> np.ndarray:
         """Vectorised transcription of the current part of :meth:`_stage_bias`."""
+        mismatch_of = samples.mismatch_columns
         vdd = technology.vdd
         half = vdd / 2.0
         tail_n = _device_arrays(
-            nmos, params["tail_nmos_width"], params["tail_length"],
-            _mismatch_deltas(mismatches, f"mtn{stage}"),
+            nmos, params["tail_nmos_width"], params["tail_length"], mismatch_of(f"mtn{stage}")
         )
         i_tail_n = tail_n.drain_current(half, vctrl, 0.0, 0.0)
         tail_p = _device_arrays(
-            pmos, params["tail_pmos_width"], params["tail_length"],
-            _mismatch_deltas(mismatches, f"mtp{stage}"),
+            pmos, params["tail_pmos_width"], params["tail_length"], mismatch_of(f"mtp{stage}")
         )
         i_tail_p = np.abs(tail_p.drain_current(half, half - vdd + half, vdd, vdd))
         inv_n = _device_arrays(
-            nmos, params["nmos_width"], params["nmos_length"],
-            _mismatch_deltas(mismatches, f"mn{stage}"),
+            nmos, params["nmos_width"], params["nmos_length"], mismatch_of(f"mn{stage}")
         )
         i_inv_n = inv_n.drain_current(half, vdd, 0.0, 0.0)
         inv_p = _device_arrays(
-            pmos, params["pmos_width"], params["pmos_length"],
-            _mismatch_deltas(mismatches, f"mp{stage}"),
+            pmos, params["pmos_width"], params["pmos_length"], mismatch_of(f"mp{stage}")
         )
         i_inv_p = np.abs(inv_p.drain_current(half, 0.0 - 0.0, vdd, vdd))
         pull_down = np.minimum(i_tail_n, i_inv_n)
@@ -929,8 +907,7 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         self,
         designs: Sequence[VcoDesign],
         technology: Optional[Technology] = None,
-        technologies: Optional[Sequence[Technology]] = None,
-        mismatches: Optional[Sequence[MismatchSample]] = None,
+        samples: Optional[SampleBatch] = None,
     ) -> List[VcoPerformance]:
         """Fan a batch of transistor-level evaluations out over a process pool.
 
@@ -944,7 +921,7 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         to the inherited serial loop.
         """
         designs_b, techs, mms = _broadcast_batch(
-            designs, technology or self.technology, technologies, mismatches
+            designs, _batch_or_nominal(samples, technology or self.technology)
         )
         tasks = list(zip(designs_b, techs, mms))
         n_tasks = len(tasks)

@@ -15,7 +15,7 @@ parametric yield.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.core.combined_model import CombinedPerformanceVariationModel
 from repro.process.technology import TECH_012UM
 from repro.core.specification import PLL_SPECIFICATIONS, SpecificationSet
 from repro.obs import trace as obs_trace
-from repro.process.montecarlo import MonteCarloEngine, ProcessSample
+from repro.process.montecarlo import MonteCarloEngine, SampleBatch
 from repro.process.statistics import summarise_samples
 
 __all__ = ["YieldReport", "YieldAnalysis"]
@@ -196,7 +196,7 @@ class YieldAnalysis:
 
     def _evaluate_batch(
         self,
-        process_samples: Sequence[ProcessSample],
+        process_samples: SampleBatch,
         vco_design: Any,
         pll_design: PllDesign,
     ) -> List[Dict[str, float]]:
@@ -210,8 +210,7 @@ class YieldAnalysis:
             # Lane-parallel propagation: every sampled VCO becomes one lane
             # of a single batched transient (bit-identical to the loop).
             vco_results = self.evaluator.monte_carlo_batch_evaluator(vco_design)(
-                [sample.technology for sample in process_samples],
-                [sample.mismatch for sample in process_samples],
+                process_samples
             )
             if len(vco_results) != len(process_samples):
                 raise ValueError(

@@ -15,9 +15,11 @@ plausible way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
+
+from repro.process.variation import truncate
 
 __all__ = ["MismatchModel", "MismatchSample", "DeviceGeometry"]
 
@@ -50,6 +52,15 @@ class MismatchSample:
     def devices(self) -> Sequence[str]:
         """Names of all devices carrying mismatch deltas."""
         return list(self.deltas)
+
+    @classmethod
+    def from_arrays(
+        cls, names: Sequence[str], vth0: np.ndarray, u0_rel: np.ndarray
+    ) -> "MismatchSample":
+        """One sample from per-device delta rows, in the device order of ``names``."""
+        return cls(
+            {name: {"vth0": vth0[j], "u0_rel": u0_rel[j]} for j, name in enumerate(names)}
+        )
 
 
 @dataclass(frozen=True)
@@ -91,34 +102,32 @@ class MismatchModel:
         (``vth0`` key) and a relative mobility delta (``u0_rel`` key, to be
         multiplied by the nominal mobility by the consumer).
         """
-        return self.sample_from_draws(
-            devices, rng.standard_normal(self.draws_per_sample(devices))
-        )
+        draws = rng.standard_normal((1, self.draws_per_sample(devices)))
+        vth0, u0_rel = self.sample_from_draws(devices, draws)
+        return MismatchSample.from_arrays([device.name for device in devices], vth0[0], u0_rel[0])
 
     def sample_from_draws(
-        self, devices: Sequence[DeviceGeometry], draws: Sequence[float]
-    ) -> MismatchSample:
-        """Build one mismatch sample from pre-drawn standard normals.
+        self, devices: Sequence[DeviceGeometry], draws: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-device delta matrices from an ``(n_samples, 2 n_devices)`` draw matrix.
 
-        ``draws`` holds ``(z_vth, z_beta)`` pairs in device order -- the
-        exact consumption order of :meth:`sample` -- so the Monte Carlo
-        engine can draw every sample's normals in one bulk call without
-        changing the seeded value stream.
+        Each row holds ``(z_vth, z_beta)`` pairs in device order -- the
+        consumption order of :meth:`sample` -- so the Monte Carlo engine can
+        draw every sample's normals in one bulk call without changing the
+        seeded value stream.  Returns the ``vth0`` and ``u0_rel`` deltas,
+        each ``(n_samples, n_devices)``; a ``truncation <= 0`` leaves the
+        draws untruncated.
         """
         draws = np.asarray(draws, dtype=float)
-        if draws.size != self.draws_per_sample(devices):
+        expected = self.draws_per_sample(devices)
+        if draws.ndim != 2 or draws.shape[1] != expected:
             raise ValueError(
-                f"expected {self.draws_per_sample(devices)} draw(s), got {draws.size}"
+                f"expected an (n_samples, {expected}) draw matrix, got shape {draws.shape}"
             )
-        sample = MismatchSample()
-        for index, device in enumerate(devices):
-            z_vth = float(np.clip(draws[2 * index], -self.truncation, self.truncation))
-            z_beta = float(np.clip(draws[2 * index + 1], -self.truncation, self.truncation))
-            sample.deltas[device.name] = {
-                "vth0": z_vth * self.sigma_vth(device.width, device.length),
-                "u0_rel": z_beta * self.sigma_beta(device.width, device.length),
-            }
-        return sample
+        z = truncate(draws, self.truncation)
+        sigma_vth = np.array([self.sigma_vth(d.width, d.length) for d in devices], dtype=float)
+        sigma_beta = np.array([self.sigma_beta(d.width, d.length) for d in devices], dtype=float)
+        return z[:, 0::2] * sigma_vth, z[:, 1::2] * sigma_beta
 
     def sigma_summary(self, devices: Sequence[DeviceGeometry]) -> Dict[str, Dict[str, float]]:
         """Per-device 1-sigma values for reporting."""

@@ -16,25 +16,25 @@ spread summaries used to build the paper's variation model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.obs import trace as obs_trace
 from repro.process.mismatch import DeviceGeometry, MismatchModel, MismatchSample
 from repro.process.statistics import (
     PerformanceSpread,
     parametric_yield,
     summarise_samples,
 )
-from repro.process.technology import Technology
+from repro.process.technology import Technology, shifted_parameter
 from repro.process.variation import GlobalVariationModel
 
-__all__ = ["ProcessSample", "MonteCarloResult", "MonteCarloEngine"]
+__all__ = ["ProcessSample", "SampleBatch", "MonteCarloResult", "MonteCarloEngine"]
 
 Evaluator = Callable[[Technology, MismatchSample], Mapping[str, float]]
-BatchEvaluator = Callable[
-    [Sequence[Technology], Sequence[MismatchSample]], Sequence[Mapping[str, float]]
-]
+BatchEvaluator = Callable[["SampleBatch"], Sequence[Mapping[str, float]]]
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,97 @@ class ProcessSample:
     index: int
     technology: Technology
     mismatch: MismatchSample
+
+
+@dataclass(frozen=True, eq=False)
+class SampleBatch:
+    """Monte Carlo draws as structure-of-arrays columns.
+
+    Sample ``i`` is the nominal ``technology`` with every model-card
+    parameter shifted by ``global_deltas[polarity][parameter][i]`` (an
+    empty mapping when global variation is off), plus the mismatch
+    deltas in row ``i`` of ``mismatch_vth0`` / ``mismatch_u0_rel``, whose
+    ``(n_samples, n_devices)`` columns follow ``device_names``.
+
+    Array consumers read whole columns (:meth:`card_columns`,
+    :meth:`mismatch_columns`).  Indexing and iteration build
+    :class:`ProcessSample` objects on demand, for consumers that evaluate
+    one sample at a time; slicing returns a smaller batch that keeps the
+    original sample indices.
+    """
+
+    technology: Technology
+    global_deltas: Mapping[str, Mapping[str, np.ndarray]]
+    device_names: Tuple[str, ...]
+    mismatch_vth0: np.ndarray
+    mismatch_u0_rel: np.ndarray
+    indices: range
+
+    @classmethod
+    def nominal(cls, technology: Technology) -> "SampleBatch":
+        """A one-sample batch holding the unperturbed technology."""
+        empty = np.zeros((1, 0))
+        return cls(technology, {}, (), empty, empty, range(1))
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, key: Union[int, slice]) -> Union[ProcessSample, "SampleBatch"]:
+        if isinstance(key, slice):
+            return SampleBatch(
+                technology=self.technology,
+                global_deltas={
+                    polarity: {name: column[key] for name, column in params.items()}
+                    for polarity, params in self.global_deltas.items()
+                },
+                device_names=self.device_names,
+                mismatch_vth0=self.mismatch_vth0[key],
+                mismatch_u0_rel=self.mismatch_u0_rel[key],
+                indices=self.indices[key],
+            )
+        row = range(len(self))[key]
+        technology = self.technology
+        if self.global_deltas:
+            deltas = {
+                polarity: {name: float(column[row]) for name, column in params.items()}
+                for polarity, params in self.global_deltas.items()
+            }
+            technology = technology.with_deltas(deltas.get("nmos"), deltas.get("pmos"))
+        return ProcessSample(
+            index=self.indices[row],
+            technology=technology,
+            mismatch=MismatchSample.from_arrays(
+                self.device_names, self.mismatch_vth0[row], self.mismatch_u0_rel[row]
+            ),
+        )
+
+    def __iter__(self) -> Iterator[ProcessSample]:
+        return (self[row] for row in range(len(self)))
+
+    def card_columns(self, polarity: str) -> Dict[str, np.ndarray]:
+        """Shifted ``(n_samples,)`` values of every varied parameter of one card.
+
+        This is :meth:`Technology.with_deltas` on whole columns: the same
+        add and physical floor, elementwise.
+        """
+        model = self.technology.model(polarity)
+        return {
+            name: shifted_parameter(model, name, column)
+            for name, column in self.global_deltas.get(polarity, {}).items()
+        }
+
+    def mismatch_columns(self, device_name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(vth0, u0_rel)`` delta columns of one device, or ``None`` if it has none."""
+        column = self._device_columns.get(device_name)
+        if column is None:
+            return None
+        return self.mismatch_vth0[:, column], self.mismatch_u0_rel[:, column]
+
+    @cached_property
+    def _device_columns(self) -> Dict[str, int]:
+        # A repeated name resolves to its last column, as in the mapping
+        # of a materialised MismatchSample.
+        return {name: column for column, name in enumerate(self.device_names)}
 
 
 @dataclass
@@ -111,40 +202,46 @@ class MonteCarloEngine:
 
     # -- sampling -----------------------------------------------------------------
 
-    def sample_batch(self, devices: Sequence[DeviceGeometry] = ()) -> List[ProcessSample]:
-        """Draw all ``n_samples`` process samples in one bulk RNG call.
+    def sample_batch(self, devices: Sequence[DeviceGeometry] = ()) -> SampleBatch:
+        """Draw all ``n_samples`` process samples as one structure-of-arrays batch.
 
         The standard normals of every sample are pulled from the generator
         as a single ``(n_samples, k)`` matrix -- numpy fills it from the
-        same sequential stream as one-at-a-time scalar draws, so the
-        resulting samples are bit-identical to the historical per-sample
-        drawing for any fixed seed.
+        same sequential stream as one-at-a-time scalar draws -- and the
+        global-variation and mismatch models turn its columns into delta
+        arrays with elementwise IEEE operations, so every sample is
+        bit-identical to the historical per-sample drawing for any fixed
+        seed.
         """
-        rng = np.random.default_rng(self.seed)
         use_mismatch = self.include_mismatch and bool(devices)
-        k_variation = self.variation.n_random_variables if self.include_global else 0
-        k_mismatch = self.mismatch.draws_per_sample(devices) if use_mismatch else 0
-        width = k_variation + k_mismatch
-        draws = (
-            rng.standard_normal((self.n_samples, width))
-            if width
-            else np.zeros((self.n_samples, 0))
-        )
-        samples: List[ProcessSample] = []
-        for index in range(self.n_samples):
-            row = draws[index]
-            if self.include_global:
-                technology = self.variation.apply_draws(self.technology, row[:k_variation])
-            else:
-                technology = self.technology
-            if use_mismatch:
-                mismatch_sample = self.mismatch.sample_from_draws(devices, row[k_variation:])
-            else:
-                mismatch_sample = MismatchSample()
-            samples.append(
-                ProcessSample(index=index, technology=technology, mismatch=mismatch_sample)
+        names = tuple(device.name for device in devices) if use_mismatch else ()
+        with obs_trace.span("mc.sample", n_samples=self.n_samples, n_devices=len(names)):
+            rng = np.random.default_rng(self.seed)
+            k_variation = self.variation.n_random_variables if self.include_global else 0
+            k_mismatch = self.mismatch.draws_per_sample(devices) if use_mismatch else 0
+            width = k_variation + k_mismatch
+            draws = (
+                rng.standard_normal((self.n_samples, width))
+                if width
+                else np.zeros((self.n_samples, 0))
             )
-        return samples
+            global_deltas = (
+                self.variation.deltas_from_draws(self.technology, draws[:, :k_variation])
+                if self.include_global
+                else {}
+            )
+            if use_mismatch:
+                vth0, u0_rel = self.mismatch.sample_from_draws(devices, draws[:, k_variation:])
+            else:
+                vth0 = u0_rel = np.zeros((self.n_samples, 0))
+        return SampleBatch(
+            technology=self.technology,
+            global_deltas=global_deltas,
+            device_names=names,
+            mismatch_vth0=vth0,
+            mismatch_u0_rel=u0_rel,
+            indices=range(self.n_samples),
+        )
 
     def samples(self, devices: Sequence[DeviceGeometry] = ()) -> Iterator[ProcessSample]:
         """Yield ``n_samples`` process samples (reproducible for a fixed seed)."""
@@ -190,9 +287,8 @@ class MonteCarloEngine:
     ) -> MonteCarloResult:
         """Evaluate a batch evaluator on all drawn samples in one call.
 
-        ``evaluator`` receives the full lists of per-sample technologies
-        and mismatch samples and returns one performance dictionary per
-        sample (see
+        ``evaluator`` receives the whole :class:`SampleBatch` and returns
+        one performance dictionary per sample (see
         :meth:`~repro.circuits.evaluators.VcoEvaluator.monte_carlo_batch_evaluator`).
         Samples and results are index-aligned, so for a vectorised
         evaluator the outcome is identical to :meth:`run` -- only the
@@ -200,15 +296,12 @@ class MonteCarloEngine:
         calls.
         """
         if nominal is None:
-            nominal_results = evaluator([self.technology], [MismatchSample()])
+            nominal_results = evaluator(SampleBatch.nominal(self.technology))
             if len(nominal_results) != 1:
                 raise ValueError("batch evaluator returned no nominal result")
             nominal = dict(nominal_results[0])
         samples = self.sample_batch(devices)
-        results = evaluator(
-            [sample.technology for sample in samples],
-            [sample.mismatch for sample in samples],
-        )
+        results = evaluator(samples)
         if len(results) != len(samples):
             raise ValueError(
                 f"batch evaluator returned {len(results)} result(s) for "

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
+import numpy as np
+
 from repro.spice.mosfet import MOSFETModel
 
 __all__ = ["Technology", "TECH_012UM", "TECH_065NM", "TECHNOLOGIES", "technology"]
@@ -86,19 +88,35 @@ class Technology:
         return min(max(width, self.min_width), self.max_width)
 
 
+#: Physical floors: oxide thickness, mobility and phi must stay positive, so
+#: a shift never takes them below 5 % of their nominal value.
+_FLOORED_PARAMETERS = ("tox", "u0", "phi", "n_sub", "e_crit")
+
+
+def shifted_parameter(model: MOSFETModel, attribute: str, delta):
+    """``model.<attribute> + delta`` with the physical floor applied.
+
+    ``delta`` is a scalar or an array of per-sample deltas.  The add and
+    the floor are IEEE-exact elementwise, so the array form has the bits
+    of one scalar call per element.
+    """
+    if not hasattr(model, attribute):
+        raise AttributeError(f"MOSFET model has no parameter {attribute!r}")
+    current = getattr(model, attribute)
+    shifted = current + delta
+    if attribute in _FLOORED_PARAMETERS:
+        floor = 0.05 * current
+        shifted = np.maximum(shifted, floor) if np.ndim(shifted) else max(shifted, floor)
+    return shifted
+
+
 def _shift_model(model: MOSFETModel, deltas: Mapping[str, float]) -> MOSFETModel:
     if not deltas:
         return model
-    overrides: Dict[str, float] = {}
-    for attribute, delta in deltas.items():
-        if not hasattr(model, attribute):
-            raise AttributeError(f"MOSFET model has no parameter {attribute!r}")
-        current = getattr(model, attribute)
-        shifted = current + delta
-        # Physical floors: oxide thickness, mobility and phi must stay positive.
-        if attribute in ("tox", "u0", "phi", "n_sub", "e_crit"):
-            shifted = max(shifted, 0.05 * current)
-        overrides[attribute] = shifted
+    overrides: Dict[str, float] = {
+        attribute: shifted_parameter(model, attribute, delta)
+        for attribute, delta in deltas.items()
+    }
     return model.with_variation(**overrides)
 
 

@@ -16,13 +16,13 @@ The default numbers are representative of a 0.12 um CMOS process:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.process.technology import Technology
 
-__all__ = ["VariationSpec", "GlobalVariationModel"]
+__all__ = ["VariationSpec", "GlobalVariationModel", "truncate"]
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,21 @@ class VariationSpec:
     #: standard-normal draw (e.g. NMOS and PMOS oxide thickness).
     correlation_group: Optional[str] = None
 
-    def delta(self, nominal: float, standard_normal: float) -> float:
-        """Convert a standard-normal draw into an additive parameter delta."""
-        z = standard_normal
-        if self.truncation > 0.0:
-            z = float(np.clip(z, -self.truncation, self.truncation))
+    def delta(self, nominal: float, standard_normal):
+        """Convert standard-normal draws (a scalar or an array) into additive deltas."""
         sigma_abs = self.sigma * abs(nominal) if self.relative else self.sigma
-        return z * sigma_abs
+        return truncate(standard_normal, self.truncation) * sigma_abs
+
+
+def truncate(z, limit: float):
+    """Clip standard normals to ``[-limit, limit]``; ``limit <= 0`` means none.
+
+    Clipping is exact, so one call on a draw matrix gives the same bits
+    as clipping each draw on its own.
+    """
+    if limit > 0.0:
+        return np.clip(z, -limit, limit)
+    return z
 
 
 def _default_specs() -> Dict[str, List[VariationSpec]]:
@@ -100,45 +108,50 @@ class GlobalVariationModel:
 
         Returns ``{"nmos": {param: delta, ...}, "pmos": {...}}``.
         """
-        draws = rng.standard_normal(self.n_random_variables)
-        return self.deltas_from_draws(technology, draws)
+        draws = rng.standard_normal((1, self.n_random_variables))
+        return {
+            polarity: {name: float(column[0]) for name, column in params.items()}
+            for polarity, params in self.deltas_from_draws(technology, draws).items()
+        }
 
     def deltas_from_draws(
-        self, technology: Technology, draws: Sequence[float]
-    ) -> Dict[str, Dict[str, float]]:
-        """Convert pre-drawn standard normals into model-card deltas.
+        self, technology: Technology, draws: np.ndarray
+    ) -> Dict[str, Dict[str, np.ndarray]]:
+        """Convert an ``(n_samples, k)`` standard-normal matrix into delta columns.
 
-        ``draws`` must contain :attr:`n_random_variables` values in the
+        Column ``j`` of ``draws`` is the ``j``-th random variable in the
         spec-declaration consumption order (each correlation group consumes
-        one draw at its first occurrence).  Separating the drawing from the
-        conversion lets the Monte Carlo engine pull *all* samples from the
-        generator in one bulk ``standard_normal`` call -- which yields the
-        identical value stream, since numpy fills arrays from the same
-        sequential source -- and build the shifted technologies afterwards.
+        one column at its first occurrence), so the Monte Carlo engine can
+        pull every sample from the generator in one bulk ``standard_normal``
+        call.  Returns ``{"nmos": {param: (n_samples,) deltas}, "pmos":
+        {...}}``; the clip, multiply and accumulation are elementwise IEEE
+        operations, so each entry has the bits of a per-sample scalar
+        conversion.
         """
         draws = np.asarray(draws, dtype=float)
-        if draws.size != self.n_random_variables:
+        if draws.ndim != 2 or draws.shape[1] != self.n_random_variables:
             raise ValueError(
-                f"expected {self.n_random_variables} draw(s), got {draws.size}"
+                f"expected an (n_samples, {self.n_random_variables}) draw matrix, "
+                f"got shape {draws.shape}"
             )
         cursor = 0
-        group_draws: Dict[str, float] = {}
-        deltas: Dict[str, Dict[str, float]] = {"nmos": {}, "pmos": {}}
+        group_columns: Dict[str, int] = {}
+        deltas: Dict[str, Dict[str, np.ndarray]] = {"nmos": {}, "pmos": {}}
         for polarity, spec_list in self.specs.items():
             model = technology.model(polarity)
             for spec in spec_list:
-                if spec.correlation_group is not None:
-                    if spec.correlation_group not in group_draws:
-                        group_draws[spec.correlation_group] = float(draws[cursor])
-                        cursor += 1
-                    z = group_draws[spec.correlation_group]
+                group = spec.correlation_group
+                if group is not None and group in group_columns:
+                    column = group_columns[group]
                 else:
-                    z = float(draws[cursor])
+                    column = cursor
                     cursor += 1
+                    if group is not None:
+                        group_columns[group] = column
                 nominal = getattr(model, spec.parameter)
                 deltas[polarity][spec.parameter] = deltas[polarity].get(
                     spec.parameter, 0.0
-                ) + spec.delta(nominal, z)
+                ) + spec.delta(nominal, draws[:, column])
         return deltas
 
     def apply_sample(
@@ -146,13 +159,6 @@ class GlobalVariationModel:
     ) -> Technology:
         """Draw one sample and return the shifted technology."""
         deltas = self.sample_deltas(technology, rng)
-        return technology.with_deltas(deltas.get("nmos"), deltas.get("pmos"))
-
-    def apply_draws(
-        self, technology: Technology, draws: Sequence[float]
-    ) -> Technology:
-        """Apply pre-drawn standard normals and return the shifted technology."""
-        deltas = self.deltas_from_draws(technology, draws)
         return technology.with_deltas(deltas.get("nmos"), deltas.get("pmos"))
 
     def sigma_summary(self, technology: Technology) -> Dict[str, float]:

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from repro.circuits import RingVcoAnalyticalEvaluator, VcoDesign, vco_device_geometries
+from repro.circuits.evaluators import VcoEvaluator
 from repro.process import TECH_012UM, MonteCarloEngine
-from repro.process.mismatch import MismatchModel, MismatchSample
-from repro.process.variation import GlobalVariationModel
 
 
 def random_design(rng) -> VcoDesign:
@@ -47,34 +46,36 @@ def test_batch_single_design_matches_scalar(evaluator):
 
 
 def test_batch_over_technologies_matches_scalar(evaluator):
-    rng = np.random.default_rng(7)
-    variation = GlobalVariationModel()
-    technologies = [variation.apply_sample(TECH_012UM, rng) for _ in range(15)]
+    engine = MonteCarloEngine(TECH_012UM, n_samples=15, seed=7, include_mismatch=False)
+    samples = engine.sample_batch()
     design = VcoDesign()
-    batch = evaluator.evaluate_batch([design], technologies=technologies)
-    for technology, performance in zip(technologies, batch):
-        scalar = evaluator.evaluate(design, technology=technology)
+    batch = evaluator.evaluate_batch([design], samples=samples)
+    for sample, performance in zip(samples, batch):
+        assert sample.technology is not TECH_012UM
+        scalar = evaluator.evaluate(design, technology=sample.technology)
         assert performance.as_dict() == scalar.as_dict()
 
 
 def test_batch_with_mismatch_matches_scalar(evaluator):
-    rng = np.random.default_rng(11)
     design = VcoDesign()
     devices = vco_device_geometries(design)
-    model = MismatchModel()
-    mismatches = [model.sample(devices, rng) for _ in range(10)]
-    batch = evaluator.evaluate_batch([design], mismatches=mismatches)
-    for mismatch, performance in zip(mismatches, batch):
-        scalar = evaluator.evaluate(design, mismatch=mismatch)
+    engine = MonteCarloEngine(TECH_012UM, n_samples=10, seed=11, include_global=False)
+    samples = engine.sample_batch(devices)
+    batch = evaluator.evaluate_batch([design], samples=samples)
+    for sample, performance in zip(samples, batch):
+        assert sample.mismatch.devices() == [device.name for device in devices]
+        scalar = evaluator.evaluate(design, mismatch=sample.mismatch)
         assert performance.as_dict() == scalar.as_dict()
 
 
 def test_batch_broadcast_rejects_mismatched_lengths(evaluator):
     rng = np.random.default_rng(1)
     designs = [random_design(rng) for _ in range(3)]
-    mismatches = [MismatchSample(), MismatchSample()]
+    samples = MonteCarloEngine(TECH_012UM, n_samples=2, seed=1).sample_batch()
     with pytest.raises(ValueError):
-        evaluator.evaluate_batch(designs, mismatches=mismatches)
+        evaluator.evaluate_batch(designs, samples=samples)
+    with pytest.raises(ValueError):
+        VcoEvaluator.evaluate_batch(evaluator, designs, samples=samples)
 
 
 def test_monte_carlo_batch_adapter_matches_serial_engine(evaluator):
@@ -91,8 +92,6 @@ def test_monte_carlo_batch_adapter_matches_serial_engine(evaluator):
 
 def test_base_class_batch_fallback_loops_scalar(evaluator):
     """The generic VcoEvaluator.evaluate_batch loop also matches (used by SPICE)."""
-    from repro.circuits.evaluators import VcoEvaluator
-
     rng = np.random.default_rng(3)
     designs = [random_design(rng) for _ in range(4)]
     generic = VcoEvaluator.evaluate_batch(evaluator, designs)
@@ -191,13 +190,15 @@ def test_spice_lanes_handles_mismatch_samples():
     rng = np.random.default_rng(19)
     design = random_design(rng)
     devices = vco_device_geometries(design)
-    mismatch = MismatchModel().sample(devices, rng)
+    samples = MonteCarloEngine(
+        TECH_012UM, n_samples=1, seed=19, include_global=False
+    ).sample_batch(devices)
     reference = RingVcoSpiceEvaluator(TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1)
     lanes = RingVcoSpiceEvaluator(
         TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1, engine="lanes"
     )
-    scalar = reference.evaluate(design, mismatch=mismatch)
-    (batched,) = lanes.evaluate_batch([design], mismatches=[mismatch])
+    scalar = reference.evaluate(design, mismatch=samples[0].mismatch)
+    (batched,) = lanes.evaluate_batch([design], samples=samples)
     for key, value in scalar.as_dict().items():
         assert batched.as_dict()[key] == pytest.approx(value, rel=1e-6), key
 
