@@ -9,11 +9,11 @@ numbers on the `pseudodiff-vco` topology:
   system-level PLL optimisation on the extracted combined model, timed
   per stage and printing the resulting Table-2 rows, exactly as
   ``bench_table2_pll_system.py`` does for the ring.
-* **Vectorised-vs-serial speedup gate** -- the pseudo-differential
-  evaluator's batch kernel is a bit-identical transcription of its scalar
-  model (the keeper-capacitance term included), so the vectorised NSGA-II
-  backend must produce the identical Pareto front and beat the serial
-  loop.  The measured ratio is recorded as a ``speedup_*`` key, which the
+* **Vectorised-vs-serial speedup gate** -- the serial backend evaluates
+  each design as a batch of one through the same kernel, whose elements
+  are computed independently (the keeper-capacitance term included), so
+  the vectorised NSGA-II backend must produce the identical Pareto front
+  and beat the serial loop.  The measured ratio is recorded as a ``speedup_*`` key, which the
   CI merge step (``merge_benchmarks.py``) gates at >= 1.0.
 """
 
@@ -127,8 +127,8 @@ def test_pseudodiff_vectorised_matches_serial_speedup(benchmark):
         f"{'vectorised':>12} {vectorised_time:10.3f} {len(vectorised_result.front):6d}"
     )
     print(f"speedup: {speedup:.2f}x")
-    # Bit-identical fronts: the batch kernel is a transcription, not an
-    # approximation -- keeper capacitance and all.
+    # Bit-identical fronts: a design's bits do not depend on its batch --
+    # keeper capacitance and all.
     assert np.array_equal(
         serial_result.front.objectives, vectorised_result.front.objectives
     )

@@ -9,8 +9,8 @@ The package is organised bottom-up:
 * :mod:`repro.optim` -- the NSGA-II multi-objective optimisation framework
   (non-dominated sorting, crowding distance, SBX, polynomial mutation,
   constraint domination) plus baselines and front-quality metrics.
-* :mod:`repro.spice` -- a from-scratch MNA circuit simulator (DC, transient,
-  AC) with a compact MOSFET model, used as the transistor-level engine.
+* :mod:`repro.spice` -- a from-scratch MNA circuit simulator (DC and
+  transient) with a compact MOSFET model, used as the transistor-level engine.
 * :mod:`repro.process` -- the generic 0.12 um technology, process corners,
   global variation, Pelgrom mismatch and the Monte Carlo engine.
 * :mod:`repro.circuits` -- the 5-stage current-starved ring-oscillator VCO:

@@ -11,11 +11,13 @@ Two evaluators implement the same interface (:class:`VcoEvaluator`):
 * :class:`RingVcoAnalyticalEvaluator` computes the same five performances
   from first-order device physics (starving current from the shared MOSFET
   model equations, delay = C V / I, thermal-noise jitter, dynamic +
-  crowbar supply current).  One evaluation costs microseconds, which makes
-  the paper's 3,000-sample NSGA-II run and the per-Pareto-point Monte Carlo
-  analysis laptop-scale.  Its calibration factors were fitted against the
-  SPICE evaluator so that both engines agree on trends and roughly on
-  magnitude (see ``examples/vco_characterisation.py`` and the unit tests).
+  crowbar supply current).  It has one kernel, numpy arithmetic over the
+  batch axis, and evaluating a single design is a batch of one.  A whole
+  population or Monte Carlo batch is one call, which makes the paper's
+  3,000-sample NSGA-II run and the per-Pareto-point Monte Carlo analysis
+  laptop-scale.  Its calibration factors were fitted against the SPICE
+  evaluator so that both engines agree on trends and roughly on magnitude
+  (see ``examples/vco_characterisation.py`` and the unit tests).
 
 Both evaluators accept a technology override and a mismatch sample, which
 is how the Monte Carlo engine injects global process variation and local
@@ -25,6 +27,7 @@ device mismatch.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -39,7 +42,7 @@ from repro.obs import trace as obs_trace
 from repro.process.mismatch import MismatchSample
 from repro.process.montecarlo import SampleBatch
 from repro.process.technology import TECH_012UM, Technology
-from repro.spice.mosfet import _ELECTRON_CHARGE, _EPS_OX, MOSFET
+from repro.spice.mosfet import _ELECTRON_CHARGE, _EPS_OX
 
 __all__ = ["VcoEvaluator", "RingVcoAnalyticalEvaluator", "RingVcoSpiceEvaluator"]
 
@@ -88,7 +91,7 @@ class VcoEvaluator:
         NSGA-II population) and one design under N samples (the Monte
         Carlo analysis).  The base implementation loops :meth:`evaluate`
         over materialised samples; the analytical evaluator overrides it
-        with numpy array math.
+        with numpy array math, and its :meth:`evaluate` is a batch of one.
         """
         designs, technologies, mismatches = _broadcast_batch(
             designs, _batch_or_nominal(samples, technology or self.technology)
@@ -148,15 +151,16 @@ def _broadcast_batch(designs, samples: SampleBatch):
 
 
 def _softplus_overdrive(vov: np.ndarray, n_vt: np.ndarray) -> np.ndarray:
-    """Elementwise smoothed overdrive, bit-identical to the scalar model.
+    """Elementwise smoothed overdrive of the MOSFET model.
 
-    This is the softplus transition of :meth:`MOSFET._channel_current`.
-    It deliberately calls ``math.exp`` / ``math.log1p`` per element instead
-    of the numpy ufuncs: numpy's SIMD transcendentals can differ from libm
-    by an ulp, which is enough to push a seeded NSGA-II run onto a
-    different trajectory.  Everything around this helper is IEEE-exact
-    array arithmetic, so the per-element loop here is what buys exact
-    serial/vectorised equivalence.
+    This is the softplus transition of
+    :meth:`repro.spice.mosfet.MOSFET._channel_current`.  It deliberately
+    calls ``math.exp`` / ``math.log1p`` per element instead of the numpy
+    ufuncs: numpy's SIMD transcendentals can differ from libm by an ulp,
+    which is enough to push a seeded NSGA-II run onto a different
+    trajectory.  The recorded artefact digests (``table2`` and the
+    smoke-scenario stage pickles) were computed with libm, so switching
+    to the ufuncs is a byte-changing edit that re-records them.
     """
     vov_b, nvt_b = np.broadcast_arrays(np.asarray(vov, float), np.asarray(n_vt, float))
     out = np.empty(vov_b.shape, dtype=float)
@@ -177,9 +181,9 @@ class _DeviceArrays:
     """Model-card and geometry parameters of one device type, as arrays.
 
     Every field mirrors an attribute consumed by the scalar
-    :meth:`MOSFET._channel_current`; values are either scalars or length-N
-    arrays (N = batch size), so the same expressions evaluate the whole
-    batch at once.
+    :meth:`repro.spice.mosfet.MOSFET._channel_current`; values are either
+    scalars or length-N arrays (N = batch size), so the same expressions
+    evaluate the whole batch at once.
     """
 
     polarity: int
@@ -294,15 +298,6 @@ def _device_arrays(card: Dict, width, length, deltas) -> _DeviceArrays:
     )
 
 
-@dataclass
-class _StageBias:
-    """Starving current and effective load of one inverter stage."""
-
-    current: float
-    load_capacitance: float
-    overdrive: float
-
-
 class RingVcoAnalyticalEvaluator(VcoEvaluator):
     """Calibrated first-order performance model of the current-starved ring VCO.
 
@@ -411,167 +406,13 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
             **kwargs,
         )
 
-    # -- device helpers --------------------------------------------------------------
-
-    def _device(
-        self,
-        name: str,
-        polarity: str,
-        width: float,
-        length: float,
-        technology: Technology,
-        mismatch: Optional[MismatchSample],
-    ) -> MOSFET:
-        model = technology.model(polarity)
-        if mismatch is not None:
-            deltas = mismatch.for_device(name)
-            if deltas:
-                updates = {}
-                if "vth0" in deltas:
-                    updates["vth0"] = model.vth0 + deltas["vth0"]
-                if "u0_rel" in deltas:
-                    updates["u0"] = model.u0 * (1.0 + deltas["u0_rel"])
-                model = model.with_variation(**updates)
-        return MOSFET(name, "d", "g", "s", "b", model, width, length)
-
-    def _stage_bias(
-        self,
-        stage: int,
-        design: VcoDesign,
-        vctrl: float,
-        technology: Technology,
-        mismatch: Optional[MismatchSample],
-    ) -> _StageBias:
-        vdd = technology.vdd
-        half = vdd / 2.0
-        # NMOS starving transistor sets the discharge current.
-        tail_n = self._device(
-            f"mtn{stage}", "nmos", design.tail_nmos_width, design.tail_length, technology, mismatch
-        )
-        i_tail_n = tail_n.drain_current(half, vctrl, 0.0, 0.0)
-        # The PMOS starving transistor mirrors the bias branch current.
-        tail_p = self._device(
-            f"mtp{stage}", "pmos", design.tail_pmos_width, design.tail_length, technology, mismatch
-        )
-        # Mirror bias: the diode-connected PMOS carries the bias-branch
-        # current; assume the mirror output sits near |Vgs| of the diode.
-        i_tail_p = abs(tail_p.drain_current(half, half - vdd + half, vdd, vdd))
-        # The inverter devices limit the current if they are smaller than the tails.
-        inv_n = self._device(
-            f"mn{stage}", "nmos", design.nmos_width, design.nmos_length, technology, mismatch
-        )
-        i_inv_n = inv_n.drain_current(half, vdd, 0.0, 0.0)
-        inv_p = self._device(
-            f"mp{stage}", "pmos", design.pmos_width, design.pmos_length, technology, mismatch
-        )
-        i_inv_p = abs(inv_p.drain_current(half, 0.0 - 0.0, vdd, vdd))
-        pull_down = min(i_tail_n, i_inv_n)
-        pull_up = min(max(i_tail_p, 0.3 * i_tail_n), i_inv_p)
-        current = 0.5 * (pull_down + pull_up)
-        overdrive = max(vctrl - technology.nmos.vth0, 0.05)
-        return _StageBias(
-            current=max(current, 1e-9),
-            load_capacitance=self._stage_capacitance(design, technology),
-            overdrive=overdrive,
-        )
-
-    def _stage_capacitance(self, design: VcoDesign, technology: Technology) -> float:
-        nmos = technology.nmos
-        pmos = technology.pmos
-        gate = nmos.cox * design.nmos_width * design.nmos_length
-        gate += pmos.cox * design.pmos_width * design.pmos_length
-        overlap = nmos.cgso * design.nmos_width + pmos.cgso * design.pmos_width
-        junction = nmos.cj * design.nmos_width * nmos.drain_extension
-        junction += pmos.cj * design.pmos_width * pmos.drain_extension
-        junction += nmos.cj * design.tail_nmos_width * nmos.drain_extension * 0.5
-        junction += pmos.cj * design.tail_pmos_width * pmos.drain_extension * 0.5
-        return gate + overlap + junction + technology.stage_load_capacitance
-
-    # -- frequency / current / jitter ---------------------------------------------------
-
-    def _frequency(
-        self,
-        design: VcoDesign,
-        vctrl: float,
-        technology: Technology,
-        mismatch: Optional[MismatchSample],
-    ) -> float:
-        delays = []
-        for stage in range(self.n_stages):
-            bias = self._stage_bias(stage, design, vctrl, technology, mismatch)
-            # Each half period charges/discharges the load across ~Vdd/2.
-            delays.append(bias.load_capacitance * (technology.vdd / 2.0) / bias.current)
-        period = 2.0 * sum(delays)
-        if period <= 0.0:
-            return 0.0
-        return self.frequency_scale / period
-
-    def _supply_current(
-        self,
-        design: VcoDesign,
-        vctrl: float,
-        frequency: float,
-        technology: Technology,
-        mismatch: Optional[MismatchSample],
-    ) -> float:
-        biases = [
-            self._stage_bias(stage, design, vctrl, technology, mismatch)
-            for stage in range(self.n_stages)
-        ]
-        mean_current = sum(b.current for b in biases) / len(biases)
-        c_total = sum(b.load_capacitance for b in biases)
-        dynamic = c_total * technology.vdd * frequency
-        # During each transition roughly one pull-up and one pull-down path
-        # conduct simultaneously for a fraction of the period (crowbar).
-        crowbar = 0.8 * mean_current
-        bias_branch = mean_current  # the vctrl-to-vbp mirror branch
-        return self.current_scale * (dynamic + crowbar + bias_branch)
-
-    def _jitter(
-        self,
-        design: VcoDesign,
-        vctrl: float,
-        technology: Technology,
-        mismatch: Optional[MismatchSample],
-    ) -> float:
-        biases = [
-            self._stage_bias(stage, design, vctrl, technology, mismatch)
-            for stage in range(self.n_stages)
-        ]
-        kT = _BOLTZMANN * technology.temperature
-        # Thermal noise: per-edge first-crossing error accumulated over 2N edges.
-        sigma_edges = []
-        delays = []
-        for bias in biases:
-            sigma_v = math.sqrt(2.0 * kT / bias.load_capacitance)
-            slope = bias.current / bias.load_capacitance
-            sigma_edges.append(sigma_v / slope)
-            delays.append(bias.load_capacitance * (technology.vdd / 2.0) / bias.current)
-        thermal = math.sqrt(2.0 * sum(s * s for s in sigma_edges))
-        # Mismatch between stages converts into deterministic period error
-        # through the spread of the stage delays (one-sigma estimate).
-        # Squares are written as products: a float ``** 2`` goes through
-        # libm ``pow``, which is not always correctly rounded, whereas the
-        # batch kernel's numpy ``** 2`` is one (exact-rounded) multiply.
-        mean_delay = sum(delays) / len(delays)
-        if len(delays) > 1:
-            variance = sum((d - mean_delay) * (d - mean_delay) for d in delays) / (
-                len(delays) - 1
-            )
-            deterministic = math.sqrt(variance)
-        else:
-            deterministic = 0.0
-        return self.jitter_scale * math.sqrt(thermal * thermal + deterministic * deterministic)
-
     # -- public API -----------------------------------------------------------------------
 
     def _finalise_performance(self, performance: VcoPerformance) -> VcoPerformance:
         """Topology-specific post-processing of one evaluated design point.
 
         The ring is the identity.  Subclasses (e.g. the pseudo-differential
-        topology) apply their per-topology corrections here, once, so the
-        scalar path, the vectorised path and the mixed-technology fallback
-        (which loops :meth:`evaluate`) all agree bit-exactly.
+        topology) apply their per-topology corrections here.
         """
         return performance
 
@@ -581,20 +422,9 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         technology: Optional[Technology] = None,
         mismatch: Optional[MismatchSample] = None,
     ) -> VcoPerformance:
-        """Evaluate the five performances of one design point analytically."""
-        tech = technology or self.technology
-        design = design.clamped(tech)
-        fmin = self._frequency(design, self.vctrl_min, tech, mismatch)
-        fmax = self._frequency(design, self.vctrl_max, tech, mismatch)
-        span = self.vctrl_max - self.vctrl_min
-        kvco = max(fmax - fmin, 0.0) / span
-        current = self._supply_current(design, self.vctrl_max, fmax, tech, mismatch)
-        jitter = self._jitter(design, self.vctrl_max, tech, mismatch)
-        return self._finalise_performance(
-            VcoPerformance(kvco=kvco, jitter=jitter, current=current, fmin=fmin, fmax=fmax)
-        )
-
-    # -- vectorised batch evaluation ---------------------------------------------------
+        """Evaluate the five performances of one design point (a batch of one)."""
+        samples = SampleBatch.from_sample(technology or self.technology, mismatch)
+        return self.evaluate_batch([design], samples=samples)[0]
 
     def evaluate_batch(
         self,
@@ -602,18 +432,16 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         technology: Optional[Technology] = None,
         samples: Optional[SampleBatch] = None,
     ) -> List[VcoPerformance]:
-        """True array-in/array-out evaluation of a whole batch.
+        """Array-in/array-out evaluation of a whole batch.
 
-        Every first-order expression of the scalar path is transcribed to
-        numpy over the batch axis with the identical operation order, so
-        the returned performances are bit-identical to calling
-        :meth:`evaluate` per element -- a seeded NSGA-II run or Monte
-        Carlo analysis produces the same results on either path, only
-        faster.  Supports the two batch shapes of the flow: N designs
-        under one technology (optimisation) and one design under N
-        samples (Monte Carlo).  The sample batch is read column by column
-        -- shifted card parameters and per-device mismatch deltas --
-        without building per-sample objects.
+        Every first-order expression runs in numpy over the batch axis,
+        and every element's arithmetic is independent of the others, so a
+        design's result does not depend on the batch it is evaluated in.
+        Supports the two batch shapes of the flow: N designs under one
+        technology (optimisation) and one design under N samples (Monte
+        Carlo).  The sample batch is read column by column -- shifted card
+        parameters and per-device mismatch deltas -- without building
+        per-sample objects.
         """
         samples = _batch_or_nominal(samples, technology or self.technology)
         designs_b = _broadcast_designs(designs, len(samples))
@@ -648,14 +476,19 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         fmax = frequency(currents_max)
         span = self.vctrl_max - self.vctrl_min
         kvco = np.maximum(fmax - fmin, 0.0) / span
-        # Supply current (same bias points as fmax, see _supply_current).
+        # Supply current at the fmax bias point: dynamic charging of every
+        # stage load, plus crowbar current (roughly one pull-up and one
+        # pull-down path conducting together during each transition) and
+        # the vctrl-to-vbp mirror branch.
         mean_current = sum(currents_max) / len(currents_max)
         c_total = sum([load] * self.n_stages)
         dynamic = c_total * reference.vdd * fmax
         crowbar = 0.8 * mean_current
         bias_branch = mean_current
         current = self.current_scale * (dynamic + crowbar + bias_branch)
-        # Jitter (thermal first-crossing noise + stage-delay spread).
+        # Jitter: thermal first-crossing noise per edge accumulated over 2N
+        # edges, plus stage-to-stage mismatch turned into deterministic
+        # period error through the spread of the stage delays (one sigma).
         kT = _BOLTZMANN * reference.temperature
         sigma_edges = []
         delays = []
@@ -707,7 +540,7 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         return values
 
     def _batch_stage_capacitance(self, params, nmos, pmos, technology: Technology):
-        """Vectorised transcription of :meth:`_stage_capacitance`."""
+        """Load capacitance of one stage: gate, overlap and junction terms."""
         cox_n = _EPS_OX / nmos["tox"]
         cox_p = _EPS_OX / pmos["tox"]
         gate = cox_n * params["nmos_width"] * params["nmos_length"]
@@ -722,7 +555,12 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
     def _batch_stage_current(
         self, params, nmos, pmos, technology: Technology, vctrl, samples: SampleBatch, stage: int
     ) -> np.ndarray:
-        """Vectorised transcription of the current part of :meth:`_stage_bias`."""
+        """Starving current of one stage, floored at 1 nA.
+
+        The NMOS tail sets the discharge current; the PMOS tail mirrors
+        the bias branch (its gate sits near the diode's ``|Vgs|``); the
+        inverter devices limit the current when smaller than the tails.
+        """
         mismatch_of = samples.mismatch_columns
         vdd = technology.vdd
         half = vdd / 2.0
@@ -749,8 +587,8 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
 
 
 # The worker-side evaluator is installed once per pool through the executor
-# initializer (mirroring repro.optim.evaluation), so each task ships only
-# one (design, technology, mismatch) triple instead of the whole evaluator.
+# initializer, so each task ships only one (design, technology, mismatch)
+# triple instead of the whole evaluator.
 _SPICE_WORKER_EVALUATOR: Optional["RingVcoSpiceEvaluator"] = None
 
 
@@ -825,9 +663,8 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
     ----------
     n_workers:
         Size of the process pool used by :meth:`evaluate_batch`; ``None``
-        (the default) applies the same rule as the optimiser's ``process``
-        backend (:func:`repro.optim.evaluation.default_worker_count`), and
-        ``HierarchicalFlow(n_workers=...)`` fills it in when unset.
+        (the default) uses the CPU count capped at 8 (:meth:`pool_size`),
+        and ``HierarchicalFlow(n_workers=...)`` fills it in when unset.
     engine:
         ``"reference"`` (per-element Python engine, byte-stable default),
         ``"compiled"`` (vectorised stamp plan per transient) or ``"lanes"``
@@ -1031,9 +868,9 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
                 return results
 
     def pool_size(self) -> int:
-        """Worker count of the batch pool (configured or the shared default)."""
+        """Worker count of the batch pool (configured, else the CPU count capped at 8)."""
         if self.n_workers is not None:
             return self.n_workers
-        from repro.optim.evaluation import default_worker_count
-
-        return default_worker_count()
+        # CPU count capped at 8: transients are CPU-bound, so more workers
+        # than cores only add scheduling overhead.
+        return min(os.cpu_count() or 2, 8)

@@ -463,7 +463,7 @@ class PseudoDiffAnalyticalEvaluator(RingVcoAnalyticalEvaluator):
 
     One ring's stage-bias model applies verbatim (ring ``a`` reuses the
     ring device names); the keeper loading enters through the stage
-    capacitance, and :meth:`_finalise_performance` applies the
+    capacitance (:meth:`_batch_stage_capacitance`), and :meth:`_finalise_performance` applies the
     pseudo-differential corrections -- both rings draw supply current,
     and averaging the anti-phase pair improves jitter by ``sqrt(2)``.
     """
@@ -478,15 +478,9 @@ class PseudoDiffAnalyticalEvaluator(RingVcoAnalyticalEvaluator):
         "cross_width",
     )
 
-    def _stage_capacitance(
-        self, design: PseudoDiffVcoDesign, technology: Technology
-    ) -> float:
-        base = super()._stage_capacitance(design, technology)
-        return base + _keeper_capacitance(design, technology)
-
     def _batch_stage_capacitance(self, params, nmos, pmos, technology: Technology):
-        # Identical operation order to the scalar helper above, so the
-        # vectorised path stays bit-identical to the serial one.
+        # The keeper load of :func:`_keeper_capacitance`, in its operation
+        # order, on the batch's card columns.
         from repro.spice.mosfet import _EPS_OX
 
         base = super()._batch_stage_capacitance(params, nmos, pmos, technology)

@@ -113,15 +113,10 @@ class CornerSweepAnalysis:
         evaluator: VcoEvaluator,
         technology: Technology,
         corners: CornerSet,
-        use_batch: bool = False,
     ) -> None:
         self.evaluator = evaluator
         self.technology = technology
         self.corners = corners
-        #: Route each corner's re-evaluation through the evaluator's
-        #: vectorised batch path (identical results, one array call per
-        #: corner instead of one Python call per design).
-        self.use_batch = use_batch
 
     def run(self, circuit: Any, cancel: Optional[Any] = None) -> CornerSweepReport:
         """Sweep a :class:`~repro.core.circuit_stage.CircuitStageResult`.
@@ -141,13 +136,7 @@ class CornerSweepAnalysis:
             if cancel is not None:
                 cancel.raise_if_cancelled()
             shifted = corner.apply(self.technology)
-            if self.use_batch:
-                performances = self.evaluator.evaluate_batch(designs, technology=shifted)
-            else:
-                performances = [
-                    self.evaluator.evaluate(design, technology=shifted)
-                    for design in designs
-                ]
+            performances = self.evaluator.evaluate_batch(designs, technology=shifted)
             records = [
                 {name: float(getattr(performance, name)) for name in _PERFORMANCE_NAMES}
                 for performance in performances

@@ -32,6 +32,7 @@ from repro.core.system_stage import SystemLevelOptimisation, SystemStageResult
 from repro.core.verification import BottomUpVerification, VerificationReport
 from repro.core.yield_analysis import YieldAnalysis, YieldReport
 from repro.optim import NSGA2Config
+from repro.optim.evaluation import DEFAULT_EVALUATION
 from repro.process.corners import corner_set
 from repro.process.technology import TECH_012UM, Technology
 
@@ -214,17 +215,15 @@ class FlowReport:
 class HierarchicalFlow:
     """Top-down, yield-aware hierarchical optimisation of the PLL.
 
-    ``evaluation`` selects the batch-evaluation backend applied across the
-    whole flow (``"serial"``, ``"vectorised"`` or ``"process"``, see
-    :mod:`repro.optim.evaluation`): it configures both NSGA-II stages
-    (the system stage included, via the lane-parallel PLL transient
-    engine) and -- for ``"vectorised"`` -- routes the per-Pareto-point
-    Monte Carlo analyses and the final yield verification through the
-    evaluators' batch paths.  ``n_workers`` sizes the ``"process"``
-    backend's pool and, when a :class:`RingVcoSpiceEvaluator` without an
-    explicit worker count drives the flow, its batch pool too.  Explicitly
-    passed stage configs keep their own settings.  The default stays
-    ``"serial"`` so seeded historical results are bit-identical.
+    ``evaluation`` selects how both NSGA-II stages hand a population to
+    their problem (``"vectorised"``, the default, or ``"serial"``, see
+    :mod:`repro.optim.evaluation`); explicitly passed stage configs keep
+    their own setting.  Both backends give bit-identical results.  The
+    per-Pareto-point Monte Carlo analyses, the corner sweep and the final
+    yield verification always evaluate their samples as one batch
+    (``MonteCarloEngine.run_batch`` / ``evaluate_batch``).  ``n_workers``
+    sizes the batch pool of a :class:`RingVcoSpiceEvaluator` driving the
+    flow when that evaluator has no explicit worker count.
 
     ``n_stages`` selects the ring length of the VCO (odd, >= 3; the paper
     uses five stages) when no explicit evaluator is passed; an explicitly
@@ -250,7 +249,7 @@ class HierarchicalFlow:
         yield_samples: int = 500,
         max_model_points: Optional[int] = 24,
         seed: int = 2009,
-        evaluation: str = "serial",
+        evaluation: str = DEFAULT_EVALUATION,
         n_workers: Optional[int] = None,
         n_stages: Optional[int] = None,
         spice_engine: str = "reference",
@@ -281,10 +280,10 @@ class HierarchicalFlow:
         )
         self.evaluation = evaluation
         self.n_workers = n_workers
-        # The process backend's worker-count plumbing also sizes the SPICE
-        # evaluator's own batch pool.  The flow works on a configured copy
-        # so the caller's evaluator (possibly shared between flows with
-        # different worker counts) is never mutated.
+        # The worker count sizes the SPICE evaluator's batch pool.  The flow
+        # works on a configured copy so the caller's evaluator (possibly
+        # shared between flows with different worker counts) is never
+        # mutated.
         if (
             n_workers is not None
             and getattr(self.evaluator, "n_workers", False) is None
@@ -292,16 +291,13 @@ class HierarchicalFlow:
             self.evaluator = copy.copy(self.evaluator)
             self.evaluator.n_workers = n_workers
         self.circuit_config = circuit_config or NSGA2Config(
-            population_size=40, generations=15, evaluator=evaluation, n_workers=n_workers
+            population_size=40, generations=15, evaluator=evaluation
         )
         # Both stages honour the selected backend: since the behavioural
         # PLL transient gained a lane-parallel batch engine, "vectorised"
         # accelerates the system stage too (bit-identical fronts).
         self.system_config = system_config or NSGA2Config(
-            population_size=24,
-            generations=10,
-            evaluator=evaluation,
-            n_workers=n_workers,
+            population_size=24, generations=10, evaluator=evaluation
         )
         self.specifications = specifications
         self.base_pll_design = base_pll_design or PllDesign()
@@ -368,11 +364,6 @@ class HierarchicalFlow:
         flow.default_run_verification = scenario.run_verification
         return flow
 
-    @property
-    def _use_batch_mc(self) -> bool:
-        """Whether Monte Carlo analyses should use the batch path."""
-        return self.evaluation.lower() in ("vectorised", "vectorized")
-
     # -- stages --------------------------------------------------------------------------
 
     def circuit_stage(
@@ -395,7 +386,6 @@ class HierarchicalFlow:
             mc_samples=self.mc_samples_per_point,
             mc_seed=self.seed,
             max_model_points=self.max_model_points,
-            mc_batch=self._use_batch_mc,
             topology=self.topology,
         )
         return stage.run(progress=progress, checkpoint=checkpoint, cancel=cancel)
@@ -435,7 +425,6 @@ class HierarchicalFlow:
             specifications=self.specifications,
             n_samples=self.yield_samples,
             seed=self.seed + 1,
-            use_batch=self._use_batch_mc,
         )
         return analysis.run(
             selected_values, checkpoint=checkpoint, batch_size=batch_size, cancel=cancel
@@ -474,7 +463,6 @@ class HierarchicalFlow:
             evaluator=self.evaluator,
             technology=self.technology,
             corners=corner_set(corners),
-            use_batch=self._use_batch_mc,
         )
         return analysis.run(circuit, cancel=cancel)
 

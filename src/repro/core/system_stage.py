@@ -16,7 +16,7 @@ design is yield-aware by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
@@ -246,12 +246,12 @@ class SystemStageResult:
 class SystemLevelOptimisation:
     """Run the system-level NSGA-II and select the design solution.
 
-    ``evaluation`` selects the batch backend: ``"vectorised"`` advances
-    the whole population (all three variants at once) through the
-    lane-parallel PLL transient engine, ``"process"`` fans candidates out
-    over a worker pool, and ``"serial"`` (default) keeps the historical
-    one-candidate-at-a-time loop.  All backends produce bit-identical
-    results for a fixed seed.
+    ``config.evaluator`` selects how the population reaches the problem:
+    ``"vectorised"`` (the default) advances the whole population (all
+    three variants at once) through the lane-parallel PLL transient
+    engine, and ``"serial"`` keeps the historical one-candidate-at-a-time
+    loop on the scalar PLL.  Both produce bit-identical results for a
+    fixed seed.
     """
 
     def __init__(
@@ -261,19 +261,11 @@ class SystemLevelOptimisation:
         base_design: Optional[PllDesign] = None,
         config: Optional[NSGA2Config] = None,
         simulation_time: float = 3.0e-6,
-        evaluation: Optional[str] = None,
-        n_workers: Optional[int] = None,
     ) -> None:
         self.model = model
         self.specifications = specifications
         self.base_design = base_design or PllDesign()
         self.config = config or NSGA2Config(population_size=24, generations=10)
-        if evaluation is not None or n_workers is not None:
-            self.config = replace(
-                self.config,
-                evaluator=evaluation if evaluation is not None else self.config.evaluator,
-                n_workers=n_workers if n_workers is not None else self.config.n_workers,
-            )
         self.simulation_time = simulation_time
 
     def problem(self) -> PllSystemProblem:

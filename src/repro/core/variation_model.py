@@ -62,9 +62,9 @@ class VariationModel:
 
     def __getstate__(self):
         # The cached VcoVariationTables adapter holds local lambdas, which
-        # do not pickle; drop it so the model stays picklable (the process
-        # backend ships problems holding this model to its workers, which
-        # rebuild the cache lazily).
+        # do not pickle; drop it so the model stays picklable (stage
+        # artefacts pickle it; an unpickled model rebuilds the cache
+        # lazily).
         state = self.__dict__.copy()
         state["_vco_tables"] = None
         return state
@@ -82,7 +82,6 @@ class VariationModel:
         seed: int = 2009,
         control: str = "3E",
         progress: Optional[Callable[[int, int], None]] = None,
-        use_batch: bool = False,
         checkpoint: Optional[Any] = None,
         cancel: Optional[Any] = None,
     ) -> "VariationModel":
@@ -96,8 +95,10 @@ class VariationModel:
             Nominal performance dictionaries, one per design (from the
             optimisation itself, so they are not recomputed).
         evaluator:
-            The VCO evaluator used to re-simulate each Monte Carlo sample
-            (the paper used 100 SpectreRF Monte Carlo samples per point).
+            The VCO evaluator re-simulating each point's Monte Carlo
+            samples, all of them in one ``evaluate_batch`` call
+            (:meth:`~repro.process.montecarlo.MonteCarloEngine.run_batch`);
+            the paper used 100 SpectreRF Monte Carlo samples per point.
         mc_engine_factory:
             Optional factory returning a configured
             :class:`~repro.process.montecarlo.MonteCarloEngine`; by default
@@ -107,11 +108,6 @@ class VariationModel:
             Monte Carlo depth, seed and table-model control string.
         progress:
             Optional ``progress(done, total)`` callback.
-        use_batch:
-            Evaluate each point's Monte Carlo samples through the
-            evaluator's vectorised batch path
-            (:meth:`~repro.process.montecarlo.MonteCarloEngine.run_batch`).
-            Results are identical for a vectorised evaluator, only faster.
         checkpoint:
             Optional duck-typed ``load()/store(state)/clear()`` store.  The
             completed per-point rows are persisted after every point, so an
@@ -163,18 +159,11 @@ class VariationModel:
                     evaluator.technology, n_samples=n_samples, seed=seed + index
                 )
             nominal_values = {name: float(nominal[name]) for name in _PERFORMANCE_NAMES}
-            if use_batch:
-                result = engine.run_batch(
-                    evaluator.monte_carlo_batch_evaluator(design),
-                    devices=topology.device_geometries(design, n_stages=n_stages),
-                    nominal=nominal_values,
-                )
-            else:
-                result = engine.run(
-                    evaluator.monte_carlo_evaluator(design),
-                    devices=topology.device_geometries(design, n_stages=n_stages),
-                    nominal=nominal_values,
-                )
+            result = engine.run_batch(
+                evaluator.monte_carlo_batch_evaluator(design),
+                devices=topology.device_geometries(design, n_stages=n_stages),
+                nominal=nominal_values,
+            )
             spreads = result.spreads()
             nominal_rows.append([float(nominal[name]) for name in _PERFORMANCE_NAMES])
             spread_rows.append([spreads[name].spread_percent for name in _PERFORMANCE_NAMES])

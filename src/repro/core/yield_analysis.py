@@ -70,7 +70,6 @@ class YieldAnalysis:
         n_samples: int = 500,
         seed: int = 2009,
         simulation_time: float = 3.0e-6,
-        use_batch: bool = False,
     ) -> None:
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
@@ -82,11 +81,6 @@ class YieldAnalysis:
         self.n_samples = n_samples
         self.seed = seed
         self.simulation_time = simulation_time
-        #: Evaluate the VCO Monte Carlo samples through the evaluator's
-        #: vectorised batch path and propagate them through the behavioural
-        #: PLL as one lane-parallel transient (identical results, two array
-        #: calls instead of ``2 n_samples`` Python calls).
-        self.use_batch = use_batch
 
     def run(
         self,
@@ -202,36 +196,23 @@ class YieldAnalysis:
     ) -> List[Dict[str, float]]:
         """System performances of one batch of drawn process samples.
 
-        Every sample is independent (its own technology shift, mismatch
-        draw and behavioural-PLL lane), so evaluating in batches is
-        bit-identical to evaluating all samples at once.
+        The VCO samples are evaluated in one ``evaluate_batch`` call, and
+        every sampled VCO becomes one lane of a single lane-parallel
+        behavioural-PLL transient.  Every sample is independent (its own
+        technology shift, mismatch draw and PLL lane), so evaluating in
+        batches is bit-identical to evaluating all samples at once.
         """
-        if self.use_batch:
-            # Lane-parallel propagation: every sampled VCO becomes one lane
-            # of a single batched transient (bit-identical to the loop).
-            vco_results = self.evaluator.monte_carlo_batch_evaluator(vco_design)(
-                process_samples
+        vco_results = self.evaluator.monte_carlo_batch_evaluator(vco_design)(process_samples)
+        if len(vco_results) != len(process_samples):
+            raise ValueError(
+                f"batch evaluator returned {len(vco_results)} result(s) for "
+                f"{len(process_samples)} sample(s)"
             )
-            if len(vco_results) != len(process_samples):
-                raise ValueError(
-                    f"batch evaluator returned {len(vco_results)} result(s) for "
-                    f"{len(process_samples)} sample(s)"
-                )
-            if any(not result for result in vco_results):
-                raise ValueError("evaluator returned an empty performance dictionary")
-            plls = [
-                self._sample_pll(vco_sample, pll_design) for vco_sample in vco_results
-            ]
-            performances = BehaviouralPll.evaluate_batch(plls, max_time=self.simulation_time)
-            return [self._finalise(performance) for performance in performances]
-        evaluator = self.evaluator.monte_carlo_evaluator(vco_design)
-        results = []
-        for sample in process_samples:
-            vco_sample = evaluator(sample.technology, sample.mismatch)
-            if not vco_sample:
-                raise ValueError("evaluator returned an empty performance dictionary")
-            results.append(self._system_performance(vco_sample, pll_design))
-        return results
+        if any(not result for result in vco_results):
+            raise ValueError("evaluator returned an empty performance dictionary")
+        plls = [self._sample_pll(vco_sample, pll_design) for vco_sample in vco_results]
+        performances = BehaviouralPll.evaluate_batch(plls, max_time=self.simulation_time)
+        return [self._finalise(performance) for performance in performances]
 
     def _sample_pll(
         self, vco_sample: Mapping[str, float], pll_design: PllDesign
@@ -260,10 +241,3 @@ class YieldAnalysis:
         if not np.isfinite(result["lock_time"]):
             result["lock_time"] = 10.0 * self.simulation_time
         return result
-
-    def _system_performance(
-        self, vco_sample: Mapping[str, float], pll_design: PllDesign
-    ) -> Dict[str, float]:
-        """Propagate one sampled VCO through the behavioural PLL."""
-        pll = self._sample_pll(vco_sample, pll_design)
-        return self._finalise(pll.evaluate(max_time=self.simulation_time))

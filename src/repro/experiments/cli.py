@@ -4,7 +4,7 @@ Local subcommands run the hierarchical flow in-process::
 
     repro list                         # registered scenarios
     repro run table2                   # run (or resume) a scenario
-    repro run table2 --evaluation vectorised --force
+    repro run table2 --evaluation serial --force
     repro report table2                # summarise cached artefacts
 
 ``run`` is resumable: artefacts are checkpointed per stage under the
@@ -57,6 +57,7 @@ from repro.experiments.registry import (
 )
 from repro.experiments.report import report_payload
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
+from repro.optim.evaluation import EVALUATOR_CHOICES
 
 __all__ = ["main", "build_parser"]
 
@@ -78,12 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="registered scenario name (see 'repro list')")
     run.add_argument(
         "--evaluation",
-        choices=("serial", "vectorised", "vectorized", "process"),
+        choices=EVALUATOR_CHOICES,
         default=None,
         help="batch-evaluation backend override (does not change the cache key)",
     )
     run.add_argument(
-        "--n-workers", type=int, default=None, help="worker count for the process backend"
+        "--n-workers", type=int, default=None, help="worker count of the SPICE batch pool"
     )
     run.add_argument(
         "--spice-engine",
@@ -218,12 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--url", default=DEFAULT_URL, help="service URL")
     submit.add_argument(
         "--evaluation",
-        choices=("serial", "vectorised", "vectorized", "process"),
+        choices=EVALUATOR_CHOICES,
         default=None,
         help="batch-evaluation backend override (does not change the job id)",
     )
     submit.add_argument(
-        "--n-workers", type=int, default=None, help="worker count for the process backend"
+        "--n-workers", type=int, default=None, help="worker count of the SPICE batch pool"
     )
     submit.add_argument(
         "--spice-engine",

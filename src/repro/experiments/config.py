@@ -15,9 +15,9 @@ Two hashes matter:
   the *numbers* an experiment produces (seed, budgets, topology,
   technology, specifications).  Execution details -- the evaluation
   backend, the worker count, which optional stages to run -- are
-  deliberately excluded: all backends are bit-identical by the project's
+  deliberately excluded: both backends are bit-identical by the project's
   enforced invariant, and optional stages are cached independently.  A
-  ``vectorised`` rerun therefore resumes from a ``serial`` run's cache.
+  ``serial`` rerun therefore resumes from a ``vectorised`` run's cache.
 * Equality (``==``) compares *all* fields, as usual for dataclasses.
 """
 
@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional
 
 from repro.circuits.topology import DEFAULT_TOPOLOGY, get_topology, topology_names
 from repro.core.specification import SpecificationSet, specification_set
-from repro.optim.evaluation import EVALUATOR_CHOICES
+from repro.optim.evaluation import DEFAULT_EVALUATION, EVALUATOR_CHOICES
 from repro.optim.nsga2 import NSGA2Config
 from repro.process.corners import CornerSet, corner_set, corner_set_names
 from repro.process.technology import Technology, technology
@@ -82,11 +82,11 @@ class ScenarioConfig:
     seed:
         Seed of every RNG stream in the flow.
     evaluation:
-        Batch-evaluation backend (``serial`` / ``vectorised`` /
-        ``process``); excluded from the config hash because all backends
-        are bit-identical for a fixed seed.
+        How NSGA-II hands a population to the problem (``vectorised``, the
+        default, or ``serial``); excluded from the config hash because both
+        backends are bit-identical for a fixed seed.
     n_workers:
-        Worker count for the ``process`` backend and the SPICE batch pool.
+        Worker count of the SPICE evaluator's batch process pool.
     run_yield / run_verification:
         Which optional stages the runner executes.
     spice_engine:
@@ -120,7 +120,7 @@ class ScenarioConfig:
     yield_samples: int = 500
     max_model_points: Optional[int] = 24
     seed: int = 2009
-    evaluation: str = "serial"
+    evaluation: str = DEFAULT_EVALUATION
     n_workers: Optional[int] = None
     run_yield: bool = True
     run_verification: bool = False
@@ -149,7 +149,7 @@ class ScenarioConfig:
                 raise ValueError(f"{field_name} must be at least 1")
         if self.max_model_points is not None and self.max_model_points < 1:
             raise ValueError("max_model_points must be at least 1 (or None)")
-        if (self.evaluation or "serial").lower() not in EVALUATOR_CHOICES:
+        if (self.evaluation or DEFAULT_EVALUATION).lower() not in EVALUATOR_CHOICES:
             raise ValueError(
                 f"evaluation must be one of {', '.join(EVALUATOR_CHOICES)}; "
                 f"got {self.evaluation!r}"
@@ -197,7 +197,6 @@ class ScenarioConfig:
             generations=self.circuit_generations,
             seed=self.seed,
             evaluator=self.evaluation,
-            n_workers=self.n_workers,
         )
 
     def system_nsga2_config(self) -> NSGA2Config:
@@ -207,7 +206,6 @@ class ScenarioConfig:
             generations=self.system_generations,
             seed=self.seed,
             evaluator=self.evaluation,
-            n_workers=self.n_workers,
         )
 
     # -- serialisation / hashing ---------------------------------------------------------
@@ -279,7 +277,6 @@ class ScenarioConfig:
         ):
             settings = config.as_dict()
             settings.pop("evaluator")
-            settings.pop("n_workers")
             payload[key] = settings
         return payload
 

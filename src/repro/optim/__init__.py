@@ -19,7 +19,6 @@ from repro.optim.baselines import RandomSearch, WeightedSumGA
 from repro.optim.constraints import constraint_violation, constrained_dominates
 from repro.optim.evaluation import (
     BatchEvaluator,
-    ProcessPoolEvaluator,
     SerialEvaluator,
     VectorisedEvaluator,
     create_evaluator,
@@ -45,7 +44,6 @@ __all__ = [
     "BatchEvaluator",
     "SerialEvaluator",
     "VectorisedEvaluator",
-    "ProcessPoolEvaluator",
     "create_evaluator",
     "Individual",
     "Problem",

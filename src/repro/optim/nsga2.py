@@ -19,7 +19,12 @@ import numpy as np
 
 from repro.cancel import CancelToken
 from repro.obs import trace as obs_trace
-from repro.optim.evaluation import BatchEvaluator, EVALUATOR_CHOICES, create_evaluator
+from repro.optim.evaluation import (
+    DEFAULT_EVALUATION,
+    EVALUATOR_CHOICES,
+    BatchEvaluator,
+    create_evaluator,
+)
 from repro.optim.individual import Individual
 from repro.optim.operators import PolynomialMutation, SBXCrossover, binary_tournament
 from repro.optim.pareto import ParetoFront
@@ -38,12 +43,12 @@ class NSGA2Config:
     are used here so the test-suite stays fast; the benchmarks scale the
     settings back up.
 
-    ``evaluator`` selects the batch-evaluation backend (``"serial"``,
-    ``"vectorised"`` or ``"process"``, see :mod:`repro.optim.evaluation`);
-    ``n_workers`` sizes the pool of the ``"process"`` backend.  The default
-    stays ``"serial"`` so existing seeded results are bit-identical; all
-    backends consume the same seeded RNG stream, so a correctly vectorised
-    problem produces the same Pareto front on every backend.
+    ``evaluator`` selects how a population reaches the problem
+    (``"vectorised"``, the default: one ``evaluate_batch`` call; or
+    ``"serial"``: one call per individual; see
+    :mod:`repro.optim.evaluation`).  Both backends consume the same seeded
+    RNG stream, so a correctly vectorised problem produces the same Pareto
+    front on either.
     """
 
     population_size: int = 40
@@ -53,8 +58,7 @@ class NSGA2Config:
     mutation_probability: Optional[float] = None
     mutation_eta: float = 20.0
     seed: Optional[int] = 2009
-    evaluator: str = "serial"
-    n_workers: Optional[int] = None
+    evaluator: str = DEFAULT_EVALUATION
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
@@ -77,13 +81,11 @@ class NSGA2Config:
             raise ValueError("mutation_probability must be finite and within [0, 1]")
         if not np.isfinite(self.mutation_eta) or self.mutation_eta <= 0.0:
             raise ValueError("mutation_eta must be finite and positive")
-        if (self.evaluator or "serial").lower() not in EVALUATOR_CHOICES:
+        if (self.evaluator or DEFAULT_EVALUATION).lower() not in EVALUATOR_CHOICES:
             raise ValueError(
                 f"evaluator must be one of {', '.join(EVALUATOR_CHOICES)}; "
                 f"got {self.evaluator!r}"
             )
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ValueError("n_workers must be at least 1")
 
     def as_dict(self) -> dict:
         """Serialise the configuration to a plain JSON-compatible dict.
@@ -148,9 +150,9 @@ class NSGA2:
     Populations are evaluated through a pluggable
     :class:`~repro.optim.evaluation.BatchEvaluator`: the whole population
     (or offspring batch) is handed to the backend in one call instead of N
-    separate Python calls, which is what makes vectorised and process-pool
-    evaluation possible.  Pass ``evaluator`` to inject a custom backend;
-    otherwise one is built from ``config.evaluator`` / ``config.n_workers``.
+    separate Python calls, which is what makes vectorised evaluation
+    possible.  Pass ``evaluator`` to inject a custom backend; otherwise one
+    is built from ``config.evaluator``.
     """
 
     def __init__(
@@ -167,10 +169,7 @@ class NSGA2:
         self.mutation = PolynomialMutation(
             probability=self.config.mutation_probability, eta=self.config.mutation_eta
         )
-        self._owns_evaluator = evaluator is None
-        self.evaluator = evaluator or create_evaluator(
-            self.config.evaluator, self.config.n_workers
-        )
+        self.evaluator = evaluator or create_evaluator(self.config.evaluator)
         self._rng = np.random.default_rng(self.config.seed)
 
     # -- public API -----------------------------------------------------------
@@ -221,37 +220,33 @@ class NSGA2:
                 evaluations = int(state["evaluations"])
                 self._rng.bit_generator.state = state["rng_state"]
                 next_generation = int(state["generation"]) + 1
-        try:
-            if population is None:
-                population = self._initial_population()
-                evaluations += len(population)
-                self._assign_ranks(population)
-                history.append(self._stats(0, evaluations, population))
+        if population is None:
+            population = self._initial_population()
+            evaluations += len(population)
+            self._assign_ranks(population)
+            history.append(self._stats(0, evaluations, population))
+            if callback is not None:
+                callback(0, population)
+            self._store_state(checkpoint, fingerprint, 0, population, evaluations, history)
+            if cancel is not None:
+                cancel.raise_if_cancelled()
+        for generation in range(next_generation, self.config.generations + 1):
+            with obs_trace.span(
+                "nsga2.generation",
+                problem=self.problem.name,
+                generation=generation,
+            ):
+                offspring = self._make_offspring(population)
+                evaluations += len(offspring)
+                population = self._survival(population + offspring)
+                history.append(self._stats(generation, evaluations, population))
                 if callback is not None:
-                    callback(0, population)
-                self._store_state(checkpoint, fingerprint, 0, population, evaluations, history)
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-            for generation in range(next_generation, self.config.generations + 1):
-                with obs_trace.span(
-                    "nsga2.generation",
-                    problem=self.problem.name,
-                    generation=generation,
-                ):
-                    offspring = self._make_offspring(population)
-                    evaluations += len(offspring)
-                    population = self._survival(population + offspring)
-                    history.append(self._stats(generation, evaluations, population))
-                    if callback is not None:
-                        callback(generation, population)
-                    self._store_state(
-                        checkpoint, fingerprint, generation, population, evaluations, history
-                    )
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-        finally:
-            if self._owns_evaluator:
-                self.evaluator.close()
+                    callback(generation, population)
+                self._store_state(
+                    checkpoint, fingerprint, generation, population, evaluations, history
+                )
+            if cancel is not None:
+                cancel.raise_if_cancelled()
         front = self.pareto_front(population)
         return OptimisationResult(
             front=front, population=population, history=history, evaluations=evaluations
@@ -276,14 +271,13 @@ class NSGA2:
     def _fingerprint(self) -> Dict[str, Any]:
         """What a checkpointed state must have been produced by to be resumed.
 
-        Execution-only settings (``evaluator``, ``n_workers``) are excluded
-        for the same reason the scenario cache excludes them: all backends
-        are bit-identical for a fixed seed, so a run may resume another
+        The execution-only ``evaluator`` setting is excluded for the same
+        reason the scenario cache excludes it: both backends are
+        bit-identical for a fixed seed, so a run may resume another
         backend's checkpoint.
         """
         settings = self.config.as_dict()
         settings.pop("evaluator")
-        settings.pop("n_workers")
         return {
             "problem": self.problem.name,
             "parameters": list(self.problem.parameter_names),

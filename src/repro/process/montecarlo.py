@@ -73,8 +73,22 @@ class SampleBatch:
     @classmethod
     def nominal(cls, technology: Technology) -> "SampleBatch":
         """A one-sample batch holding the unperturbed technology."""
-        empty = np.zeros((1, 0))
-        return cls(technology, {}, (), empty, empty, range(1))
+        return cls.from_sample(technology)
+
+    @classmethod
+    def from_sample(
+        cls, technology: Technology, mismatch: Optional[MismatchSample] = None
+    ) -> "SampleBatch":
+        """A one-sample batch of ``technology`` with ``mismatch``'s device deltas.
+
+        A device without a ``vth0`` or ``u0_rel`` entry gets a zero delta,
+        which leaves that parameter unchanged.
+        """
+        deltas = mismatch.deltas if mismatch is not None else {}
+        names = tuple(deltas)
+        vth0 = np.array([[deltas[name].get("vth0", 0.0) for name in names]], dtype=float)
+        u0_rel = np.array([[deltas[name].get("u0_rel", 0.0) for name in names]], dtype=float)
+        return cls(technology, {}, names, vth0, u0_rel, range(1))
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -443,10 +443,10 @@ def _spawn_worker(
     """Start one worker process (shared by both supervisors).
 
     NOT daemonic: daemonic processes cannot have children, and jobs
-    legitimately spawn them (the "process" evaluation backend, the SPICE
-    verification pool).  Orderly shutdown is the supervisor's job; a
-    SIGKILLed supervisor leaves workers running, which the lease model
-    treats like any other crashed peer.
+    legitimately spawn them (the SPICE evaluator's batch process pool).
+    Orderly shutdown is the supervisor's job; a SIGKILLed supervisor
+    leaves workers running, which the lease model treats like any other
+    crashed peer.
     """
     process = context.Process(
         target=worker_loop,

@@ -14,7 +14,6 @@ level:
   source stepping homotopies,
 * :mod:`repro.spice.transient` -- fixed/adaptive-step transient analysis
   with backward-Euler and trapezoidal integration,
-* :mod:`repro.spice.ac` -- small-signal AC analysis,
 * :mod:`repro.spice.parser` -- a SPICE-like netlist text parser, and
 * :mod:`repro.spice.waveform` -- waveform measurement utilities (period,
   frequency, duty cycle, RMS, settling time).
@@ -24,7 +23,6 @@ nodal equations; it is used for bottom-up verification of results obtained
 with the calibrated analytical evaluator in :mod:`repro.circuits`.
 """
 
-from repro.spice.ac import ACAnalysis, ACResult
 from repro.spice.dc import DCOperatingPoint, DCResult, dc_operating_point
 from repro.spice.elements import (
     Capacitor,
@@ -74,8 +72,6 @@ __all__ = [
     "LaneSystem",
     "compile_circuits",
     "ENGINES",
-    "ACAnalysis",
-    "ACResult",
     "Waveform",
     "parse_netlist",
     "NetlistError",

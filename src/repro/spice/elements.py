@@ -3,7 +3,7 @@
 Every element implements the ``contribute`` protocol described in
 :mod:`repro.spice.netlist`.  Independent sources accept either a constant
 value or a :class:`SourceWaveform` (DC, pulse, sine, piece-wise linear) so
-the same element types serve DC, transient and AC test benches.
+the same element types serve DC and transient test benches.
 """
 
 from __future__ import annotations
@@ -179,9 +179,6 @@ class Resistor(Element):
         ctx.stamp_current(a, b, current)
         ctx.stamp_conductance(a, b, g)
 
-    def ac_contribute(self, ctx) -> None:
-        ctx.stamp_admittance(self.nodes[0], self.nodes[1], self.conductance)
-
 
 class Capacitor(Element):
     """Linear capacitor between two nodes.
@@ -224,9 +221,6 @@ class Capacitor(Element):
         if "pending_current" in state:
             state["current"] = state.pop("pending_current")
 
-    def ac_contribute(self, ctx) -> None:
-        ctx.stamp_admittance(self.nodes[0], self.nodes[1], 1j * ctx.omega * self.capacitance)
-
 
 class Inductor(Element):
     """Linear inductor; short circuit in DC, companion model in transient."""
@@ -267,11 +261,6 @@ class Inductor(Element):
             ctx.add_jacobian(k, a, 1.0)
             ctx.add_jacobian(k, b, -1.0)
 
-    def ac_contribute(self, ctx) -> None:
-        ctx.stamp_branch_impedance(
-            self.name, self.nodes[0], self.nodes[1], 1j * ctx.omega * self.inductance
-        )
-
 
 # ---------------------------------------------------------------------------
 # Independent sources
@@ -279,7 +268,7 @@ class Inductor(Element):
 
 
 class VoltageSource(Element):
-    """Independent voltage source (DC value or waveform) with AC magnitude."""
+    """Independent voltage source (DC value or waveform)."""
 
     n_branches = 1
 
@@ -289,11 +278,9 @@ class VoltageSource(Element):
         node_pos: str,
         node_neg: str,
         value,
-        ac_magnitude: float = 0.0,
     ) -> None:
         super().__init__(name, (node_pos, node_neg))
         self.waveform = _as_waveform(value)
-        self.ac_magnitude = float(ac_magnitude)
 
     def source_value(self, ctx) -> float:
         """Instantaneous source value scaled by any homotopy factor."""
@@ -317,9 +304,6 @@ class VoltageSource(Element):
         ctx.add_jacobian(k, a, 1.0)
         ctx.add_jacobian(k, b, -1.0)
 
-    def ac_contribute(self, ctx) -> None:
-        ctx.stamp_branch_voltage(self.name, self.nodes[0], self.nodes[1], self.ac_magnitude)
-
     def supply_current_nodes(self) -> Tuple[str, ...]:
         return (self.nodes[0],)
 
@@ -328,12 +312,9 @@ class CurrentSource(Element):
     """Independent current source; current flows from node+ through the
     source to node- (i.e. it is pushed into the node- side network)."""
 
-    def __init__(
-        self, name: str, node_pos: str, node_neg: str, value, ac_magnitude: float = 0.0
-    ) -> None:
+    def __init__(self, name: str, node_pos: str, node_neg: str, value) -> None:
         super().__init__(name, (node_pos, node_neg))
         self.waveform = _as_waveform(value)
-        self.ac_magnitude = float(ac_magnitude)
 
     def source_value(self, ctx) -> float:
         """Instantaneous source current scaled by any homotopy factor."""
@@ -348,9 +329,6 @@ class CurrentSource(Element):
         b = ctx.node(self.nodes[1])
         current = self.source_value(ctx)
         ctx.stamp_current(a, b, current)
-
-    def ac_contribute(self, ctx) -> None:
-        ctx.stamp_current_injection(self.nodes[0], self.nodes[1], self.ac_magnitude)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +437,3 @@ class Diode(Element):
             current += conductance * (v - v_limited)
         ctx.stamp_current(a, b, current)
         ctx.stamp_conductance(a, b, conductance + 1e-12)
-
-    def ac_contribute(self, ctx) -> None:
-        v = ctx.op_voltage(self.nodes[0]) - ctx.op_voltage(self.nodes[1])
-        n_vt = self.emission_coefficient * self.thermal_voltage
-        conductance = self.saturation_current * math.exp(min(v, 40.0 * n_vt) / n_vt) / n_vt
-        ctx.stamp_admittance(self.nodes[0], self.nodes[1], conductance)

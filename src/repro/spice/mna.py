@@ -1,6 +1,6 @@
 """Modified nodal analysis (MNA) assembly and Newton-Raphson solution.
 
-The analyses (DC, transient, AC) all funnel through the machinery here:
+The analyses (DC, transient) all funnel through the machinery here:
 
 * :class:`StampContext` is handed to every element's ``contribute`` method
   and accumulates the residual vector and Jacobian matrix of the nonlinear

@@ -315,20 +315,6 @@ class MOSFET(Element):
         for key in pending:
             state[key[len("pending_"):]] = state.pop(key)
 
-    def ac_contribute(self, ctx) -> None:
-        d, g, s, b = self.nodes
-        vd, vg, vs, vb = (ctx.op_voltage(n) for n in self.nodes)
-        op = self.operating_point(vd, vg, vs, vb)
-        p = self.model.polarity
-        sign = 1.0 if p > 0 else -1.0
-        # Transconductance from gate and bulk, output conductance d-s.
-        ctx.stamp_vccs(d, s, g, s, sign * op.gm)
-        ctx.stamp_vccs(d, s, b, s, sign * op.gmb)
-        ctx.stamp_admittance(d, s, op.gds)
-        omega = ctx.omega
-        for (node_a, node_b), capacitance in self.gate_capacitances().items():
-            ctx.stamp_admittance(node_a, node_b, 1j * omega * capacitance)
-
 
 @dataclass
 class MOSFETArrays:

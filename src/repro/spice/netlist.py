@@ -13,10 +13,6 @@ Elements describe themselves to the analyses through a small protocol:
     type (``"dc"`` or ``"tran"``), the present voltage estimates, previous
     time-point values and integration coefficients.
 
-``ac_contribute(ctx)``
-    Add the element's linearised (small-signal) contribution for AC
-    analysis at the operating point stored in the context.
-
 ``n_branches``
     Number of extra MNA branch-current unknowns the element needs
     (voltage sources, inductors and VCVS need one).
@@ -66,9 +62,6 @@ class Element:
     def contribute(self, ctx) -> None:
         """Stamp the large-signal residual/Jacobian contribution."""
         raise NotImplementedError
-
-    def ac_contribute(self, ctx) -> None:
-        """Stamp the small-signal (AC) contribution; defaults to nothing."""
 
     def supply_current_nodes(self) -> Tuple[str, ...]:
         """Nodes through which supply current is drawn (for power metering)."""

@@ -1,8 +1,10 @@
-"""Tests for the vectorised batch path of the analytical VCO evaluator.
+"""Tests for the batch kernel of the analytical VCO evaluator.
 
-The contract under test is strict: ``evaluate_batch`` is a transcription
-of the scalar first-order model to numpy with identical operation order,
-so every comparison here is *bitwise* (``==`` on floats), not approximate.
+The contract under test is strict: ``evaluate_batch`` computes the
+first-order model of :mod:`tests.circuits.analytical_oracle` -- written
+one device at a time on the SPICE MOSFET -- with identical operation
+order, so every comparison here is *bitwise* (``==`` on floats), not
+approximate.
 """
 
 import numpy as np
@@ -10,7 +12,14 @@ import pytest
 
 from repro.circuits import RingVcoAnalyticalEvaluator, VcoDesign, vco_device_geometries
 from repro.circuits.evaluators import VcoEvaluator
+from repro.circuits.pseudodiff import (
+    PseudoDiffAnalyticalEvaluator,
+    PseudoDiffVcoDesign,
+    pseudodiff_device_geometries,
+)
 from repro.process import TECH_012UM, MonteCarloEngine
+from repro.process.mismatch import MismatchSample
+from tests.circuits.analytical_oracle import ScalarAnalyticalOracle
 
 
 def random_design(rng) -> VcoDesign:
@@ -25,38 +34,51 @@ def random_design(rng) -> VcoDesign:
     )
 
 
+def random_pseudodiff_design(rng) -> PseudoDiffVcoDesign:
+    ring = random_design(rng)
+    return PseudoDiffVcoDesign(**ring.as_dict(), cross_width=rng.uniform(2e-6, 40e-6))
+
+
 @pytest.fixture(scope="module")
 def evaluator():
     return RingVcoAnalyticalEvaluator(TECH_012UM)
 
 
-def test_batch_over_designs_matches_scalar(evaluator):
+@pytest.fixture(scope="module")
+def oracle(evaluator):
+    return ScalarAnalyticalOracle(evaluator)
+
+
+def test_batch_over_designs_matches_scalar(evaluator, oracle):
     rng = np.random.default_rng(42)
     designs = [random_design(rng) for _ in range(30)]
     batch = evaluator.evaluate_batch(designs)
     assert len(batch) == 30
     for design, performance in zip(designs, batch):
-        assert performance.as_dict() == evaluator.evaluate(design).as_dict()
+        assert performance.as_dict() == oracle.evaluate(design).as_dict()
 
 
-def test_batch_single_design_matches_scalar(evaluator):
+def test_batch_single_design_matches_scalar(evaluator, oracle):
     design = VcoDesign()
     (performance,) = evaluator.evaluate_batch([design])
-    assert performance.as_dict() == evaluator.evaluate(design).as_dict()
+    assert performance.as_dict() == oracle.evaluate(design).as_dict()
+    assert evaluator.evaluate(design).as_dict() == performance.as_dict()
 
 
-def test_batch_over_technologies_matches_scalar(evaluator):
+def test_batch_over_technologies_matches_scalar(evaluator, oracle):
     engine = MonteCarloEngine(TECH_012UM, n_samples=15, seed=7, include_mismatch=False)
     samples = engine.sample_batch()
     design = VcoDesign()
     batch = evaluator.evaluate_batch([design], samples=samples)
     for sample, performance in zip(samples, batch):
         assert sample.technology is not TECH_012UM
-        scalar = evaluator.evaluate(design, technology=sample.technology)
+        scalar = oracle.evaluate(design, technology=sample.technology)
         assert performance.as_dict() == scalar.as_dict()
+        single = evaluator.evaluate(design, technology=sample.technology)
+        assert single.as_dict() == scalar.as_dict()
 
 
-def test_batch_with_mismatch_matches_scalar(evaluator):
+def test_batch_with_mismatch_matches_scalar(evaluator, oracle):
     design = VcoDesign()
     devices = vco_device_geometries(design)
     engine = MonteCarloEngine(TECH_012UM, n_samples=10, seed=11, include_global=False)
@@ -64,7 +86,43 @@ def test_batch_with_mismatch_matches_scalar(evaluator):
     batch = evaluator.evaluate_batch([design], samples=samples)
     for sample, performance in zip(samples, batch):
         assert sample.mismatch.devices() == [device.name for device in devices]
-        scalar = evaluator.evaluate(design, mismatch=sample.mismatch)
+        scalar = oracle.evaluate(design, mismatch=sample.mismatch)
+        assert performance.as_dict() == scalar.as_dict()
+
+
+def test_single_evaluation_with_partial_mismatch_matches_scalar(evaluator, oracle):
+    """A mismatch sample may name some devices, or carry only one delta key."""
+    design = VcoDesign()
+    engine = MonteCarloEngine(TECH_012UM, n_samples=6, seed=13)
+    for index, sample in enumerate(engine.sample_batch(vco_device_geometries(design))):
+        deltas = list(sample.mismatch.deltas.items())[index % 3 :: 2]
+        key = ("vth0", "u0_rel")[index % 2]
+        mismatch = MismatchSample({name: {key: d[key]} for name, d in deltas})
+        single = evaluator.evaluate(design, technology=sample.technology, mismatch=mismatch)
+        scalar = oracle.evaluate(design, technology=sample.technology, mismatch=mismatch)
+        assert single.as_dict() == scalar.as_dict()
+
+
+def test_pseudodiff_batch_over_designs_matches_scalar():
+    evaluator = PseudoDiffAnalyticalEvaluator(TECH_012UM)
+    oracle = ScalarAnalyticalOracle(evaluator)
+    rng = np.random.default_rng(43)
+    designs = [random_pseudodiff_design(rng) for _ in range(20)]
+    for design, performance in zip(designs, evaluator.evaluate_batch(designs)):
+        assert performance.as_dict() == oracle.evaluate(design).as_dict()
+
+
+def test_pseudodiff_batch_with_variation_matches_scalar():
+    evaluator = PseudoDiffAnalyticalEvaluator(TECH_012UM)
+    oracle = ScalarAnalyticalOracle(evaluator)
+    design = random_pseudodiff_design(np.random.default_rng(44))
+    engine = MonteCarloEngine(TECH_012UM, n_samples=10, seed=17)
+    samples = engine.sample_batch(pseudodiff_device_geometries(design))
+    batch = evaluator.evaluate_batch([design], samples=samples)
+    for sample, performance in zip(samples, batch):
+        scalar = oracle.evaluate(
+            design, technology=sample.technology, mismatch=sample.mismatch
+        )
         assert performance.as_dict() == scalar.as_dict()
 
 
@@ -78,11 +136,15 @@ def test_batch_broadcast_rejects_mismatched_lengths(evaluator):
         VcoEvaluator.evaluate_batch(evaluator, designs, samples=samples)
 
 
-def test_monte_carlo_batch_adapter_matches_serial_engine(evaluator):
+def test_monte_carlo_batch_adapter_matches_serial_engine(evaluator, oracle):
     design = VcoDesign()
     devices = vco_device_geometries(design)
     engine = MonteCarloEngine(TECH_012UM, n_samples=40, seed=2009)
-    serial = engine.run(evaluator.monte_carlo_evaluator(design), devices=devices)
+
+    def scalar(technology, mismatch):
+        return oracle.evaluate(design, technology=technology, mismatch=mismatch).as_dict()
+
+    serial = engine.run(scalar, devices=devices)
     batch = engine.run_batch(
         evaluator.monte_carlo_batch_evaluator(design), devices=devices
     )
@@ -91,7 +153,7 @@ def test_monte_carlo_batch_adapter_matches_serial_engine(evaluator):
 
 
 def test_base_class_batch_fallback_loops_scalar(evaluator):
-    """The generic VcoEvaluator.evaluate_batch loop also matches (used by SPICE)."""
+    """The generic VcoEvaluator.evaluate_batch loop (used by SPICE) matches."""
     rng = np.random.default_rng(3)
     designs = [random_design(rng) for _ in range(4)]
     generic = VcoEvaluator.evaluate_batch(evaluator, designs)

@@ -2,17 +2,22 @@
 
 The vectorised backend must reproduce the serial system-level results
 bit-for-bit: same objectives, same constraints, same Table-2 metrics,
-same selected design, same yield samples.
+same selected design.  The batched yield analysis must reproduce a
+per-sample loop over the scalar analytical oracle and the scalar PLL.
 """
 
 import numpy as np
 import pytest
 
+from repro.behavioural.pll import PllDesign
+from repro.circuits import vco_device_geometries
 from repro.core.flow import HierarchicalFlow
 from repro.core.system_stage import PllSystemProblem, SystemLevelOptimisation
 from repro.core.yield_analysis import YieldAnalysis
 from repro.optim import NSGA2, NSGA2Config
 from repro.optim.individual import parameters_matrix
+from repro.process.montecarlo import MonteCarloEngine
+from tests.circuits.analytical_oracle import ScalarAnalyticalOracle
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +102,7 @@ def test_system_nsga2_direct_problem_vectorised(combined_model):
     serial_problem = PllSystemProblem(combined_model, simulation_time=2e-6)
     vector_problem = PllSystemProblem(combined_model, simulation_time=2e-6)
     config = dict(population_size=8, generations=2, seed=3)
-    serial = NSGA2(serial_problem, NSGA2Config(**config)).run()
+    serial = NSGA2(serial_problem, NSGA2Config(**config, evaluator="serial")).run()
     vectorised = NSGA2(
         vector_problem, NSGA2Config(**config, evaluator="vectorised")
     ).run()
@@ -117,17 +122,25 @@ def test_yield_analysis_batch_matches_serial(combined_model, analytical_evaluato
         "c2": 0.6e-12,
         "r1": 2e3,
     }
-    serial = YieldAnalysis(
+    analysis = YieldAnalysis(
         combined_model, evaluator=analytical_evaluator, n_samples=40, seed=3,
-        simulation_time=2e-6, use_batch=False,
-    ).run(selected)
-    batched = YieldAnalysis(
-        combined_model, evaluator=analytical_evaluator, n_samples=40, seed=3,
-        simulation_time=2e-6, use_batch=True,
-    ).run(selected)
-    assert serial.system_samples == batched.system_samples
-    assert serial.yield_fraction == batched.yield_fraction
-    assert serial.violations == batched.violations
+        simulation_time=2e-6,
+    )
+    batched = analysis.run(selected)
+    # The per-sample loop: one scalar oracle evaluation and one scalar
+    # behavioural-PLL transient per drawn sample.
+    design = combined_model.design_parameters_for(selected["kvco"], selected["ivco"])
+    pll_design = PllDesign(c1=selected["c1"], c2=selected["c2"], r1=selected["r1"])
+    oracle = ScalarAnalyticalOracle(analytical_evaluator)
+    engine = MonteCarloEngine(analytical_evaluator.technology, n_samples=40, seed=3)
+    serial = []
+    for sample in engine.samples(vco_device_geometries(design)):
+        vco = oracle.evaluate(design, technology=sample.technology, mismatch=sample.mismatch)
+        pll = analysis._sample_pll(vco.as_dict(), pll_design)
+        serial.append(analysis._finalise(pll.evaluate(max_time=2e-6)))
+    assert batched.system_samples == serial
+    passing = sum(not analysis.specifications.violations(system) for system in serial)
+    assert batched.yield_fraction == passing / 40
 
 
 # -- flow plumbing ---------------------------------------------------------------------
@@ -137,16 +150,22 @@ def test_flow_vectorised_reaches_system_stage(analytical_evaluator):
     flow = HierarchicalFlow(evaluator=analytical_evaluator, evaluation="vectorised")
     assert flow.circuit_config.evaluator == "vectorised"
     assert flow.system_config.evaluator == "vectorised"
-    assert flow._use_batch_mc
+
+
+def test_flow_defaults_to_vectorised_and_honours_serial(analytical_evaluator):
+    flow = HierarchicalFlow(evaluator=analytical_evaluator)
+    assert flow.evaluation == "vectorised"
+    assert flow.circuit_config.evaluator == flow.system_config.evaluator == "vectorised"
+    serial = HierarchicalFlow(evaluator=analytical_evaluator, evaluation="serial")
+    assert serial.circuit_config.evaluator == serial.system_config.evaluator == "serial"
 
 
 def test_flow_worker_count_sizes_spice_pool():
     from repro.circuits.evaluators import RingVcoSpiceEvaluator
 
     spice = RingVcoSpiceEvaluator(dt=60e-12, sim_cycles=2)
-    flow = HierarchicalFlow(evaluator=spice, evaluation="process", n_workers=3)
+    flow = HierarchicalFlow(evaluator=spice, n_workers=3)
     assert flow.evaluator.n_workers == 3
-    assert flow.system_config.evaluator == "process"
     # The flow configures a copy; the caller's evaluator is never mutated,
     # so a second flow with a different worker count is not affected.
     assert spice.n_workers is None
@@ -162,10 +181,9 @@ def test_flow_worker_count_sizes_spice_pool():
 def test_model_stays_picklable_after_variation_table_cache(combined_model):
     """The cached lambda adapter must not leak into pickles.
 
-    The ``process`` backend ships the system problem (which holds the
-    combined model) to its workers; caching ``as_variation_tables``'s
-    lambdas on the model would otherwise break pickling after the first
-    behavioural-VCO construction in the parent process.
+    Stage artefacts pickle the combined model; caching
+    ``as_variation_tables``'s lambdas on the model would otherwise break
+    pickling after the first behavioural-VCO construction.
     """
     import pickle
 
@@ -176,19 +194,6 @@ def test_model_stays_picklable_after_variation_table_cache(combined_model):
     values = restored.decode(restored.clip(_sample_matrix(problem, 1, seed=2)[0]))
     reference = problem.evaluate(values)
     assert restored.evaluate(values).objectives == reference.objectives
-
-
-def test_system_nsga2_process_backend_matches_serial(combined_model):
-    serial_problem = PllSystemProblem(combined_model, simulation_time=2e-6)
-    # Populate the lambda cache first to mimic a prior serial/yield run.
-    combined_model.variation.as_variation_tables()
-    pooled_problem = PllSystemProblem(combined_model, simulation_time=2e-6)
-    config = dict(population_size=8, generations=2, seed=3)
-    serial = NSGA2(serial_problem, NSGA2Config(**config)).run()
-    pooled = NSGA2(
-        pooled_problem, NSGA2Config(**config, evaluator="process", n_workers=2)
-    ).run()
-    assert np.array_equal(serial.front.objectives, pooled.front.objectives)
 
 
 def test_flow_rejects_bad_worker_count(analytical_evaluator):

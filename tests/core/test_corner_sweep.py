@@ -45,10 +45,10 @@ class StubEvaluator:
         self._rows = [performance for per_corner in table for performance in per_corner]
         self._cursor = 0
 
-    def evaluate(self, design, technology=None, mismatch=None):
-        performance = self._rows[self._cursor]
-        self._cursor += 1
-        return performance
+    def evaluate_batch(self, designs, technology=None, samples=None):
+        start = self._cursor
+        self._cursor += len(designs)
+        return self._rows[start:self._cursor]
 
 
 def test_worst_case_takes_the_pessimal_value_per_performance():

@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.experiments import cli
+from repro.optim.evaluation import EVALUATOR_CHOICES
 
 #: Environment for subprocesses: make ``import repro`` work from the src
 #: layout even when the package is not installed in the interpreter.
@@ -280,11 +281,20 @@ def test_run_and_report_in_process(tmp_path, capsys):
     assert set(payload["stages_present"]) >= {"circuit", "system"}
 
 
-def test_run_accepts_both_vectorised_spellings(tmp_path, capsys):
-    # The API's EVALUATOR_CHOICES accepts both spellings; so must the CLI.
+def test_evaluation_choices_match_the_api(tmp_path, capsys):
+    # Both subcommands offer exactly the optimiser's EVALUATOR_CHOICES.
+    parser = cli.build_parser()
+    for command in ("run", "submit"):
+        for name in EVALUATOR_CHOICES:
+            args = parser.parse_args([command, "fast-smoke", "--evaluation", name])
+            assert args.evaluation == name
+        for name in ("vectorized", "process"):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([command, "fast-smoke", "--evaluation", name])
+            assert excinfo.value.code == 2
     code = cli.main(
         [
-            "run", "fast-smoke", "--evaluation", "vectorized",
+            "run", "fast-smoke", "--evaluation", "serial",
             "--cache-dir", str(tmp_path), "--seed", "97",
         ]
     )

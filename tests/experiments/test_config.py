@@ -55,7 +55,6 @@ def test_scenario_nsga2_configs_carry_seed_and_backend():
     system = scenario.system_nsga2_config()
     assert circuit.seed == system.seed == 77
     assert circuit.evaluator == system.evaluator == "vectorised"
-    assert circuit.n_workers == system.n_workers == 3
     assert circuit.population_size == scenario.circuit_population
     assert system.generations == scenario.system_generations
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.circuits.evaluators import VcoEvaluator
 from repro.core.yield_analysis import YieldAnalysis
 from repro.experiments.cache import CacheEntry
 from repro.experiments.runner import ExperimentRunner, _StagePartial
@@ -57,22 +58,33 @@ def selected(combined_model):
     }
 
 
-def analysis(combined_model, analytical_evaluator, use_batch):
+class PerSampleEvaluator(VcoEvaluator):
+    """The analytical evaluator behind the base class's per-sample batch loop."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.technology = inner.technology
+        self.n_stages = inner.n_stages
+
+    def evaluate(self, design, technology=None, mismatch=None):
+        return self.inner.evaluate(design, technology=technology, mismatch=mismatch)
+
+
+def analysis(combined_model, analytical_evaluator, vectorised=True):
     return YieldAnalysis(
         combined_model,
-        evaluator=analytical_evaluator,
+        evaluator=analytical_evaluator if vectorised else PerSampleEvaluator(analytical_evaluator),
         n_samples=23,
         seed=5,
         simulation_time=2e-6,
-        use_batch=use_batch,
     )
 
 
-@pytest.mark.parametrize("use_batch", [False, True])
-def test_chunked_equals_unchunked(combined_model, analytical_evaluator, selected, use_batch):
+@pytest.mark.parametrize("vectorised", [False, True])
+def test_chunked_equals_unchunked(combined_model, analytical_evaluator, selected, vectorised):
     """Every sample is independent, so the batch size cannot change results."""
-    whole = analysis(combined_model, analytical_evaluator, use_batch).run(selected)
-    chunked = analysis(combined_model, analytical_evaluator, use_batch).run(
+    whole = analysis(combined_model, analytical_evaluator, vectorised).run(selected)
+    chunked = analysis(combined_model, analytical_evaluator, vectorised).run(
         selected, batch_size=5
     )
     assert whole.system_samples == chunked.system_samples  # exact float equality
@@ -80,22 +92,22 @@ def test_chunked_equals_unchunked(combined_model, analytical_evaluator, selected
     assert whole.violations == chunked.violations
 
 
-@pytest.mark.parametrize("use_batch", [False, True])
+@pytest.mark.parametrize("vectorised", [False, True])
 def test_interrupted_yield_resumes_bit_identically(
-    combined_model, analytical_evaluator, selected, use_batch
+    combined_model, analytical_evaluator, selected, vectorised
 ):
-    full = analysis(combined_model, analytical_evaluator, use_batch).run(selected)
+    full = analysis(combined_model, analytical_evaluator, vectorised).run(selected)
 
     crashing = InterruptingCheckpoint(fail_after=2)
     with pytest.raises(KeyboardInterrupt):
-        analysis(combined_model, analytical_evaluator, use_batch).run(
+        analysis(combined_model, analytical_evaluator, vectorised).run(
             selected, checkpoint=crashing, batch_size=5
         )
     assert len(crashing.state["samples"]) == 10  # two persisted batches of 5
 
     resumed_checkpoint = MemoryCheckpoint()
     resumed_checkpoint.state = crashing.state
-    resumed = analysis(combined_model, analytical_evaluator, use_batch).run(
+    resumed = analysis(combined_model, analytical_evaluator, vectorised).run(
         selected, checkpoint=resumed_checkpoint, batch_size=5
     )
     # Bit-identical to the uninterrupted run, and genuinely resumed: only
@@ -109,13 +121,13 @@ def test_interrupted_yield_resumes_bit_identically(
 
 def test_stale_checkpoint_is_discarded(combined_model, analytical_evaluator, selected):
     """A partial written for different settings must not poison the run."""
-    full = analysis(combined_model, analytical_evaluator, False).run(selected)
+    full = analysis(combined_model, analytical_evaluator).run(selected)
     stale = MemoryCheckpoint()
     stale.state = {
         "fingerprint": {"n_samples": 999, "seed": 0, "selected": {}},
         "samples": [{"lock_time": 0.0, "jitter": 0.0, "current": 0.0}],
     }
-    report = analysis(combined_model, analytical_evaluator, False).run(
+    report = analysis(combined_model, analytical_evaluator).run(
         selected, checkpoint=stale, batch_size=5
     )
     assert report.system_samples == full.system_samples

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import RingVcoAnalyticalEvaluator
+from repro.circuits.evaluators import EVALUATIONS
 from repro.core.circuit_stage import VcoSizingProblem
 from repro.optim import (
     NSGA2,
@@ -11,18 +12,17 @@ from repro.optim import (
     Objective,
     Parameter,
     Problem,
-    ProcessPoolEvaluator,
     SerialEvaluator,
     VectorisedEvaluator,
     create_evaluator,
 )
-from repro.optim.evaluation import build_individual
+from repro.optim.evaluation import DEFAULT_EVALUATION, EVALUATOR_CHOICES, build_individual
 from repro.optim.individual import parameters_matrix
 from repro.optim.problem import Evaluation
 
 
 class SphereProblem(Problem):
-    """Two-objective sphere problem (module level so it pickles for pools)."""
+    """Two-objective sphere problem without a native batch path."""
 
     def __init__(self, n_vars=4):
         parameters = [Parameter(f"x{i}", -1.0, 1.0) for i in range(n_vars)]
@@ -55,17 +55,20 @@ def _run(problem, evaluator_name, **config_overrides):
 
 
 def test_create_evaluator_names():
+    assert EVALUATOR_CHOICES == ("serial", "vectorised")
     assert isinstance(create_evaluator("serial"), SerialEvaluator)
     assert isinstance(create_evaluator("vectorised"), VectorisedEvaluator)
-    assert isinstance(create_evaluator("vectorized"), VectorisedEvaluator)
-    assert isinstance(create_evaluator("process"), ProcessPoolEvaluator)
-    with pytest.raises(ValueError):
-        create_evaluator("gpu")
+    assert isinstance(create_evaluator("Vectorised"), VectorisedEvaluator)
+    for name in ("gpu", "vectorized", "process"):
+        with pytest.raises(ValueError):
+            create_evaluator(name)
 
 
-def test_process_pool_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        ProcessPoolEvaluator(n_workers=0)
+def test_vectorised_is_the_default_backend():
+    assert DEFAULT_EVALUATION == "vectorised"
+    assert NSGA2Config().evaluator == DEFAULT_EVALUATION
+    assert isinstance(create_evaluator(), VectorisedEvaluator)
+    assert isinstance(NSGA2(SphereProblem()).evaluator, VectorisedEvaluator)
 
 
 def test_build_individual_matches_manual_evaluation():
@@ -109,14 +112,6 @@ def test_serial_and_vectorised_fronts_identical_generic():
     assert serial.evaluations == vectorised.evaluations
 
 
-def test_serial_and_process_pool_fronts_identical():
-    serial = _run(SphereProblem(), "serial")
-    pooled = _run(SphereProblem(), "process", n_workers=2)
-    for a, b in zip(_front_signature(serial), _front_signature(pooled)):
-        assert np.array_equal(a, b)
-    assert serial.evaluations == pooled.evaluations
-
-
 # -- backend equivalence on the (truly vectorised) VCO sizing problem ----------------
 
 
@@ -124,7 +119,8 @@ def test_serial_and_process_pool_fronts_identical():
 def vco_serial_result():
     problem = VcoSizingProblem(RingVcoAnalyticalEvaluator())
     return NSGA2(
-        problem, NSGA2Config(population_size=16, generations=5, seed=2009)
+        problem,
+        NSGA2Config(population_size=16, generations=5, seed=2009, evaluator="serial"),
     ).run()
 
 
@@ -139,35 +135,33 @@ def test_vco_vectorised_front_identical_to_serial(vco_serial_result):
     assert vco_serial_result.evaluations == vectorised.evaluations
 
 
-def test_vco_process_pool_front_identical_to_serial(vco_serial_result):
+@pytest.mark.parametrize("backend", EVALUATOR_CHOICES)
+def test_analytical_evaluation_counter_counts_every_backend(backend):
+    """``repro_evaluations_total{backend="analytical"}`` counts each design once."""
     problem = VcoSizingProblem(RingVcoAnalyticalEvaluator())
-    pooled = NSGA2(
-        problem,
-        NSGA2Config(
-            population_size=16, generations=5, seed=2009,
-            evaluator="process", n_workers=2,
-        ),
+    before = EVALUATIONS.value(backend="analytical")
+    NSGA2(
+        problem, NSGA2Config(population_size=8, generations=2, seed=5, evaluator=backend)
     ).run()
-    for a, b in zip(_front_signature(vco_serial_result), _front_signature(pooled)):
-        assert np.array_equal(a, b)
+    assert problem.evaluation_count == 24
+    assert EVALUATIONS.value(backend="analytical") - before == problem.evaluation_count
 
 
-def test_custom_evaluator_instance_is_used_and_not_closed():
-    closes = []
+def test_custom_evaluator_instance_is_used():
+    calls = []
 
     class Recorder(SerialEvaluator):
-        def close(self):
-            closes.append(True)
+        def evaluate(self, problem, vectors):
+            calls.append(len(vectors))
+            return super().evaluate(problem, vectors)
 
-    recorder = Recorder()
     result = NSGA2(
         SphereProblem(),
         NSGA2Config(population_size=8, generations=2, seed=1),
-        evaluator=recorder,
+        evaluator=Recorder(),
     ).run()
     assert len(result.front) > 0
-    # Injected evaluators stay owned by the caller.
-    assert closes == []
+    assert calls == [8, 8, 8]
 
 
 # -- config validation ---------------------------------------------------------------
@@ -176,11 +170,6 @@ def test_custom_evaluator_instance_is_used_and_not_closed():
 def test_config_rejects_unknown_evaluator():
     with pytest.raises(ValueError):
         NSGA2Config(evaluator="quantum")
-
-
-def test_config_rejects_bad_n_workers():
-    with pytest.raises(ValueError):
-        NSGA2Config(n_workers=0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, 1.5])

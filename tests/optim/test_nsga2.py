@@ -268,7 +268,7 @@ def test_stale_checkpoint_fingerprint_is_discarded():
 
 
 def test_checkpoint_resumes_across_backends():
-    """evaluator/n_workers are execution details: a serial run's state is
+    """The evaluator is an execution detail: a serial run's state is
     resumable by a vectorised run (backends are bit-identical)."""
     crashing = InterruptingCheckpoint(fail_after=3)
     with pytest.raises(KeyboardInterrupt):

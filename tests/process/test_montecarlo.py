@@ -21,6 +21,8 @@ from repro.process import (
     summarise_samples,
 )
 from repro.process.mismatch import DeviceGeometry, MismatchModel, MismatchSample
+from repro.process.montecarlo import SampleBatch
+from tests.circuits.analytical_oracle import ScalarAnalyticalOracle
 
 
 def _evaluator(technology, mismatch):
@@ -235,6 +237,24 @@ def test_sample_batch_matches_iterator_stream():
         assert a.mismatch.deltas == b.mismatch.deltas
 
 
+def test_sample_batch_from_sample_holds_one_sample():
+    tech = TECH_012UM.with_deltas({"vth0": 0.01})
+    mismatch = MismatchSample({"m1": {"vth0": 0.002, "u0_rel": -0.01}, "m2": {"vth0": 0.003}})
+    batch = SampleBatch.from_sample(tech, mismatch)
+    assert len(batch) == 1
+    assert batch.technology is tech
+    assert batch.card_columns("nmos") == {}
+    assert batch.device_names == ("m1", "m2")
+    vth0, u0_rel = batch.mismatch_columns("m2")
+    assert vth0.tolist() == [0.003] and u0_rel.tolist() == [0.0]
+    assert batch.mismatch_columns("m3") is None
+    (sample,) = batch
+    assert sample.technology is tech
+    assert sample.mismatch.deltas["m1"] == {"vth0": 0.002, "u0_rel": -0.01}
+    nominal = SampleBatch.from_sample(tech)
+    assert len(nominal) == 1 and nominal.device_names == ()
+
+
 def test_sample_batch_slices_keep_sample_indices():
     devices = [DeviceGeometry("m1", 10e-6, 0.12e-6)]
     batch = MonteCarloEngine(TECH_012UM, n_samples=10, seed=27).sample_batch(devices)
@@ -430,8 +450,9 @@ def test_evaluate_batch_on_sample_batch_matches_scalar_loop_bitwise(data, topolo
     evaluator = circuit.analytical_evaluator(engine.technology)
     batch = engine.sample_batch(devices)
     vectorised = evaluator.evaluate_batch([design], samples=batch)
+    oracle = ScalarAnalyticalOracle(evaluator)
     scalar = [
-        evaluator.evaluate(design, technology=sample.technology, mismatch=sample.mismatch)
+        oracle.evaluate(design, technology=sample.technology, mismatch=sample.mismatch)
         for sample in batch
     ]
     assert len(vectorised) == len(scalar)

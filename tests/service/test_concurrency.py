@@ -18,6 +18,7 @@ from repro.service.worker import worker_loop
 #: fast enough to keep the test suite snappy.
 SLOW = ScenarioConfig(
     name="kill-test",
+    evaluation="serial",
     circuit_population=24,
     circuit_generations=6,
     system_population=12,
@@ -52,21 +53,22 @@ def test_concurrent_submissions_coalesce_to_one_job(live):
 
 
 @pytest.mark.slow
-def test_process_backend_job_runs_through_spawned_workers(tmp_path):
-    """Service workers must not be daemonic: a job may spawn its own
-    process pool (the 'process' evaluation backend), which daemonic
+def test_service_workers_are_not_daemonic(tmp_path):
+    """Service workers must not be daemonic: a job may open its own
+    process pool (the SPICE evaluator's batch pool), which daemonic
     processes are forbidden to do."""
     from repro.service.worker import WorkerPool
 
     db = tmp_path / "service.db"
     cache = tmp_path / "cache"
     store = SqliteJobStore(db, lease_ttl=30.0)
-    tiny = tiny_scenario("proc-tiny", seed=29, evaluation="process", n_workers=2)
-    job, _ = store.submit(tiny)
-    with WorkerPool(db, cache, n_workers=1, lease_ttl=30.0):
+    job, _ = store.submit(tiny_scenario("spawned-tiny", seed=29, n_workers=2))
+    with WorkerPool(db, cache, n_workers=1, lease_ttl=30.0) as pool:
+        assert pool._processes
+        assert not any(process.daemon for process in pool._processes)
         deadline = time.monotonic() + 120.0
         while store.get(job.id).state not in ("done", "failed"):
-            assert time.monotonic() < deadline, "process-backend job never finished"
+            assert time.monotonic() < deadline, "job never finished"
             time.sleep(0.2)
     finished = store.get(job.id)
     assert finished.state == "done", finished.error

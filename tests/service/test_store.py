@@ -87,7 +87,7 @@ def test_requeue_adopts_the_resubmissions_execution_fields(store):
     """Hash-excluded fields (backend, worker count) may differ between the
     failed submission and the corrective one; the requeue must store the
     NEW scenario so the worker honours the fix."""
-    broken = TINY.with_overrides(evaluation="process", n_workers=64)
+    broken = TINY.with_overrides(evaluation="vectorised", spice_engine="lanes", n_workers=64)
     job, _ = store.submit(broken)
     store.claim("w1")
     store.fail(job.id, "w1", "pool cannot spawn")
@@ -96,8 +96,10 @@ def test_requeue_adopts_the_resubmissions_execution_fields(store):
     requeued, created = store.submit(fixed)
     assert created
     assert requeued.scenario == "tiny-fixed"
-    assert requeued.resolve_scenario().evaluation == "serial"
-    assert requeued.resolve_scenario().n_workers is None
+    resolved = requeued.resolve_scenario()
+    assert resolved.evaluation == "serial"
+    assert resolved.n_workers is None
+    assert resolved.spice_engine == "reference"
 
 
 def test_expired_lease_is_reclaimed_by_next_claim(tmp_path):

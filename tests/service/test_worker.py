@@ -1,6 +1,8 @@
 """Worker loop and supervisors: drain-mode reclaim regression, graceful
 retirement, and queue-depth autoscaling."""
 
+import json
+import sqlite3
 import threading
 import time
 
@@ -65,6 +67,29 @@ def test_drain_mode_waits_for_expired_lease_jobs(tmp_path, monkeypatch):
     assert executed == 1  # the drain reclaimed and finished the job
     assert store.get(job.id).state == "done"
     assert calls["n"] >= 2
+
+
+@pytest.mark.parametrize("backend", ["process", "vectorized"])
+def test_job_naming_a_retired_backend_fails_without_killing_the_worker(tmp_path, backend):
+    """A job stored while ``process`` / ``vectorized`` were accepted
+    backend names no longer resolves: it fails as an unresolvable
+    scenario, and the same worker goes on to finish the next job."""
+    db = tmp_path / "service.db"
+    store = SqliteJobStore(db, lease_ttl=30.0)
+    stale, _ = store.submit(TINY)
+    with sqlite3.connect(db) as connection:
+        connection.execute(
+            "UPDATE jobs SET scenario_json = ? WHERE id = ?",
+            (json.dumps(dict(TINY.as_dict(), evaluation=backend)), stale.id),
+        )
+    healthy, _ = store.submit(TINY.with_overrides(seed=38))
+    executed = worker_loop(db, tmp_path / "cache", lease_ttl=30.0, poll_interval=0.01, max_jobs=2)
+    assert executed == 2
+    failed = store.get(stale.id)
+    assert failed.state == "failed"
+    assert failed.error.startswith("unresolvable scenario")
+    assert repr(backend) in failed.error
+    assert store.get(healthy.id).state == "done"
 
 
 def test_drain_mode_still_exits_on_a_truly_empty_queue(tmp_path):

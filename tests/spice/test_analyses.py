@@ -1,10 +1,9 @@
-"""Tests for DC, transient and AC analyses plus waveform measurements."""
+"""Tests for DC and transient analyses plus waveform measurements."""
 
 import numpy as np
 import pytest
 
 from repro.spice import (
-    ACAnalysis,
     Capacitor,
     Circuit,
     MOSFET,
@@ -116,47 +115,6 @@ def test_transient_nodes_dictionary():
     assert set(result.nodes) == {"in", "out"}
     ground = result.voltage("0")
     assert np.all(ground.values == 0.0)
-
-
-# -- AC analysis ----------------------------------------------------------------------------
-
-
-def test_ac_rc_lowpass_corner_frequency():
-    circuit = Circuit()
-    circuit.add(VoltageSource("v1", "in", "0", 0.0, ac_magnitude=1.0))
-    circuit.add(Resistor("r1", "in", "out", 1e3))
-    circuit.add(Capacitor("c1", "out", "0", 1e-9))
-    corner = 1.0 / (2.0 * np.pi * 1e3 * 1e-9)
-    freqs = np.logspace(3, 8, 120)
-    result = ACAnalysis(circuit, freqs).run()
-    measured = result.bandwidth_3db("out")
-    assert measured == pytest.approx(corner, rel=0.1)
-    # Magnitude at the corner is -3 dB, phase approaches -90 degrees.
-    idx = int(np.argmin(np.abs(freqs - corner)))
-    assert result.magnitude_db("out")[idx] == pytest.approx(-3.0, abs=0.5)
-    assert result.phase_deg("out")[-1] == pytest.approx(-90.0, abs=5.0)
-
-
-def test_ac_common_source_amplifier_gain():
-    circuit = Circuit()
-    circuit.add(VoltageSource("vdd", "vdd", "0", 1.2))
-    circuit.add(VoltageSource("vg", "g", "0", 0.5, ac_magnitude=1.0))
-    circuit.add(Resistor("rd", "vdd", "d", 2e3))
-    circuit.add(MOSFET("m1", "d", "g", "0", "0", NMOS_DEFAULT, 20e-6, 0.5e-6))
-    result_dc = dc_operating_point(circuit)
-    op = result_dc.device_operating_point("m1")
-    expected_gain = op.gm * 2e3 / (1.0 + op.gds * 2e3)
-    ac = ACAnalysis(circuit, [1e3]).run()
-    measured_gain = abs(ac.voltage("d")[0])
-    assert measured_gain == pytest.approx(expected_gain, rel=0.15)
-    assert measured_gain > 1.0  # it actually amplifies
-
-
-def test_ac_requires_positive_frequencies():
-    with pytest.raises(AnalysisError):
-        ACAnalysis(_rc(), [0.0])
-    with pytest.raises(AnalysisError):
-        ACAnalysis(_rc(), [])
 
 
 # -- waveform measurements --------------------------------------------------------------------
