@@ -84,10 +84,11 @@ def test_table2_vectorised_backend_5x_with_identical_front(
     """The Table-2 system run on the lane-parallel backend: >= 5x, same front.
 
     Runs the full system-level NSGA-II once per backend at the benchmark's
-    population/generation budget; the ``vectorised`` backend advances the
-    whole population (all three variants) through one batched cycle loop,
-    so it must reproduce the serial Pareto front bit-for-bit while being
-    at least five times faster.
+    population/generation budget.  Both backends run the same lane engine:
+    ``serial`` makes one one-candidate (three-lane) call per individual,
+    and ``vectorised`` advances the whole population (all three variants)
+    through one batched cycle loop.  The vectorised run must reproduce the
+    serial Pareto front bit-for-bit while being at least five times faster.
     """
 
     def run(evaluator_name):
@@ -115,7 +116,8 @@ def test_table2_vectorised_backend_5x_with_identical_front(
     vectorised_result, vectorised_time = best_of("vectorised", repeats=3)
     speedup = serial_time / vectorised_time
     print_header(
-        "Table 2 system run: serial vs lane-parallel vectorised backend "
+        "Table 2 system run: serial (one-candidate lane calls) vs vectorised "
+        "(one population batch) "
         f"(pop={settings['system_population']}, gen={settings['system_generations']})"
     )
     print(f"{'backend':>12} {'time [s]':>10} {'front':>6}")

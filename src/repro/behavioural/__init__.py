@@ -11,13 +11,13 @@ as reference [13] of the paper (Kundert's behavioural PLL models):
 * :class:`~repro.behavioural.pfd.PhaseFrequencyDetector`,
   :class:`~repro.behavioural.charge_pump.ChargePump`,
   :class:`~repro.behavioural.loop_filter.LoopFilter` and
-  :class:`~repro.behavioural.divider.Divider`,
+  :class:`~repro.behavioural.divider.Divider` -- parameter holders that
+  their ``*Lanes`` twins stack into lane arrays,
 * :class:`~repro.behavioural.pll.BehaviouralPll` -- a cycle-by-cycle
   time-domain simulator measuring lock time, output jitter and supply
-  current (figure 8 of the paper), with a lane-parallel batch engine
-  (``simulate_batch`` and friends) that advances N designs / variation
-  samples through one numpy cycle loop, bit-identical to the scalar
-  path, and
+  current (figure 8 of the paper).  Its one cycle loop is the lane engine
+  (``simulate_batch`` and friends), which advances N designs / variation
+  samples through one numpy loop; a single loop is a batch of one, and
 * :class:`~repro.behavioural.pll_linear.LinearPllAnalysis` -- the
   continuous-time small-signal loop analysis used for quick estimates and
   sanity checks.
@@ -31,18 +31,8 @@ from repro.behavioural.jitter import (
     jitter_sum_lanes,
     period_jitter_from_phase_noise,
 )
-from repro.behavioural.loop_filter import (
-    LoopFilter,
-    LoopFilterLanes,
-    LoopFilterLanesState,
-    LoopFilterState,
-)
-from repro.behavioural.pfd import (
-    PfdLanes,
-    PhaseError,
-    PhaseErrorLanes,
-    PhaseFrequencyDetector,
-)
+from repro.behavioural.loop_filter import LoopFilter, LoopFilterLanes, LoopFilterLanesState
+from repro.behavioural.pfd import PfdLanes, PhaseErrorLanes, PhaseFrequencyDetector
 from repro.behavioural.pll import (
     BehaviouralPll,
     PllBatchTransient,
@@ -58,13 +48,11 @@ __all__ = [
     "VcoLanes",
     "VcoVariationTables",
     "PhaseFrequencyDetector",
-    "PhaseError",
     "PfdLanes",
     "PhaseErrorLanes",
     "ChargePump",
     "ChargePumpLanes",
     "LoopFilter",
-    "LoopFilterState",
     "LoopFilterLanes",
     "LoopFilterLanesState",
     "Divider",

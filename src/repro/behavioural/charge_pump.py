@@ -2,14 +2,13 @@
 
 Converts the PFD pulse widths into packets of charge delivered to the loop
 filter.  Up/down current mismatch and leakage are modelled because they
-set the static phase offset and the reference spur level of a real PLL;
-the supply-current draw is reported so the system-level current budget can
-include the charge pump.
+set the static phase offset and the reference spur level of a real PLL.
+The pump's supply draw is part of :attr:`PllDesign.peripheral_current
+<repro.behavioural.pll.PllDesign.peripheral_current>`.
 
-:class:`ChargePumpLanes` is the lane-parallel twin used by the batched PLL
-transient: the mismatch-adjusted up/down currents are resolved once per
-lane and the per-cycle charge rule runs as array math in the same
-operation order as the scalar :meth:`ChargePump.charge`.
+:class:`ChargePump` holds one pump's parameters; :class:`ChargePumpLanes`
+resolves the mismatch-adjusted up/down currents once per lane and runs
+the per-cycle charge rule as array math inside the PLL cycle loop.
 """
 
 from __future__ import annotations
@@ -19,14 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.behavioural.pfd import PhaseError, PhaseErrorLanes
+from repro.behavioural.pfd import PhaseErrorLanes
 
 __all__ = ["ChargePump", "ChargePumpLanes"]
 
 
 @dataclass
 class ChargePump:
-    """Ideal-switch charge pump with optional mismatch and leakage."""
+    """Parameters of an ideal-switch charge pump with mismatch and leakage."""
 
     #: Nominal pump current (A).
     current: float = 100e-6
@@ -34,8 +33,6 @@ class ChargePump:
     mismatch: float = 0.0
     #: Constant leakage current out of the loop filter (A).
     leakage: float = 0.0
-    #: Static supply current of the pump and its bias (A), for power budgets.
-    quiescent_current: float = 150e-6
 
     def __post_init__(self) -> None:
         if self.current <= 0.0:
@@ -51,20 +48,6 @@ class ChargePump:
         """Sink (DOWN) current including mismatch."""
         return self.current * (1.0 - 0.5 * self.mismatch)
 
-    def charge(self, phase_error: PhaseError, comparison_period: float) -> float:
-        """Net charge (C) delivered to the loop filter in one comparison cycle."""
-        if comparison_period <= 0.0:
-            raise ValueError("comparison period must be positive")
-        delivered = self.up_current * phase_error.up_width
-        delivered -= self.down_current * phase_error.down_width
-        delivered -= self.leakage * comparison_period
-        return delivered
-
-    def supply_current(self, phase_error: PhaseError, comparison_period: float) -> float:
-        """Average supply current drawn during one comparison cycle (A)."""
-        active = self.up_current * phase_error.up_width + self.down_current * phase_error.down_width
-        return self.quiescent_current + active / comparison_period
-
 
 @dataclass(frozen=True)
 class ChargePumpLanes:
@@ -73,24 +56,19 @@ class ChargePumpLanes:
     up_current: np.ndarray
     down_current: np.ndarray
     leakage: np.ndarray
-    quiescent_current: np.ndarray
 
     @classmethod
     def from_blocks(cls, pumps: Sequence[ChargePump]) -> "ChargePumpLanes":
-        """Stack N scalar charge pumps into lane arrays.
+        """Stack N charge pumps into lane arrays.
 
         The mismatch-adjusted :attr:`ChargePump.up_current` /
         :attr:`ChargePump.down_current` are evaluated once per lane here
-        instead of once per cycle -- the scalar properties are
-        deterministic, so the hoisting changes nothing numerically.
+        instead of once per cycle.
         """
         return cls(
             up_current=np.array([pump.up_current for pump in pumps], dtype=float),
             down_current=np.array([pump.down_current for pump in pumps], dtype=float),
             leakage=np.array([pump.leakage for pump in pumps], dtype=float),
-            quiescent_current=np.array(
-                [pump.quiescent_current for pump in pumps], dtype=float
-            ),
         )
 
     @property
@@ -111,8 +89,8 @@ class ChargePumpLanes:
         Returns
         -------
         numpy.ndarray
-            Net delivered charge (C) per lane, shape ``(n_lanes,)``;
-            bit-identical to :meth:`ChargePump.charge` per lane.
+            ``up_current * up_width - down_current * down_width - leakage *
+            comparison_period`` per lane (C), shape ``(n_lanes,)``.
         """
         if comparison_period <= 0.0:
             raise ValueError("comparison period must be positive")
@@ -120,13 +98,3 @@ class ChargePumpLanes:
         delivered = delivered - self.down_current * phase_error.down_width
         delivered = delivered - self.leakage * comparison_period
         return delivered
-
-    def supply_current(
-        self, phase_error: PhaseErrorLanes, comparison_period: float
-    ) -> np.ndarray:
-        """Average supply current (A) per lane during one comparison cycle."""
-        active = (
-            self.up_current * phase_error.up_width
-            + self.down_current * phase_error.down_width
-        )
-        return self.quiescent_current + active / comparison_period

@@ -1,18 +1,18 @@
 """Feedback divider behavioural model.
 
 An integer divide-by-``ratio`` counter: one feedback edge is produced for
-every ``ratio`` VCO edges.  Divider jitter is modelled as an additive
-random timing error per output edge, which is small compared with the VCO
-contribution but included for completeness.
+every ``ratio`` VCO edges.  Its supply draw is part of
+:attr:`PllDesign.peripheral_current
+<repro.behavioural.pll.PllDesign.peripheral_current>`.
 
-:class:`DividerLanes` is the lane-parallel twin used by the batched PLL
-transient: per-lane ratio / jitter arrays with the same edge arithmetic.
+:class:`Divider` holds one divider's ratio; :class:`DividerLanes` stacks
+the ratios for the PLL cycle loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,40 +24,10 @@ class Divider:
     """Integer feedback divider."""
 
     ratio: int = 24
-    #: RMS jitter added to each divided output edge (s).
-    edge_jitter: float = 0.0
-    #: Supply current of the divider logic (A), for the power budget.
-    supply_current: float = 400e-6
 
     def __post_init__(self) -> None:
         if self.ratio < 1:
             raise ValueError("divide ratio must be at least 1")
-        if self.edge_jitter < 0.0:
-            raise ValueError("edge jitter must be non-negative")
-
-    def output_period(self, vco_period: float) -> float:
-        """Nominal divided output period."""
-        if vco_period <= 0.0:
-            raise ValueError("VCO period must be positive")
-        return self.ratio * vco_period
-
-    def output_edge(
-        self,
-        last_edge: float,
-        vco_period: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
-        """Time of the next divided output edge, including divider jitter."""
-        edge = last_edge + self.output_period(vco_period)
-        if self.edge_jitter > 0.0 and rng is not None:
-            edge += float(rng.normal(0.0, self.edge_jitter))
-        return edge
-
-    def output_frequency(self, vco_frequency: float) -> float:
-        """Divided output frequency."""
-        if vco_frequency <= 0.0:
-            raise ValueError("VCO frequency must be positive")
-        return vco_frequency / self.ratio
 
 
 @dataclass(frozen=True)
@@ -65,49 +35,15 @@ class DividerLanes:
     """Lane-parallel integer feedback divider."""
 
     #: Per-lane divide ratios as floats (integers are exactly representable,
-    #: so ``ratio * period`` matches the scalar int-times-float product).
+    #: so ``ratio * period`` matches the int-times-float product).
     ratio: np.ndarray
-    edge_jitter: np.ndarray
-    supply_current: np.ndarray
 
     @classmethod
     def from_blocks(cls, dividers: Sequence[Divider]) -> "DividerLanes":
-        """Stack N scalar dividers into lane arrays."""
-        return cls(
-            ratio=np.array([divider.ratio for divider in dividers], dtype=float),
-            edge_jitter=np.array(
-                [divider.edge_jitter for divider in dividers], dtype=float
-            ),
-            supply_current=np.array(
-                [divider.supply_current for divider in dividers], dtype=float
-            ),
-        )
+        """Stack N dividers into lane arrays."""
+        return cls(ratio=np.array([divider.ratio for divider in dividers], dtype=float))
 
     @property
     def n_lanes(self) -> int:
         """Number of parallel lanes."""
         return self.ratio.size
-
-    def output_period(self, vco_periods: np.ndarray) -> np.ndarray:
-        """Per-lane nominal divided output period.
-
-        Parameters
-        ----------
-        vco_periods:
-            Per-lane VCO periods (s), shape ``(n_lanes,)``.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``ratio * period`` per lane (s), bit-identical to
-            :meth:`Divider.output_period`.
-        """
-        if np.any(vco_periods <= 0.0):
-            raise ValueError("VCO period must be positive")
-        return self.ratio * vco_periods
-
-    def output_frequency(self, vco_frequencies: np.ndarray) -> np.ndarray:
-        """Per-lane divided output frequency."""
-        if np.any(vco_frequencies <= 0.0):
-            raise ValueError("VCO frequency must be positive")
-        return vco_frequencies / self.ratio

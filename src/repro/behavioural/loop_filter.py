@@ -8,13 +8,12 @@ pump as a charge packet followed by a hold interval), which is accurate for
 the narrow pulses produced near lock and robust for the large pulses during
 acquisition.
 
-The transfer function ``Z(s)`` used by the linear loop analysis is also
-provided.
-
-:class:`LoopFilterLanes` is the lane-parallel twin used by the batched PLL
-transient: per-lane component arrays, the same exact charge-deposit +
-relaxation update, and a cached per-interval relaxation factor so the
-``exp`` evaluation leaves the cycle loop entirely.
+:class:`LoopFilter` holds one filter's components and its transfer
+function ``Z(s)``, used by the linear loop analysis.
+:class:`LoopFilterLanes` stacks the components and runs the exact
+charge-deposit + relaxation update inside the PLL cycle loop, with a
+cached per-interval relaxation factor so the ``exp`` evaluation leaves the
+cycle loop entirely.
 """
 
 from __future__ import annotations
@@ -25,19 +24,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-__all__ = ["LoopFilterState", "LoopFilter", "LoopFilterLanesState", "LoopFilterLanes"]
-
-
-@dataclass
-class LoopFilterState:
-    """Voltages of the two filter capacitors."""
-
-    v_c1: float = 0.0
-    v_c2: float = 0.0
-
-    def copy(self) -> "LoopFilterState":
-        """Independent copy of the state."""
-        return LoopFilterState(self.v_c1, self.v_c2)
+__all__ = ["LoopFilter", "LoopFilterLanesState", "LoopFilterLanes"]
 
 
 @dataclass
@@ -77,72 +64,6 @@ class LoopFilter:
         c_series = self.c1 * self.c2 / (self.c1 + self.c2)
         return 1.0 / (2.0 * pi * self.r1 * c_series)
 
-    # -- time-domain update --------------------------------------------------------------
-
-    def relaxation(self, interval: float) -> float:
-        """Relaxation factor of the C2-to-C1 difference over ``interval``.
-
-        This is the ``exp(-interval / (R1 (C1 || C2)))`` decay used by
-        :meth:`apply_charge`.  The comparison interval is constant during a
-        transient, so callers hoist this out of the cycle loop and pass it
-        back in via ``decay`` -- the value is identical to the per-cycle
-        recomputation.
-        """
-        if interval <= 0.0:
-            raise ValueError("interval must be positive")
-        if self.c2 <= 0.0:
-            return 0.0
-        c_series = self.c1 * self.c2 / (self.c1 + self.c2)
-        tau = self.r1 * c_series
-        return exp(-interval / tau) if tau > 0.0 else 0.0
-
-    def apply_charge(
-        self,
-        state: LoopFilterState,
-        charge: float,
-        interval: float,
-        decay: float | None = None,
-    ) -> LoopFilterState:
-        """Advance the filter by one comparison interval.
-
-        The charge packet is deposited at the start of the interval (split
-        between C2 and the R1+C1 branch according to their instantaneous
-        impedance, i.e. all of it initially lands on C2 when C2 > 0), after
-        which the two capacitors relax towards each other through R1 for the
-        remainder of the interval.  ``decay`` accepts the pre-computed
-        :meth:`relaxation` factor of ``interval``; when omitted it is
-        evaluated here.
-        """
-        if interval <= 0.0:
-            raise ValueError("interval must be positive")
-        new_state = state.copy()
-        if self.c2 > 0.0:
-            # The narrow pump pulse charges the ripple capacitor first.
-            new_state.v_c2 += charge / self.c2
-        else:
-            new_state.v_c1 += charge / self.c1
-        # Relaxation of C2 towards C1 through R1 (exact single-pole solution).
-        if self.c2 > 0.0:
-            if decay is None:
-                decay = self.relaxation(interval)
-            difference = new_state.v_c2 - new_state.v_c1
-            settled_difference = difference * decay
-            # Total charge is conserved while the difference decays.
-            total_charge = self.c1 * new_state.v_c1 + self.c2 * new_state.v_c2
-            new_state.v_c2 = (
-                total_charge + self.c1 * settled_difference
-            ) / (self.c1 + self.c2)
-            new_state.v_c1 = new_state.v_c2 - settled_difference
-        return new_state
-
-    def output_voltage(self, state: LoopFilterState) -> float:
-        """Control voltage seen by the VCO (the voltage on C2, or C1 if C2=0)."""
-        return state.v_c2 if self.c2 > 0.0 else state.v_c1
-
-    def initialise(self, control_voltage: float) -> LoopFilterState:
-        """State with both capacitors pre-charged to ``control_voltage``."""
-        return LoopFilterState(v_c1=control_voltage, v_c2=control_voltage)
-
 
 @dataclass
 class LoopFilterLanesState:
@@ -156,11 +77,10 @@ class LoopFilterLanes:
     """Lane-parallel second-order passive loop filter.
 
     Holds per-lane component arrays and advances all lanes through the
-    exact charge-deposit + relaxation update of :meth:`LoopFilter.apply_charge`
-    with the identical operation order.  The per-interval relaxation factor
-    is computed once per lane with ``math.exp`` -- the same libm call the
-    scalar path makes -- and cached, because numpy's SIMD ``exp`` can differ
-    from libm by an ulp, which would break bit-exact serial/batch parity.
+    exact charge-deposit + relaxation update (:meth:`apply_charge`).  The
+    per-interval relaxation factor is computed once per lane with libm's
+    ``math.exp`` and cached: numpy's SIMD ``exp`` can differ from libm by
+    an ulp, and the recorded artefact digests depend on the libm value.
     """
 
     def __init__(self, c1: np.ndarray, c2: np.ndarray, r1: np.ndarray) -> None:
@@ -173,14 +93,13 @@ class LoopFilterLanes:
             raise ValueError("C2 must be non-negative in every lane")
         self.has_c2 = self.c2 > 0.0
         self._all_c2 = bool(np.all(self.has_c2))
-        # (C1 + C2) is recomputed every cycle by the scalar path with an
-        # identical result, so hoisting it here changes nothing numerically.
+        # (C1 + C2) is the same every cycle, so it is computed once.
         self._c1_plus_c2 = self.c1 + self.c2
         self._decay_cache: Dict[float, np.ndarray] = {}
 
     @classmethod
     def from_blocks(cls, filters: Sequence[LoopFilter]) -> "LoopFilterLanes":
-        """Stack N scalar loop filters into lane arrays."""
+        """Stack N loop filters into lane arrays."""
         return cls(
             c1=np.array([f.c1 for f in filters], dtype=float),
             c2=np.array([f.c2 for f in filters], dtype=float),
@@ -193,7 +112,11 @@ class LoopFilterLanes:
         return self.c1.size
 
     def relaxation(self, interval: float) -> np.ndarray:
-        """Per-lane :meth:`LoopFilter.relaxation` factors, cached per interval."""
+        """Per-lane relaxation factors of the C2-to-C1 difference.
+
+        ``exp(-interval / (R1 (C1 || C2)))``, or 0 for lanes without a
+        ripple capacitor; cached per interval.
+        """
         if interval <= 0.0:
             raise ValueError("interval must be positive")
         cached = self._decay_cache.get(interval)
@@ -226,6 +149,11 @@ class LoopFilterLanes:
     ) -> LoopFilterLanesState:
         """Advance every lane by one comparison interval (exact update).
 
+        The charge packet is deposited at the start of the interval (on C2
+        when the lane has one, else on C1), after which the two capacitors
+        relax towards each other through R1 for the rest of the interval
+        while their total charge is conserved.
+
         Parameters
         ----------
         state:
@@ -241,8 +169,7 @@ class LoopFilterLanes:
         Returns
         -------
         LoopFilterLanesState
-            The post-interval capacitor voltages; each lane is
-            bit-identical to :meth:`LoopFilter.apply_charge`.
+            The post-interval capacitor voltages.
         """
         if interval <= 0.0:
             raise ValueError("interval must be positive")

@@ -6,10 +6,9 @@ DOWN pulse whose width equals the time difference.  Non-idealities that
 matter for lock behaviour -- a dead zone and a minimum (reset) pulse width
 -- are modelled because they bound the achievable static phase error.
 
-:class:`PfdLanes` is the lane-parallel twin used by the batched PLL
-transient: the same comparison rule evaluated for ``n_lanes`` feedback
-edges at once, with the operation order kept identical to
-:meth:`PhaseFrequencyDetector.compare` so both paths are bit-identical.
+:class:`PhaseFrequencyDetector` holds one detector's parameters;
+:class:`PfdLanes` stacks them and evaluates the comparison rule for
+``n_lanes`` feedback edges at once inside the PLL cycle loop.
 """
 
 from __future__ import annotations
@@ -19,30 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["PhaseError", "PhaseErrorLanes", "PhaseFrequencyDetector", "PfdLanes"]
-
-
-@dataclass(frozen=True)
-class PhaseError:
-    """Result of one phase comparison."""
-
-    #: Signed timing error (s); positive when the feedback edge is late,
-    #: i.e. the VCO must speed up (UP pulse).
-    timing_error: float
-    #: Width of the UP pulse driving the charge pump (s).
-    up_width: float
-    #: Width of the DOWN pulse driving the charge pump (s).
-    down_width: float
-
-    @property
-    def net_width(self) -> float:
-        """Net charge-pump drive ``up - down`` (s)."""
-        return self.up_width - self.down_width
+__all__ = ["PhaseErrorLanes", "PhaseFrequencyDetector", "PfdLanes"]
 
 
 @dataclass
 class PhaseFrequencyDetector:
-    """Tri-state PFD with dead zone and reset pulse width."""
+    """Parameters of a tri-state PFD with dead zone and reset pulse width."""
 
     #: Phase errors smaller than this produce no net output (s).
     dead_zone: float = 0.0
@@ -52,30 +33,13 @@ class PhaseFrequencyDetector:
     #: Maximum pulse width, bounded by the reference period in a real PFD (s).
     max_pulse: float = 1e-6
 
-    def compare(self, reference_edge: float, feedback_edge: float) -> PhaseError:
-        """Compare one pair of edges and return the pulse widths."""
-        error = feedback_edge - reference_edge
-        magnitude = abs(error)
-        if magnitude <= self.dead_zone:
-            effective = 0.0
-        else:
-            effective = magnitude - self.dead_zone
-        effective = min(effective, self.max_pulse)
-        up = self.reset_pulse
-        down = self.reset_pulse
-        if error > 0.0:
-            # Feedback late: VCO too slow, pump charge in (UP).
-            up += effective
-        elif error < 0.0:
-            down += effective
-        return PhaseError(timing_error=error, up_width=up, down_width=down)
-
 
 @dataclass(frozen=True)
 class PhaseErrorLanes:
     """Phase-comparison results of one cycle across all lanes."""
 
-    #: Signed timing errors (s), shape ``(n_lanes,)``.
+    #: Signed timing errors (s), shape ``(n_lanes,)``; positive when the
+    #: feedback edge is late, i.e. the VCO must speed up (UP pulse).
     timing_error: np.ndarray
     #: UP pulse widths (s), shape ``(n_lanes,)``.
     up_width: np.ndarray
@@ -101,18 +65,17 @@ class PfdLanes:
 
     @classmethod
     def from_blocks(cls, pfds: Sequence[PhaseFrequencyDetector]) -> "PfdLanes":
-        """Stack the parameters of N scalar PFD blocks into lane arrays.
+        """Stack the parameters of N PFD blocks into lane arrays.
 
         Parameters
         ----------
         pfds:
-            The scalar detectors, one per lane.
+            The detector parameters, one block per lane.
 
         Returns
         -------
         PfdLanes
-            A lane-parallel detector whose lane ``i`` reproduces
-            ``pfds[i]`` bit for bit.
+            A lane-parallel detector whose lane ``i`` carries ``pfds[i]``.
         """
         return cls(
             dead_zone=np.array([pfd.dead_zone for pfd in pfds], dtype=float),
@@ -128,9 +91,9 @@ class PfdLanes:
     def compare(self, reference_edge: float, feedback_edges: np.ndarray) -> PhaseErrorLanes:
         """Compare one reference edge with every lane's feedback edge.
 
-        Transcribes :meth:`PhaseFrequencyDetector.compare` to lane arrays
-        with the identical operation order, so each lane's result is
-        bit-identical to the scalar comparison.
+        The error beyond the dead zone, capped at ``max_pulse``, widens the
+        UP pulse when the feedback edge is late and the DOWN pulse when it
+        is early; both pulses last at least ``reset_pulse``.
 
         Parameters
         ----------
@@ -147,8 +110,8 @@ class PfdLanes:
         error = feedback_edges - reference_edge
         magnitude = np.abs(error)
         if self._no_dead_zone:
-            # |e| - 0.0 == |e| bit-for-bit, and the scalar branch's 0.0 for
-            # |e| == 0 is reproduced by 0.0 - 0.0, so the select can go.
+            # |e| - 0.0 == |e| bit-for-bit, and the dead-zone branch's 0.0
+            # for |e| == 0 is reproduced by 0.0 - 0.0, so the select can go.
             effective = magnitude - self.dead_zone
         else:
             effective = np.where(

@@ -3,7 +3,8 @@
 The paper's system-level example is a charge-pump PLL (figure 5): PFD,
 charge pump, passive loop filter, VCO and feedback divider.  The simulator
 here advances the loop one reference cycle at a time, exactly like the
-behavioural Verilog-A models of reference [13]:
+behavioural Verilog-A models of reference [13], for N loops at once (one
+lane per design or variation sample; a single loop is a batch of one):
 
 1. the PFD compares the reference edge with the divider edge,
 2. the charge pump converts the pulse widths to a charge packet,
@@ -21,7 +22,6 @@ variation model propagates block-level spread to the system performances
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -117,9 +117,7 @@ class PllBatchTransient:
 
     ``time`` is shared by every lane (all lanes advance on the same
     reference-cycle grid); the recorded quantities are ``(n_lanes,
-    n_cycles)`` matrices whose rows are bit-identical to the arrays a
-    scalar :meth:`BehaviouralPll.simulate` call would produce for the same
-    lane.
+    n_cycles)`` matrices, one row per lane.
     """
 
     time: np.ndarray
@@ -138,7 +136,7 @@ class PllBatchTransient:
         return self.control_voltage.shape[1]
 
     def lane(self, index: int) -> PllTransient:
-        """The scalar-transient view of one lane."""
+        """The single-loop transient view of one lane."""
         return PllTransient(
             time=self.time.copy(),
             control_voltage=self.control_voltage[index].copy(),
@@ -163,7 +161,12 @@ class _PllLaneBundle:
 
 
 class BehaviouralPll:
-    """Cycle-by-cycle behavioural simulation of the charge-pump PLL."""
+    """Cycle-by-cycle behavioural simulation of the charge-pump PLL.
+
+    The blocks are parameter holders; :meth:`simulate_batch` stacks them
+    into their ``*Lanes`` twins and runs the one cycle loop, and every
+    single-loop method is a one-lane batch call.
+    """
 
     def __init__(
         self,
@@ -181,9 +184,13 @@ class BehaviouralPll:
         self.divider = divider or Divider(ratio=design.divide_ratio)
         if self.divider.ratio != design.divide_ratio:
             raise ValueError("divider ratio must match the design's divide_ratio")
+        if self.charge_pump.current != design.charge_pump_current:
+            raise ValueError(
+                "charge-pump current must match the design's charge_pump_current"
+            )
         self.lock_tolerance = lock_tolerance
         # The loop filter only depends on the (frozen) design, so it is
-        # built once here instead of once per simulate call / variant.
+        # built once here instead of once per batch / variant.
         self._loop_filter = design.loop_filter()
 
     # -- simulation ----------------------------------------------------------------------
@@ -195,68 +202,18 @@ class BehaviouralPll:
         seed: Optional[int] = None,
         initial_control_voltage: Optional[float] = None,
     ) -> PllTransient:
-        """Run the loop until ``max_time`` and record its trajectory."""
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        rng = np.random.default_rng(seed) if seed is not None else None
-        loop_filter = self._loop_filter
-        t_ref = 1.0 / self.design.reference_frequency
-        vctrl0 = (
-            self.vco.vctrl_min if initial_control_voltage is None else initial_control_voltage
-        )
-        state = loop_filter.initialise(vctrl0)
-        # Invariant setup hoisted out of the cycle loop: the variant's gain,
-        # tuning limits and jitter sigma, and the filter's per-interval
-        # relaxation factor never change between cycles, so resolving them
-        # once is numerically identical to the per-cycle recomputation.
-        bounds = self.vco.frequency_bounds(variant)
-        fmin, fmax = bounds["fmin"], bounds["fmax"]
-        gain = self.vco.gain(variant)
-        vctrl_min, vctrl_max = self.vco.vctrl_min, self.vco.vctrl_max
-        ratio = self.divider.ratio
-        decay = loop_filter.relaxation(t_ref)
-        sigma = (
-            self.vco.period_jitter(variant) * np.sqrt(ratio) if rng is not None else 0.0
-        )
-        n_cycles = max(int(np.ceil(max_time / t_ref)), 2)
-        times = np.empty(n_cycles)
-        vctrls = np.empty(n_cycles)
-        frequencies = np.empty(n_cycles)
-        errors = np.empty(n_cycles)
-        fb_edge = 0.0
-        for cycle in range(n_cycles):
-            ref_edge = cycle * t_ref
-            error = self.pfd.compare(ref_edge, fb_edge)
-            charge = self.charge_pump.charge(error, t_ref)
-            state = loop_filter.apply_charge(state, charge, t_ref, decay=decay)
-            vctrl = loop_filter.output_voltage(state)
-            vctrl = min(max(vctrl, vctrl_min), vctrl_max)
-            frequency = fmin + gain * (vctrl - vctrl_min)
-            frequency = min(max(frequency, fmin), fmax)
-            try:
-                vco_period = 1.0 / frequency
-            except ZeroDivisionError:
-                # A stalled VCO (e.g. a min-variant fmin floored at 0) never
-                # produces an edge: IEEE division, as on the lane path, gives +-inf.
-                vco_period = math.copysign(math.inf, frequency)
-            if rng is not None:
-                fb_period = ratio * vco_period + float(rng.normal(0.0, sigma))
-            else:
-                fb_period = ratio * vco_period
-            # The next feedback edge follows one divided period after the
-            # later of the previous edge and its comparison instant (keeps
-            # the loop causal during frequency acquisition).
-            fb_edge = max(fb_edge, ref_edge) + fb_period
-            times[cycle] = ref_edge + t_ref
-            vctrls[cycle] = vctrl
-            frequencies[cycle] = frequency
-            errors[cycle] = error.timing_error
-        return PllTransient(
-            time=times,
-            control_voltage=vctrls,
-            frequency=frequencies,
-            phase_error=errors,
-        )
+        """Run the loop until ``max_time`` and record its trajectory.
+
+        A one-lane :meth:`simulate_batch`: the lane engine is the only
+        cycle loop.
+        """
+        return self.simulate_batch(
+            [self],
+            variant=variant,
+            max_time=max_time,
+            seed=seed,
+            initial_control_voltage=initial_control_voltage,
+        ).lane(0)
 
     # -- lane-parallel simulation ----------------------------------------------------------
 
@@ -277,14 +234,12 @@ class BehaviouralPll:
         :meth:`evaluate_all_variants_batch` runs the nominal, minimum and
         maximum populations inside a single cycle loop.
 
-        The update rules run on ``(n_lanes,)`` arrays with the identical
-        operation order as :meth:`simulate`, and jitter is drawn as one
-        bulk ``standard_normal(n_cycles)`` block from the seeded generator:
-        the scalar path re-seeds its generator per lane and consumes one
-        draw per cycle, so every lane sees the same noise sequence and
-        ``sigma * noise[cycle]`` reproduces ``rng.normal(0.0, sigma)``
-        bit-for-bit.  Each lane's trajectory is therefore bit-identical to
-        its scalar simulation.
+        The update rules run on ``(n_lanes,)`` arrays, and jitter is drawn
+        as one bulk ``standard_normal(n_cycles)`` block from the seeded
+        generator, so every lane sees the same noise sequence and
+        ``sigma * noise[cycle]`` equals ``rng.normal(0.0, sigma)`` of a
+        per-cycle draw bit for bit.  No lane reads another lane's state, so
+        a lane's trajectory does not depend on the batch it runs in.
 
         All lanes must share the reference frequency (they advance on one
         comparison grid); every other parameter may vary per lane.
@@ -364,23 +319,29 @@ class BehaviouralPll:
         frequencies = np.empty((n_lanes, n_cycles))
         errors = np.empty((n_lanes, n_cycles))
         fb_edge = np.zeros(n_lanes)
-        for cycle in range(n_cycles):
-            ref_edge = cycle * t_ref
-            error = pfd.compare(ref_edge, fb_edge)
-            charge = pump.charge(error, t_ref)
-            state = filters.apply_charge(state, charge, t_ref, decay=decay)
-            vctrl = filters.output_voltage(state)
-            vctrl = np.minimum(np.maximum(vctrl, vco.vctrl_min), vco.vctrl_max)
-            frequency = vco.frequency_from_clamped(vctrl)
-            vco_period = 1.0 / frequency
-            if noise is not None:
-                fb_period = ratio * vco_period + sigma * noise[cycle]
-            else:
-                fb_period = ratio * vco_period
-            fb_edge = np.maximum(fb_edge, ref_edge) + fb_period
-            vctrls[:, cycle] = vctrl
-            frequencies[:, cycle] = frequency
-            errors[:, cycle] = error.timing_error
+        # A stalled VCO (e.g. a min-variant fmin floored at 0) never
+        # produces an edge: IEEE 1/0 gives it an infinite period.
+        with np.errstate(divide="ignore"):
+            for cycle in range(n_cycles):
+                ref_edge = cycle * t_ref
+                error = pfd.compare(ref_edge, fb_edge)
+                charge = pump.charge(error, t_ref)
+                state = filters.apply_charge(state, charge, t_ref, decay=decay)
+                vctrl = filters.output_voltage(state)
+                vctrl = np.minimum(np.maximum(vctrl, vco.vctrl_min), vco.vctrl_max)
+                frequency = vco.frequency_from_clamped(vctrl)
+                vco_period = 1.0 / frequency
+                if noise is not None:
+                    fb_period = ratio * vco_period + sigma * noise[cycle]
+                else:
+                    fb_period = ratio * vco_period
+                # The next feedback edge follows one divided period after the
+                # later of the previous edge and its comparison instant (keeps
+                # the loop causal during frequency acquisition).
+                fb_edge = np.maximum(fb_edge, ref_edge) + fb_period
+                vctrls[:, cycle] = vctrl
+                frequencies[:, cycle] = frequency
+                errors[:, cycle] = error.timing_error
         times = np.arange(n_cycles, dtype=float) * t_ref + t_ref
         return PllBatchTransient(
             time=times,
@@ -393,15 +354,14 @@ class BehaviouralPll:
 
     def lock_time(self, transient: PllTransient) -> float:
         """Time after which the output frequency stays within tolerance."""
-        target = self.design.target_frequency
-        tolerance = self.lock_tolerance * target
-        outside = np.abs(transient.frequency - target) > tolerance
-        if not np.any(outside):
-            return float(transient.time[0])
-        if outside[-1]:
-            return float("inf")
-        last_outside = int(np.max(np.flatnonzero(outside)))
-        return float(transient.time[last_outside + 1])
+        target = np.array([self.design.target_frequency])
+        lock_times = self._lock_times_from_arrays(
+            transient.time,
+            transient.frequency[None, :],
+            target,
+            np.array([self.lock_tolerance]) * target,
+        )
+        return float(lock_times[0])
 
     @classmethod
     def lock_times_batch(
@@ -409,31 +369,36 @@ class BehaviouralPll:
     ) -> np.ndarray:
         """Per-lane lock times of a batched transient.
 
-        Vectorised form of :meth:`lock_time`: lanes that never leave the
-        tolerance band lock at the first sample, lanes still outside at the
-        end never lock (``inf``), and every other lane locks one sample
-        after its last out-of-tolerance cycle.
+        Lanes that never leave the tolerance band lock at the first
+        sample, lanes still outside at the end never lock (``inf``), and
+        every other lane locks one sample after its last out-of-tolerance
+        cycle.
         """
         plls = list(plls)
         targets = np.array([pll.design.target_frequency for pll in plls])
         tolerances = np.array([pll.lock_tolerance for pll in plls]) * targets
-        return cls._lock_times_from_arrays(transient, targets, tolerances)
+        return cls._lock_times_from_arrays(
+            transient.time, transient.frequency, targets, tolerances
+        )
 
     @staticmethod
     def _lock_times_from_arrays(
-        transient: PllBatchTransient, targets: np.ndarray, tolerances: np.ndarray
+        time: np.ndarray,
+        frequency: np.ndarray,
+        targets: np.ndarray,
+        tolerances: np.ndarray,
     ) -> np.ndarray:
-        outside = np.abs(transient.frequency - targets[:, None]) > tolerances[:, None]
+        outside = np.abs(frequency - targets[:, None]) > tolerances[:, None]
         any_outside = outside.any(axis=1)
         still_outside = outside[:, -1]
-        n_cycles = transient.n_cycles
+        n_cycles = frequency.shape[1]
         # Index of the last out-of-tolerance cycle per lane (garbage for
         # all-inside lanes, overridden below).
         last_outside = (n_cycles - 1) - np.argmax(outside[:, ::-1], axis=1)
         next_index = np.minimum(last_outside + 1, n_cycles - 1)
-        lock_times = transient.time[next_index]
+        lock_times = time[next_index]
         lock_times = np.where(still_outside, np.inf, lock_times)
-        lock_times = np.where(any_outside, lock_times, transient.time[0])
+        lock_times = np.where(any_outside, lock_times, time[0])
         return lock_times
 
     def output_jitter(self, variant: str = "nominal") -> float:
@@ -452,15 +417,9 @@ class BehaviouralPll:
         seed: Optional[int] = None,
     ) -> PllPerformance:
         """Simulate one variant and return its system performances."""
-        transient = self.simulate(variant=variant, max_time=max_time, seed=seed)
-        lock = self.lock_time(transient)
-        return PllPerformance(
-            lock_time=lock,
-            jitter=self.output_jitter(variant),
-            current=self.supply_current(variant),
-            locked=bool(np.isfinite(lock)),
-            final_frequency=float(transient.frequency[-1]),
-        )
+        return self.evaluate_batch(
+            [self], variant=variant, max_time=max_time, seed=seed
+        )[0]
 
     def evaluate_all_variants(
         self, max_time: float = 3e-6, seed: Optional[int] = None
@@ -471,10 +430,7 @@ class BehaviouralPll:
         the system level: the optimiser sees nominal as well as worst-case
         system performances for every candidate design.
         """
-        return {
-            variant: self.evaluate(variant=variant, max_time=max_time, seed=seed)
-            for variant in VARIANTS
-        }
+        return self.evaluate_all_variants_batch([self], max_time=max_time, seed=seed)[0]
 
     @classmethod
     def evaluate_batch(
@@ -487,9 +443,9 @@ class BehaviouralPll:
         """Lane-parallel :meth:`evaluate`: one performance record per lane.
 
         The jitter and supply-current measurements come from the lane
-        constants already resolved for the transient (the same values the
-        scalar :meth:`output_jitter` / :meth:`supply_current` compute), so
-        no per-lane table lookups remain in this path.
+        constants already resolved for the transient (the same values
+        :meth:`output_jitter` / :meth:`supply_current` compute), so no
+        per-lane table lookups remain in this path.
 
         Parameters
         ----------
@@ -502,20 +458,20 @@ class BehaviouralPll:
         max_time:
             Simulated time horizon (s) of the locking transient.
         seed:
-            Jitter-noise seed; ``None`` uses each block's configured seed.
+            Jitter-noise seed.  An int draws one standard-normal stream
+            shared by every lane; ``None`` injects no jitter.
 
         Returns
         -------
         list of PllPerformance
-            One record per lane, bit-identical to calling
-            :meth:`evaluate` on each loop separately.
+            One record per lane, the same bits at any batch width.
         """
         plls = list(plls)
         lanes = cls._build_lanes(plls, variant)
         transient = cls._simulate_lanes(lanes, max_time=max_time, seed=seed)
         tolerances = lanes.lock_tolerance * lanes.target_frequency
         lock_times = cls._lock_times_from_arrays(
-            transient, lanes.target_frequency, tolerances
+            transient.time, transient.frequency, lanes.target_frequency, tolerances
         )
         jitters = lanes.vco.output_edge_jitter(lanes.divider.ratio)
         currents = lanes.vco.current + lanes.peripheral_current
@@ -543,10 +499,9 @@ class BehaviouralPll:
         """Lane-parallel :meth:`evaluate_all_variants` for N designs.
 
         The nominal, minimum and maximum populations are concatenated into
-        one ``3 N``-lane batch and advanced through a single cycle loop --
-        legal because the scalar path evaluates each variant with its own
-        generator re-seeded to the same value, so all lanes consume the
-        same noise stream regardless of variant.
+        one ``3 N``-lane batch and advanced through a single cycle loop;
+        every lane consumes the same seeded noise stream regardless of
+        variant.
 
         Parameters
         ----------
@@ -555,13 +510,14 @@ class BehaviouralPll:
         max_time:
             Simulated time horizon (s) of the locking transient.
         seed:
-            Jitter-noise seed; ``None`` uses each block's configured seed.
+            Jitter-noise seed.  An int draws one standard-normal stream
+            shared by every lane; ``None`` injects no jitter.
 
         Returns
         -------
         list of dict
             One ``{"nominal" | "min" | "max": PllPerformance}`` mapping
-            per design, matching :meth:`evaluate_all_variants` bit for bit.
+            per design.
         """
         plls = list(plls)
         n = len(plls)

@@ -107,7 +107,12 @@ class VcoVariationTables:
 
 
 class BehaviouralVco:
-    """Table-model driven behavioural VCO block (paper Listing 2)."""
+    """Table-model driven behavioural VCO block (paper Listing 2).
+
+    Holds the block's nominal performances and variation tables and
+    derives the per-variant values; :class:`VcoLanes` stacks them and
+    evaluates the tuning curve inside the PLL cycle loop.
+    """
 
     def __init__(
         self,
@@ -181,15 +186,6 @@ class BehaviouralVco:
 
     # -- large-signal behaviour --------------------------------------------------------------
 
-    def frequency(self, vctrl: float, variant: str = "nominal") -> float:
-        """Oscillation frequency at a control voltage (clamped tuning curve)."""
-        variant = _check_variant(variant)
-        bounds = self.frequency_bounds(variant)
-        gain = self.gain(variant)
-        vctrl_clamped = min(max(vctrl, self.vctrl_min), self.vctrl_max)
-        frequency = bounds["fmin"] + gain * (vctrl_clamped - self.vctrl_min)
-        return float(min(max(frequency, bounds["fmin"]), bounds["fmax"]))
-
     def control_voltage_for(self, frequency: float, variant: str = "nominal") -> float:
         """Control voltage that produces ``frequency`` (inverse tuning curve)."""
         variant = _check_variant(variant)
@@ -203,21 +199,6 @@ class BehaviouralVco:
     def output_edge_jitter(self, divide_ratio: float, variant: str = "nominal") -> float:
         """Jitter of one divided output period (``jvco * sqrt(2 ratio)``)."""
         return jitter_sum(self.period_jitter(variant), divide_ratio)
-
-    def jittered_period(
-        self,
-        vctrl: float,
-        rng: Optional[np.random.Generator] = None,
-        variant: str = "nominal",
-    ) -> float:
-        """One VCO period including a Gaussian jitter sample."""
-        frequency = self.frequency(vctrl, variant)
-        period = 1.0 / frequency
-        if rng is None:
-            return period
-        sigma = self.period_jitter(variant)
-        jittered = period + float(rng.normal(0.0, sigma))
-        return max(jittered, 0.1 * period)
 
     # -- reporting ------------------------------------------------------------------------------
 
@@ -385,8 +366,8 @@ class VcoLanes:
     def frequency(self, vctrl: np.ndarray) -> np.ndarray:
         """Per-lane oscillation frequency (clamped tuning curve).
 
-        Same operation order as :meth:`BehaviouralVco.frequency`, so each
-        lane is bit-identical to the scalar evaluation.
+        ``fmin + gain * (vctrl - vctrl_min)`` on the control voltage clamped
+        into ``[vctrl_min, vctrl_max]``, then clamped into ``[fmin, fmax]``.
 
         Parameters
         ----------

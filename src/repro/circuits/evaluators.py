@@ -597,62 +597,29 @@ def _initialise_spice_worker(evaluator: "RingVcoSpiceEvaluator") -> None:
     _SPICE_WORKER_EVALUATOR = evaluator
 
 
-def _evaluate_spice_in_worker(
-    task: Tuple[VcoDesign, Technology, Optional[MismatchSample]],
-) -> VcoPerformance:
-    if _SPICE_WORKER_EVALUATOR is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker process was not initialised with an evaluator")
-    design, technology, mismatch = task
-    return _SPICE_WORKER_EVALUATOR.evaluate(
-        design, technology=technology, mismatch=mismatch
-    )
-
-
-def _evaluate_spice_chunk_traced(
+def _evaluate_spice_chunk_in_worker(
     payload: Tuple[
         Sequence[Tuple[VcoDesign, Technology, Optional[MismatchSample]]],
         Optional[dict],
         int,
     ],
 ) -> Tuple[List[VcoPerformance], List[dict]]:
-    """Traced chunk evaluation inside a pool worker.
+    """Evaluate one chunk of tasks inside a pool worker.
 
-    The child process cannot see the parent's trace, so it records its
-    chunk span into a throwaway trace (seeded from the shipped
+    The child process cannot see the parent's trace, so a traced run
+    records its chunk span into a throwaway trace (seeded from the shipped
     :func:`~repro.obs.trace.trace_context`) and returns the span records
-    with the results; the parent merges them.  Evaluation itself is the
-    same scalar :meth:`RingVcoSpiceEvaluator.evaluate` loop -- spans
-    never touch the numbers.
+    with the results for the parent to merge; an untraced run ships
+    ``None`` and gets no spans back.  Spans never touch the numbers.
     """
     tasks, context, chunk_index = payload
-    if _SPICE_WORKER_EVALUATOR is None:  # pragma: no cover - defensive
+    evaluator = _SPICE_WORKER_EVALUATOR
+    if evaluator is None:  # pragma: no cover - defensive
         raise RuntimeError("worker process was not initialised with an evaluator")
+    name = "spice.lane_chunk" if evaluator.engine == "lanes" else "spice.chunk"
     with obs_trace.collect_spans(context) as spans:
-        with obs_trace.span("spice.chunk", chunk=chunk_index, n_tasks=len(tasks)):
-            results = [_evaluate_spice_in_worker(task) for task in tasks]
-    return results, spans
-
-
-def _evaluate_spice_lanes_in_worker(
-    tasks: Sequence[Tuple[VcoDesign, Technology, Optional[MismatchSample]]],
-) -> List[VcoPerformance]:
-    if _SPICE_WORKER_EVALUATOR is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker process was not initialised with an evaluator")
-    return _SPICE_WORKER_EVALUATOR.evaluate_lane_chunk(tasks)
-
-
-def _evaluate_spice_lanes_traced(
-    payload: Tuple[
-        Sequence[Tuple[VcoDesign, Technology, Optional[MismatchSample]]],
-        Optional[dict],
-        int,
-    ],
-) -> Tuple[List[VcoPerformance], List[dict]]:
-    """Traced lane-chunk evaluation inside a pool worker (see above)."""
-    tasks, context, chunk_index = payload
-    with obs_trace.collect_spans(context) as spans:
-        with obs_trace.span("spice.lane_chunk", chunk=chunk_index, n_tasks=len(tasks)):
-            results = _evaluate_spice_lanes_in_worker(tasks)
+        with obs_trace.span(name, chunk=chunk_index, n_tasks=len(tasks)):
+            results = evaluator._evaluate_chunk(tasks)
     return results, spans
 
 
@@ -733,12 +700,21 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         mismatch: Optional[MismatchSample] = None,
     ) -> VcoPerformance:
         """Evaluate the five performances with transistor-level transients."""
+        design, tech, overrides = self._prepare(design, technology, mismatch)
+        return self._testbench(tech).run(design, device_overrides=overrides)
+
+    def _prepare(
+        self,
+        design: VcoDesign,
+        technology: Optional[Technology],
+        mismatch: Optional[MismatchSample],
+    ) -> Tuple[VcoDesign, Technology, Optional[Dict]]:
+        """Clamped design, technology and device overrides of one task."""
         tech = technology or self.technology
-        design = design.clamped(tech)
         overrides = None
         if mismatch is not None and mismatch.devices():
             overrides = {name: mismatch.for_device(name) for name in mismatch.devices()}
-        return self._testbench(tech).run(design, device_overrides=overrides)
+        return design.clamped(tech), tech, overrides
 
     def evaluate_batch(
         self,
@@ -748,14 +724,16 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
     ) -> List[VcoPerformance]:
         """Fan a batch of transistor-level evaluations out over a process pool.
 
-        One MNA transient costs seconds of pure Python, so unlike the
-        analytical evaluator the batch here parallelises across processes:
-        the pool is initialised once with the (picklable) evaluator, the
-        (design, technology, mismatch) triples are mapped in chunks, and
-        order is preserved.  Every worker runs the exact same scalar
-        :meth:`evaluate`, so the results are identical to the serial loop.
-        Batches too small to amortise a pool (or ``n_workers=1``) fall back
-        to the inherited serial loop.
+        One transient costs seconds of pure Python, so unlike the
+        analytical evaluator the batch here parallelises across processes.
+        The (design, technology, mismatch) triples are cut into chunks:
+        ``lane_width`` tasks per chunk for ``engine="lanes"`` (one
+        lane-parallel transient each), else ``ceil(n / (4 workers))``
+        tasks evaluated one by one.  The pool is initialised once with the
+        (picklable) evaluator, the chunks are mapped in order, and every
+        worker runs the same chunk evaluation as this process would, so
+        the results equal the in-process loop.  One worker or one chunk
+        runs in process, without a pool.
         """
         designs_b, techs, mms = _broadcast_batch(
             designs, _batch_or_nominal(samples, technology or self.technology)
@@ -764,108 +742,45 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         n_tasks = len(tasks)
         EVALUATIONS.inc(n_tasks, backend=f"spice-{self.engine}")
         if self.engine == "lanes":
-            return self._evaluate_batch_lanes(tasks)
-        n_workers = min(self.pool_size(), n_tasks)
-        if n_workers < 2 or n_tasks < 2:
-            return [
-                self.evaluate(design, technology=tech, mismatch=mismatch)
-                for design, tech, mismatch in tasks
-            ]
-        with obs_trace.span(
-            "spice.evaluate_batch", n_tasks=n_tasks, n_workers=n_workers
-        ) as attrs:
-            context = obs_trace.trace_context()
-            chunksize = max(1, -(-n_tasks // (n_workers * 4)))
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_initialise_spice_worker,
-                initargs=(self,),
-            ) as executor:
-                if context is None:
-                    return list(
-                        executor.map(
-                            _evaluate_spice_in_worker, tasks, chunksize=chunksize
-                        )
-                    )
-                # Traced runs ship the chunks explicitly so each pool
-                # worker can hand its chunk span back with the results.
-                chunks = [
-                    tasks[start : start + chunksize]
-                    for start in range(0, n_tasks, chunksize)
-                ]
-                if attrs is not None:
-                    attrs["n_chunks"] = len(chunks)
-                results: List[VcoPerformance] = []
-                for chunk_results, spans in executor.map(
-                    _evaluate_spice_chunk_traced,
-                    [(chunk, context, index) for index, chunk in enumerate(chunks)],
-                ):
-                    results.extend(chunk_results)
-                    obs_trace.merge_spans(spans)
-                return results
-
-    def evaluate_lane_chunk(
-        self, tasks: Sequence[Tuple[VcoDesign, Technology, Optional[MismatchSample]]]
-    ) -> List[VcoPerformance]:
-        """Evaluate one chunk of tasks through the lane-parallel test bench."""
-        prepared = []
-        for design, technology, mismatch in tasks:
-            tech = technology or self.technology
-            design = design.clamped(tech)
-            overrides = None
-            if mismatch is not None and mismatch.devices():
-                overrides = {name: mismatch.for_device(name) for name in mismatch.devices()}
-            prepared.append((design, tech, overrides))
-        return self._testbench(self.technology).run_batch(prepared)
-
-    def _evaluate_batch_lanes(
-        self, tasks: List[Tuple[VcoDesign, Technology, Optional[MismatchSample]]]
-    ) -> List[VcoPerformance]:
-        """Lane-parallel batch path: in-process lane batches, pooled chunks.
-
-        The batch is cut into ``lane_width``-sized chunks; each chunk is one
-        :meth:`VcoTestbench.run_batch` call (a single lane-parallel
-        transient).  When there are several chunks and more than one worker
-        the chunks fan out over the existing process pool, composing the
-        two levels of parallelism (vectorised lanes inside a process, pool
-        across processes).
-        """
-        chunks = [
-            tasks[start : start + self.lane_width]
-            for start in range(0, len(tasks), self.lane_width)
-        ]
+            chunksize = self.lane_width
+        else:
+            chunksize = max(1, -(-n_tasks // (min(self.pool_size(), n_tasks) * 4)))
+        chunks = [tasks[start : start + chunksize] for start in range(0, n_tasks, chunksize)]
         n_workers = min(self.pool_size(), len(chunks))
         if n_workers < 2 or len(chunks) < 2:
             results: List[VcoPerformance] = []
             for chunk in chunks:
-                results.extend(self.evaluate_lane_chunk(chunk))
+                results.extend(self._evaluate_chunk(chunk))
             return results
         with obs_trace.span(
             "spice.evaluate_batch",
-            n_tasks=len(tasks),
+            n_tasks=n_tasks,
             n_workers=n_workers,
             n_chunks=len(chunks),
         ):
             context = obs_trace.trace_context()
+            results = []
             with ProcessPoolExecutor(
                 max_workers=n_workers,
                 initializer=_initialise_spice_worker,
                 initargs=(self,),
             ) as executor:
-                results = []
-                if context is None:
-                    for chunk_result in executor.map(
-                        _evaluate_spice_lanes_in_worker, chunks
-                    ):
-                        results.extend(chunk_result)
-                    return results
-                for chunk_result, spans in executor.map(
-                    _evaluate_spice_lanes_traced,
+                for chunk_results, spans in executor.map(
+                    _evaluate_spice_chunk_in_worker,
                     [(chunk, context, index) for index, chunk in enumerate(chunks)],
                 ):
-                    results.extend(chunk_result)
+                    results.extend(chunk_results)
                     obs_trace.merge_spans(spans)
-                return results
+            return results
+
+    def _evaluate_chunk(
+        self, tasks: Sequence[Tuple[VcoDesign, Technology, Optional[MismatchSample]]]
+    ) -> List[VcoPerformance]:
+        """One chunk: a lane-parallel transient, or a loop of :meth:`evaluate`."""
+        if self.engine != "lanes":
+            return [self.evaluate(*task) for task in tasks]
+        prepared = [self._prepare(*task) for task in tasks]
+        return self._testbench(self.technology).run_batch(prepared)
 
     def pool_size(self) -> int:
         """Worker count of the batch pool (configured, else the CPU count capped at 8)."""

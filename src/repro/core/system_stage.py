@@ -17,7 +17,7 @@ design is yield-aware by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -91,24 +91,22 @@ class PllSystemProblem(Problem):
             peripheral_current=self.base_design.peripheral_current,
         )
 
-    def build_pll(self, values: Mapping[str, float]) -> BehaviouralPll:
-        """Construct the behavioural PLL for one candidate design."""
-        vco = self.model.behavioural_vco(float(values["kvco"]), float(values["ivco"]))
-        return BehaviouralPll(vco, self._candidate_design(values))
-
     def evaluate(self, values: Mapping[str, float]) -> Evaluation:
-        """Evaluate nominal / min / max system performances of a candidate."""
-        pll = self.build_pll(values)
-        variants = pll.evaluate_all_variants(max_time=self.simulation_time)
-        return self._assemble_evaluation(values, pll, variants)
+        """Evaluate nominal / min / max system performances of a candidate.
+
+        A batch of one through the same lane-parallel transient as
+        :meth:`evaluate_batch`, so the ``serial`` and ``vectorised``
+        NSGA-II backends run one kernel.
+        """
+        return self._evaluate_decoded([values])[0]
 
     def evaluate_batch(self, vectors) -> List[Evaluation]:
         """Evaluate a whole population through the lane-parallel transient.
 
         All candidates (times the three variants) advance through a single
         batched cycle loop via
-        :meth:`~repro.behavioural.pll.BehaviouralPll.evaluate_all_variants_batch`,
-        which is bit-identical to the scalar per-candidate loop -- so the
+        :meth:`~repro.behavioural.pll.BehaviouralPll.evaluate_all_variants_batch`.
+        A lane's result does not depend on the batch it runs in, so the
         ``vectorised`` NSGA-II backend reproduces the serial Pareto front
         exactly, only faster.
         """
@@ -121,10 +119,13 @@ class PllSystemProblem(Problem):
                 f"{matrix.shape}"
             )
         self.evaluation_count += matrix.shape[0]
-        decoded = [self.decode(self.clip(row)) for row in matrix]
+        return self._evaluate_decoded([self.decode(self.clip(row)) for row in matrix])
+
+    def _evaluate_decoded(self, decoded: Sequence[Mapping[str, float]]) -> List[Evaluation]:
+        """Evaluate decoded candidates in one lane-parallel batch."""
         # One batched table interpolation for the whole population, and
-        # every block shares the model's variation-table adapter -- both
-        # row-wise identical to the scalar build_pll path.
+        # every block shares the model's variation-table adapter, which
+        # lets the lane engine evaluate each table as one array call.
         vcos = self.model.behavioural_vco_batch(
             np.array([values["kvco"] for values in decoded]),
             np.array([values["ivco"] for values in decoded]),
@@ -136,27 +137,20 @@ class PllSystemProblem(Problem):
         variant_maps = BehaviouralPll.evaluate_all_variants_batch(
             plls, max_time=self.simulation_time
         )
-        summaries = describe_lanes([pll.vco for pll in plls])
+        summaries = describe_lanes(vcos)
         return [
-            self._assemble_evaluation(values, pll, variants, vco_summary=summary)
-            for values, pll, variants, summary in zip(
-                decoded, plls, variant_maps, summaries
-            )
+            self._assemble_evaluation(values, variants, summary)
+            for values, variants, summary in zip(decoded, variant_maps, summaries)
         ]
 
     def _assemble_evaluation(
         self,
         values: Mapping[str, float],
-        pll: BehaviouralPll,
         variants: Mapping[str, PllPerformance],
-        vco_summary: Optional[Dict[str, float]] = None,
+        vco_summary: Dict[str, float],
     ) -> Evaluation:
-        """Turn the three variant performances into one :class:`Evaluation`.
-
-        Shared by the scalar and the batched path so both produce
-        structurally and numerically identical results; the batched path
-        passes the block summary it already computed as ``vco_summary``.
-        """
+        """Turn the three variant performances and the VCO block summary
+        into one :class:`Evaluation`."""
         nominal = variants["nominal"]
         lock_time = nominal.lock_time
         if not np.isfinite(lock_time):
@@ -194,7 +188,7 @@ class PllSystemProblem(Problem):
             metrics[f"final_frequency{suffix}"] = performance.final_frequency
         # Block-level nominal/min/max values of the VCO designables (the
         # Kv_min/Kv_max, Iv_min/Iv_max columns of Table 2).
-        metrics.update(pll.vco.describe() if vco_summary is None else vco_summary)
+        metrics.update(vco_summary)
         return Evaluation(objectives=objectives, constraints=constraints, metrics=metrics)
 
 
@@ -249,9 +243,9 @@ class SystemLevelOptimisation:
     ``config.evaluator`` selects how the population reaches the problem:
     ``"vectorised"`` (the default) advances the whole population (all
     three variants at once) through the lane-parallel PLL transient
-    engine, and ``"serial"`` keeps the historical one-candidate-at-a-time
-    loop on the scalar PLL.  Both produce bit-identical results for a
-    fixed seed.
+    engine, and ``"serial"`` runs the same engine one candidate at a time
+    (a batch of one).  Both produce bit-identical results for a fixed
+    seed.
     """
 
     def __init__(

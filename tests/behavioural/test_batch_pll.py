@@ -1,9 +1,11 @@
 """Bit-exactness tests for the lane-parallel behavioural PLL engine.
 
-Every test here asserts *exact* (bit-for-bit) equality between the scalar
-cycle loop and the batched lane engine -- the invariant the vectorised
-optimisation backend relies on to reproduce historical seeded Pareto
-fronts.
+The lane engine is the only PLL cycle loop, so every test here asserts
+*exact* (bit-for-bit) equality between it and the independent scalar
+oracle of :mod:`tests.behavioural.pll_oracle`, and that a design's lane
+does not depend on the batch it runs in -- the invariants the serial and
+vectorised optimisation backends rely on to reproduce historical seeded
+Pareto fronts.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.behavioural import (
     VcoVariationTables,
 )
 from repro.behavioural.vco import VARIANTS, describe_lanes
+from tests.behavioural import pll_oracle as oracle
 
 SEEDS = (None, 2009)
 
@@ -74,13 +77,17 @@ def test_simulate_batch_bit_identical_to_scalar(variant, seed):
         plls, variant=variant, max_time=3e-6, seed=seed
     )
     for index, pll in enumerate(plls):
-        scalar = pll.simulate(variant=variant, max_time=3e-6, seed=seed)
+        scalar = oracle.simulate(pll, variant=variant, max_time=3e-6, seed=seed)
         assert np.array_equal(batch.time, scalar.time)
         assert np.array_equal(batch.control_voltage[index], scalar.control_voltage)
         assert np.array_equal(batch.frequency[index], scalar.frequency)
         assert np.array_equal(batch.phase_error[index], scalar.phase_error)
         lane = batch.lane(index)
         assert np.array_equal(lane.frequency, scalar.frequency)
+        single = pll.simulate(variant=variant, max_time=3e-6, seed=seed)
+        assert np.array_equal(single.time, scalar.time)
+        assert np.array_equal(single.control_voltage, scalar.control_voltage)
+        assert np.array_equal(single.phase_error, scalar.phase_error)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -91,8 +98,10 @@ def test_evaluate_batch_matches_scalar_evaluate(seed):
             plls, variant=variant, max_time=3e-6, seed=seed
         )
         for pll, performance in zip(plls, batched):
-            scalar = pll.evaluate(variant=variant, max_time=3e-6, seed=seed)
+            scalar = oracle.evaluate(pll, variant=variant, max_time=3e-6, seed=seed)
             assert_performance_equal(scalar, performance)
+            single = pll.evaluate(variant=variant, max_time=3e-6, seed=seed)
+            assert_performance_equal(scalar, single)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -102,10 +111,12 @@ def test_evaluate_all_variants_batch_matches_scalar(seed):
         plls, max_time=3e-6, seed=seed
     )
     for pll, variant_map in zip(plls, batched):
-        scalar_map = pll.evaluate_all_variants(max_time=3e-6, seed=seed)
-        assert set(variant_map) == set(VARIANTS)
+        scalar_map = oracle.evaluate_all_variants(pll, max_time=3e-6, seed=seed)
+        single_map = pll.evaluate_all_variants(max_time=3e-6, seed=seed)
+        assert list(variant_map) == list(single_map) == list(VARIANTS)
         for variant in VARIANTS:
             assert_performance_equal(scalar_map[variant], variant_map[variant])
+            assert_performance_equal(scalar_map[variant], single_map[variant])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -116,7 +127,7 @@ def test_partial_lock_population(seed):
     locked_flags = [performance.locked for performance in performances]
     assert any(locked_flags) and not all(locked_flags)
     for index, (pll, performance) in enumerate(zip(plls, performances)):
-        scalar = pll.evaluate(max_time=3e-6, seed=seed)
+        scalar = oracle.evaluate(pll, max_time=3e-6, seed=seed)
         assert_performance_equal(scalar, performance)
         if index % 3 == 0:
             assert not performance.locked
@@ -124,18 +135,18 @@ def test_partial_lock_population(seed):
 
 
 def test_jitter_stream_is_shared_across_lanes():
-    """Each lane consumes the same seeded noise stream as its scalar run.
+    """Each lane consumes the same seeded noise stream as its oracle run.
 
     The lanes have different jitter sigmas, so this fails if the batch
     path drew noise lane-by-lane instead of one bulk block per cycle
-    stream (the scalar path re-seeds one generator per lane).
+    stream (the oracle re-seeds one generator per lane).
     """
     plls = make_population(n=5, rng_seed=9)
     sigmas = {pll.vco.period_jitter("nominal") for pll in plls}
     assert len(sigmas) == len(plls)  # genuinely distinct lanes
     batch = BehaviouralPll.simulate_batch(plls, max_time=3e-6, seed=77)
     for index, pll in enumerate(plls):
-        scalar = pll.simulate(max_time=3e-6, seed=77)
+        scalar = oracle.simulate(pll, max_time=3e-6, seed=77)
         assert np.array_equal(batch.frequency[index], scalar.frequency)
 
 
@@ -145,7 +156,7 @@ def test_zero_vco_frequency_scalar_matches_batch(variant, seed):
     # The loop starts at vctrl_min, so the clamped frequency is exactly
     # 0 Hz in the first cycle: through a zero fmin for the nominal
     # variant, and through a spread that floors the min-variant fmin at
-    # zero.  The scalar loop must follow the lane path's IEEE 1/0 = inf.
+    # zero.  The lane path's IEEE 1/0 = inf must match the oracle.
     if variant == "nominal":
         vco = BehaviouralVco(kvco=1.5e9, ivco=2e-3, jvco=4e-12, fmin=0.0, fmax=1.3e9)
     else:
@@ -162,7 +173,7 @@ def test_zero_vco_frequency_scalar_matches_batch(variant, seed):
     batch = BehaviouralPll.simulate_batch(plls, variant=variant, max_time=3e-6, seed=seed)
     assert batch.frequency[0, 0] == 0.0
     for index, pll in enumerate(plls):
-        scalar = pll.simulate(variant=variant, max_time=3e-6, seed=seed)
+        scalar = oracle.simulate(pll, variant=variant, max_time=3e-6, seed=seed)
         assert np.array_equal(batch.time, scalar.time)
         assert np.array_equal(batch.control_voltage[index], scalar.control_voltage)
         assert np.array_equal(batch.frequency[index], scalar.frequency)
@@ -192,8 +203,9 @@ def test_lock_times_batch_matches_scalar_lock_time():
     transient = BehaviouralPll.simulate_batch(plls, max_time=3e-6)
     lock_times = BehaviouralPll.lock_times_batch(plls, transient)
     for index, pll in enumerate(plls):
-        scalar = pll.lock_time(pll.simulate(max_time=3e-6))
+        scalar = oracle.lock_time(pll, oracle.simulate(pll, max_time=3e-6))
         assert lock_times[index] == scalar
+        assert pll.lock_time(transient.lane(index)) == scalar
 
 
 # -- shared-variation fast path -------------------------------------------------------
@@ -226,7 +238,7 @@ def test_shared_variation_batch_simulation_still_bit_identical():
     plls = make_population(shared_variation=shared)
     batch = BehaviouralPll.simulate_batch(plls, variant="max", max_time=3e-6)
     for index, pll in enumerate(plls):
-        scalar = pll.simulate(variant="max", max_time=3e-6)
+        scalar = oracle.simulate(pll, variant="max", max_time=3e-6)
         assert np.array_equal(batch.frequency[index], scalar.frequency)
 
 
@@ -247,11 +259,11 @@ def test_pfd_lanes_match_scalar_compare(errors, dead_zone):
     feedback = np.array([reference_edge + error for error in errors])
     batched = lanes.compare(reference_edge, feedback)
     for index in range(len(errors)):
-        scalar = pfd.compare(reference_edge, float(feedback[index]))
+        scalar = oracle.pfd_compare(pfd, reference_edge, float(feedback[index]))
         assert batched.timing_error[index] == scalar.timing_error
         assert batched.up_width[index] == scalar.up_width
         assert batched.down_width[index] == scalar.down_width
-        assert batched.net_width[index] == scalar.net_width
+        assert batched.net_width[index] == scalar.up_width - scalar.down_width
 
 
 @settings(max_examples=50, deadline=None)
@@ -272,12 +284,11 @@ def test_loop_filter_lanes_match_scalar_apply_charge(charges, c2, voltage):
     new_state = lanes.apply_charge(state, np.asarray(charges), interval)
     output = lanes.output_voltage(new_state)
     for index, loop_filter in enumerate(filters):
-        scalar_state = loop_filter.apply_charge(
-            loop_filter.initialise(voltage), charges[index], interval
+        scalar_state = oracle.filter_apply_charge(
+            loop_filter, (voltage, voltage), charges[index], interval
         )
-        assert new_state.v_c1[index] == scalar_state.v_c1
-        assert new_state.v_c2[index] == scalar_state.v_c2
-        assert output[index] == loop_filter.output_voltage(scalar_state)
+        assert (new_state.v_c1[index], new_state.v_c2[index]) == scalar_state
+        assert output[index] == oracle.filter_output(loop_filter, scalar_state)
 
 
 def test_loop_filter_lanes_mixed_c2_population():
@@ -291,11 +302,10 @@ def test_loop_filter_lanes_mixed_c2_population():
     charge = np.array([1e-13, -2e-13, 5e-14])
     state = lanes.apply_charge(lanes.initialise(np.full(3, 0.6)), charge, 2.5e-8)
     for index, loop_filter in enumerate(filters):
-        scalar = loop_filter.apply_charge(
-            loop_filter.initialise(0.6), float(charge[index]), 2.5e-8
+        scalar = oracle.filter_apply_charge(
+            loop_filter, (0.6, 0.6), float(charge[index]), 2.5e-8
         )
-        assert state.v_c1[index] == scalar.v_c1
-        assert state.v_c2[index] == scalar.v_c2
+        assert (state.v_c1[index], state.v_c2[index]) == scalar
 
 
 def test_charge_pump_lanes_match_scalar():
@@ -312,23 +322,29 @@ def test_charge_pump_lanes_match_scalar():
         0.0, np.asarray(errors, dtype=float)
     )
     charge = lanes.charge(batched_error, period)
-    supply = lanes.supply_current(batched_error, period)
     for index, (pump, error) in enumerate(zip(pumps, errors)):
-        scalar_error = pfd.compare(0.0, error)
-        assert charge[index] == pump.charge(scalar_error, period)
-        assert supply[index] == pump.supply_current(scalar_error, period)
+        scalar_error = oracle.pfd_compare(pfd, 0.0, error)
+        assert charge[index] == oracle.pump_charge(pump, scalar_error, period)
 
 
 def test_loop_filter_relaxation_hoisting_is_exact():
-    """The hoisted decay factor equals the historical per-cycle expression."""
-    loop_filter = LoopFilter(c1=2e-12, c2=0.5e-12, r1=2e3)
+    """The hoisted decay factor equals the oracle's per-cycle expression."""
+    filters = [
+        LoopFilter(c1=2e-12, c2=0.5e-12, r1=2e3),
+        LoopFilter(c1=2e-12, c2=0.0, r1=2e3),
+    ]
+    lanes = LoopFilterLanes.from_blocks(filters)
     interval = 2.5e-8
-    decay = loop_filter.relaxation(interval)
-    state = loop_filter.initialise(0.6)
-    hoisted = loop_filter.apply_charge(state, 1e-13, interval, decay=decay)
-    recomputed = loop_filter.apply_charge(state, 1e-13, interval)
-    assert hoisted.v_c1 == recomputed.v_c1
-    assert hoisted.v_c2 == recomputed.v_c2
+    decay = lanes.relaxation(interval)
+    assert lanes.relaxation(interval) is decay  # cached per interval
+    for index, loop_filter in enumerate(filters):
+        assert decay[index] == oracle.filter_relaxation(loop_filter, interval)
+    state = lanes.initialise(np.full(2, 0.6))
+    charge = np.full(2, 1e-13)
+    hoisted = lanes.apply_charge(state, charge, interval, decay=decay)
+    recomputed = lanes.apply_charge(state, charge, interval)
+    assert np.array_equal(hoisted.v_c1, recomputed.v_c1)
+    assert np.array_equal(hoisted.v_c2, recomputed.v_c2)
 
 
 def test_scalar_only_variation_callables_fall_back_to_lane_loop():
@@ -355,29 +371,84 @@ def test_scalar_only_variation_callables_fall_back_to_lane_loop():
     assert describe_lanes(vcos) == [vco.describe() for vco in vcos]
     batch = BehaviouralPll.simulate_batch(plls, max_time=3e-6)
     for index, pll in enumerate(plls):
-        assert np.array_equal(batch.frequency[index], pll.simulate(max_time=3e-6).frequency)
+        scalar = oracle.simulate(pll, max_time=3e-6)
+        assert np.array_equal(batch.frequency[index], scalar.frequency)
 
 
 def test_vco_lanes_frequency_and_divider_lanes_match_scalar():
-    """Parity coverage for the lane twins' public tuning/divider methods."""
+    """Parity coverage for the lane twins' tuning curve and divider ratios."""
     from repro.behavioural import DividerLanes
 
     plls = make_population(n=5)
     vcos = [pll.vco for pll in plls]
-    lanes = VcoLanes.from_blocks(vcos, "nominal")
     vctrl = np.array([0.3, 0.6, 0.9, 1.1, 1.4])  # includes out-of-range lanes
-    frequencies = lanes.frequency(vctrl)
-    for index, vco in enumerate(vcos):
-        assert frequencies[index] == vco.frequency(float(vctrl[index]), "nominal")
+    for variant in VARIANTS:
+        frequencies = VcoLanes.from_blocks(vcos, variant).frequency(vctrl)
+        for index, vco in enumerate(vcos):
+            expected = oracle.vco_frequency(vco, float(vctrl[index]), variant)
+            assert frequencies[index] == expected
     dividers = [pll.divider for pll in plls]
     divider_lanes = DividerLanes.from_blocks(dividers)
-    periods = 1.0 / frequencies
-    out_periods = divider_lanes.output_period(periods)
-    out_frequencies = divider_lanes.output_frequency(frequencies)
-    for index, divider in enumerate(dividers):
-        assert out_periods[index] == divider.output_period(float(periods[index]))
-        assert out_frequencies[index] == divider.output_frequency(float(frequencies[index]))
-    with pytest.raises(ValueError):
-        divider_lanes.output_period(np.zeros(5))
-    with pytest.raises(ValueError):
-        divider_lanes.output_frequency(np.zeros(5))
+    assert divider_lanes.n_lanes == 5
+    assert divider_lanes.ratio.tolist() == [float(d.ratio) for d in dividers]
+
+
+# -- lanes vs the oracle over random populations --------------------------------------
+
+
+@st.composite
+def lane_populations(draw):
+    """Random loops: mixed ``c2 == 0`` lanes, a dead zone, a stalling VCO."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    dead_zone = draw(st.sampled_from([0.0, 5e-12]))
+    plls = []
+    for _ in range(n):
+        c2 = draw(st.one_of(st.just(0.0), st.floats(min_value=0.2e-12, max_value=3e-12)))
+        design = PllDesign(
+            c1=draw(st.floats(min_value=1e-12, max_value=6e-12)),
+            c2=c2,
+            r1=draw(st.floats(min_value=0.5e3, max_value=5e3)),
+        )
+        # A 150 % fmin spread floors the min-variant fmin at 0 Hz, so that
+        # lane starts with a stalled VCO.
+        fmin_spread = draw(st.sampled_from([2.0, 150.0]))
+        vco = BehaviouralVco(
+            kvco=draw(st.floats(min_value=0.5e9, max_value=2e9)),
+            ivco=draw(st.floats(min_value=1e-3, max_value=6e-3)),
+            jvco=draw(st.floats(min_value=1e-12, max_value=8e-12)),
+            fmin=draw(st.floats(min_value=0.6e9, max_value=0.8e9)),
+            fmax=draw(st.floats(min_value=1.1e9, max_value=1.4e9)),
+            variation=VcoVariationTables.constant(fmin=fmin_spread),
+        )
+        pfd = PhaseFrequencyDetector(dead_zone=draw(st.sampled_from([0.0, dead_zone])))
+        plls.append(BehaviouralPll(vco, design, pfd=pfd))
+    variants = draw(st.lists(st.sampled_from(VARIANTS), min_size=n, max_size=n))
+    return plls, variants
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    population=lane_populations(),
+    seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+)
+def test_random_lanes_match_oracle_at_any_batch_width(population, seed):
+    plls, variants = population
+    batch = BehaviouralPll.simulate_batch(plls, variant=variants, max_time=1e-6, seed=seed)
+    performances = BehaviouralPll.evaluate_batch(
+        plls, variant=variants, max_time=1e-6, seed=seed
+    )
+    for index, (pll, variant) in enumerate(zip(plls, variants)):
+        scalar = oracle.simulate(pll, variant=variant, max_time=1e-6, seed=seed)
+        width_one = BehaviouralPll.simulate_batch(
+            [pll], variant=variant, max_time=1e-6, seed=seed
+        )
+        for lanes, row in ((batch, index), (width_one, 0)):
+            assert np.array_equal(lanes.time, scalar.time)
+            assert np.array_equal(lanes.control_voltage[row], scalar.control_voltage)
+            assert np.array_equal(lanes.frequency[row], scalar.frequency)
+            assert np.array_equal(lanes.phase_error[row], scalar.phase_error)
+        expected = oracle.evaluate(pll, variant=variant, max_time=1e-6, seed=seed)
+        assert_performance_equal(expected, performances[index])
+        assert_performance_equal(
+            expected, pll.evaluate(variant=variant, max_time=1e-6, seed=seed)
+        )

@@ -6,9 +6,11 @@ import pytest
 from repro.behavioural import (
     BehaviouralPll,
     BehaviouralVco,
+    ChargePump,
     Divider,
     LinearPllAnalysis,
     PllDesign,
+    VcoLanes,
     VcoVariationTables,
 )
 
@@ -26,6 +28,11 @@ def make_vco(**overrides):
     )
     defaults.update(overrides)
     return BehaviouralVco(**defaults)
+
+
+def tuning_curve(vco, vctrl):
+    """Nominal tuning curve of one VCO through its one-lane twin."""
+    return float(VcoLanes.from_blocks([vco]).frequency(np.array([vctrl]))[0])
 
 
 def make_pll(**design_overrides):
@@ -73,35 +80,25 @@ def test_vco_variant_magnitudes_follow_spread_percent():
 
 def test_vco_tuning_curve_monotonic_and_clamped():
     vco = make_vco()
-    freqs = [vco.frequency(v) for v in np.linspace(0.4, 1.3, 10)]
+    freqs = [tuning_curve(vco, v) for v in np.linspace(0.4, 1.3, 10)]
     assert all(f2 >= f1 for f1, f2 in zip(freqs, freqs[1:]))
-    assert vco.frequency(0.0) == pytest.approx(vco.fmin)
+    assert tuning_curve(vco, 0.0) == pytest.approx(vco.fmin)
     # Above vctrl_max the curve saturates at the vctrl_max value (and never
     # exceeds the fmax tuning limit).
-    assert vco.frequency(2.0) == pytest.approx(vco.frequency(vco.vctrl_max))
-    assert vco.frequency(2.0) <= vco.fmax
+    assert tuning_curve(vco, 2.0) == pytest.approx(tuning_curve(vco, vco.vctrl_max))
+    assert tuning_curve(vco, 2.0) <= vco.fmax
 
 
 def test_vco_control_voltage_inversion():
     vco = make_vco()
     target = 0.96e9
     vctrl = vco.control_voltage_for(target)
-    assert vco.frequency(vctrl) == pytest.approx(target, rel=1e-6)
+    assert tuning_curve(vco, vctrl) == pytest.approx(target, rel=1e-6)
 
 
 def test_vco_output_edge_jitter_uses_listing2_formula():
     vco = make_vco()
     assert vco.output_edge_jitter(24) == pytest.approx(0.2e-12 * np.sqrt(48.0))
-
-
-def test_vco_jittered_period_statistics():
-    vco = make_vco()
-    rng = np.random.default_rng(3)
-    periods = [vco.jittered_period(0.9, rng) for _ in range(500)]
-    nominal = 1.0 / vco.frequency(0.9)
-    assert np.mean(periods) == pytest.approx(nominal, rel=0.01)
-    assert np.std(periods) == pytest.approx(0.2e-12, rel=0.3)
-    assert vco.jittered_period(0.9) == pytest.approx(nominal)
 
 
 def test_vco_performance_model_callable():
@@ -173,6 +170,15 @@ def test_pll_divider_ratio_mismatch_raises():
     design = PllDesign(divide_ratio=24)
     with pytest.raises(ValueError):
         BehaviouralPll(make_vco(), design, divider=Divider(ratio=32))
+
+
+def test_pll_charge_pump_current_mismatch_raises():
+    design = PllDesign(charge_pump_current=100e-6)
+    with pytest.raises(ValueError, match="charge_pump_current"):
+        BehaviouralPll(make_vco(), design, charge_pump=ChargePump(current=50e-6))
+    # A pump that agrees with the design may still carry its own mismatch.
+    pump = ChargePump(current=100e-6, mismatch=0.05)
+    assert BehaviouralPll(make_vco(), design, charge_pump=pump).charge_pump is pump
 
 
 def test_pll_narrow_loop_filter_locks_slower():

@@ -87,3 +87,28 @@ def test_spice_pool_worker_spans_merge_into_the_parent_trace():
     assert {r["trace_id"] for r in chunks} == {"spicetrace"}
     # The chunks genuinely ran in pool workers, not in this process.
     assert any(r["pid"] != os.getpid() for r in chunks)
+
+
+def test_spice_lane_pool_worker_spans_merge_into_the_parent_trace():
+    from repro.circuits.evaluators import RingVcoSpiceEvaluator
+    from repro.circuits.ring_vco import VcoDesign
+    from repro.process import TECH_012UM
+
+    designs = [VcoDesign(), VcoDesign(tail_nmos_width=20e-6), VcoDesign(), VcoDesign()]
+    evaluator = RingVcoSpiceEvaluator(
+        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=2, engine="lanes", lane_width=1
+    )
+    untraced = evaluator.evaluate_batch(designs)
+    with obs_trace.start_trace("lanetrace") as trace:
+        traced = evaluator.evaluate_batch(designs)
+
+    assert [a.as_dict() for a in untraced] == [b.as_dict() for b in traced]
+
+    spans = trace.spans
+    batch = next(r for r in spans if r["name"] == "spice.evaluate_batch")
+    chunks = [r for r in spans if r["name"] == "spice.lane_chunk"]
+    assert len(chunks) == batch["attrs"]["n_chunks"] == len(designs)
+    assert sorted(r["attrs"]["chunk"] for r in chunks) == list(range(len(designs)))
+    assert {r["parent_id"] for r in chunks} == {batch["span_id"]}
+    assert {r["trace_id"] for r in chunks} == {"lanetrace"}
+    assert any(r["pid"] != os.getpid() for r in chunks)
