@@ -1,18 +1,18 @@
-"""Compiled stamp-plan SPICE engine vs the per-element reference engine.
+"""Lane SPICE engine vs the per-element reference engine.
 
 Bottom-up verification was the flow's serial tail: every transistor-level
 transient of the 22-transistor ring VCO re-stamped the MNA system element
-by element in pure Python on every Newton iteration.  The compiled engine
-(:mod:`repro.spice.plan`) pre-compiles the circuit into index/parameter
-arrays and assembles with vectorised scatter-adds; the ``lanes`` engine
-additionally advances every verification point through one batched
-time-marching loop.
+by element in pure Python on every Newton iteration.  The ``lanes`` engine
+(:mod:`repro.spice.plan`) compiles the circuit once into index/parameter
+arrays, assembles with vectorised scatter-adds, and advances every
+verification point through one batched time-marching loop.
 
 Two ratios feed the CI regression gate (``merge_benchmarks.py`` fails any
 ``speedup_*`` below 1.0):
 
-* ``speedup_spice_transient`` -- one ring-VCO transient, compiled vs
-  reference (same fixed steps, tolerance-equivalent waveforms);
+* ``speedup_spice_transient`` -- one ring-VCO transient, a one-lane
+  :class:`LaneTransientAnalysis` vs the reference :class:`TransientAnalysis`
+  (same fixed steps, tolerance-equivalent waveforms);
 * ``speedup_spice_verification`` -- the Table-2 verification workload
   through the lane-parallel batch path, gated at the 5x target with the
   model-accuracy gates of ``bench_bottom_up_verification`` unchanged.
@@ -25,47 +25,44 @@ from repro.circuits import RingVcoSpiceEvaluator, VcoDesign
 from repro.circuits.ring_vco import build_ring_vco
 from repro.core.verification import BottomUpVerification
 from repro.process import TECH_012UM
-from repro.spice import TransientAnalysis
+from repro.spice import LaneTransientAnalysis, TransientAnalysis
 
 
 def _ring_transient(engine: str):
     circuit = build_ring_vco(VcoDesign().clamped(TECH_012UM), TECH_012UM, vctrl=0.8)
     initial = {f"n{stage}": TECH_012UM.vdd if stage % 2 == 0 else 0.0 for stage in range(5)}
     initial["n4"] = TECH_012UM.vdd / 2.0
-    return TransientAnalysis(
-        circuit,
-        t_stop=10e-9,
-        dt=8e-12,
-        initial_conditions=initial,
-        use_dc_start=False,
-        engine=engine,
-    ).run()
+    settings = dict(t_stop=10e-9, dt=8e-12, initial_conditions=initial, use_dc_start=False)
+    if engine == "lanes":
+        (result,) = LaneTransientAnalysis([circuit], **settings).run()
+        return result
+    return TransientAnalysis(circuit, **settings).run()
 
 
-def test_spice_transient_compiled_vs_reference(benchmark):
-    """One ring-VCO transient: vectorised assembly vs per-element stamping."""
+def test_spice_transient_lane_vs_reference(benchmark):
+    """One ring-VCO transient: one-lane vectorised assembly vs per-element stamping."""
     start = time.perf_counter()
     reference = _ring_transient("reference")
     reference_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    compiled = _ring_transient("compiled")
-    compiled_seconds = time.perf_counter() - start
-    speedup = reference_seconds / compiled_seconds
+    lane = _ring_transient("lanes")
+    lane_seconds = time.perf_counter() - start
+    speedup = reference_seconds / lane_seconds
 
     ref_freq = reference.voltage("n0").frequency(threshold=TECH_012UM.vdd / 2.0)
-    cmp_freq = compiled.voltage("n0").frequency(threshold=TECH_012UM.vdd / 2.0)
-    rel_error = abs(cmp_freq - ref_freq) / ref_freq
+    lane_freq = lane.voltage("n0").frequency(threshold=TECH_012UM.vdd / 2.0)
+    rel_error = abs(lane_freq - ref_freq) / ref_freq
 
-    print_header("SPICE transient: compiled stamp plan vs reference engine")
+    print_header("SPICE transient: one-lane stamp plan vs reference engine")
     print(f"reference engine : {reference_seconds:8.3f}s  ({ref_freq / 1e9:.4f} GHz)")
-    print(f"compiled engine  : {compiled_seconds:8.3f}s  ({cmp_freq / 1e9:.4f} GHz)")
+    print(f"one-lane engine  : {lane_seconds:8.3f}s  ({lane_freq / 1e9:.4f} GHz)")
     print(f"speedup          : {speedup:8.2f}x  (frequency rel. error {rel_error:.2e})")
 
-    assert rel_error < 1e-6, "compiled transient drifted from the reference waveform"
-    assert speedup >= 1.5, f"compiled transient speedup {speedup:.2f}x is below the 1.5x floor"
+    assert rel_error < 1e-6, "one-lane transient drifted from the reference waveform"
+    assert speedup >= 1.5, f"one-lane transient speedup {speedup:.2f}x is below the 1.5x floor"
     benchmark.extra_info["speedup_spice_transient"] = speedup
-    benchmark.pedantic(_ring_transient, args=("compiled",), rounds=1, iterations=1)
+    benchmark.pedantic(_ring_transient, args=("lanes",), rounds=1, iterations=1)
 
 
 def test_spice_verification_lanes_vs_reference(benchmark, combined_model):

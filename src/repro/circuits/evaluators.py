@@ -633,12 +633,11 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         (the default) uses the CPU count capped at 8 (:meth:`pool_size`),
         and ``HierarchicalFlow(n_workers=...)`` fills it in when unset.
     engine:
-        ``"reference"`` (per-element Python engine, byte-stable default),
-        ``"compiled"`` (vectorised stamp plan per transient) or ``"lanes"``
-        (compiled plus lane-parallel batching: :meth:`evaluate_batch`
-        advances ``lane_width`` tasks per in-process batch, and chunks of
-        lanes still fan out over the process pool).  The compiled engines
-        are tolerance-equivalent to the reference, not byte-identical.
+        ``"reference"`` (per-element Python engine, the default) or
+        ``"lanes"`` (lane-parallel stamp plan: each chunk of
+        ``lane_width`` tasks is one lane-parallel transient, and chunks
+        still fan out over the process pool).  The lane engine is
+        tolerance-equivalent to the reference, not byte-identical.
     lane_width:
         Number of (design, technology, mismatch) tasks simulated together
         per lane batch when ``engine="lanes"`` (each task contributes two
@@ -699,9 +698,12 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         technology: Optional[Technology] = None,
         mismatch: Optional[MismatchSample] = None,
     ) -> VcoPerformance:
-        """Evaluate the five performances with transistor-level transients."""
-        design, tech, overrides = self._prepare(design, technology, mismatch)
-        return self._testbench(tech).run(design, device_overrides=overrides)
+        """Evaluate the five performances with transistor-level transients.
+
+        A one-task chunk of :meth:`evaluate_batch`, so it equals the
+        matching batch entry bit for bit.
+        """
+        return self._evaluate_chunk([(design, technology, mismatch)])[0]
 
     def _prepare(
         self,
@@ -729,11 +731,11 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         The (design, technology, mismatch) triples are cut into chunks:
         ``lane_width`` tasks per chunk for ``engine="lanes"`` (one
         lane-parallel transient each), else ``ceil(n / (4 workers))``
-        tasks evaluated one by one.  The pool is initialised once with the
-        (picklable) evaluator, the chunks are mapped in order, and every
-        worker runs the same chunk evaluation as this process would, so
-        the results equal the in-process loop.  One worker or one chunk
-        runs in process, without a pool.
+        tasks simulated one transient after another.  The pool is
+        initialised once with the (picklable) evaluator, the chunks are
+        mapped in order, and every worker runs the same chunk evaluation
+        as this process would, so the results equal the in-process loop.
+        One worker or one chunk runs in process, without a pool.
         """
         designs_b, techs, mms = _broadcast_batch(
             designs, _batch_or_nominal(samples, technology or self.technology)
@@ -776,9 +778,7 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
     def _evaluate_chunk(
         self, tasks: Sequence[Tuple[VcoDesign, Technology, Optional[MismatchSample]]]
     ) -> List[VcoPerformance]:
-        """One chunk: a lane-parallel transient, or a loop of :meth:`evaluate`."""
-        if self.engine != "lanes":
-            return [self.evaluate(*task) for task in tasks]
+        """One chunk of tasks through one :meth:`VcoTestbench.run_batch` call."""
         prepared = [self._prepare(*task) for task in tasks]
         return self._testbench(self.technology).run_batch(prepared)
 

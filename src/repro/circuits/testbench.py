@@ -46,10 +46,12 @@ class VcoMeasurement:
 class VcoTestbench:
     """Measure the five VCO performances with the MNA transient engine.
 
-    ``engine`` selects the simulation backend: ``"reference"`` (per-element
-    Python stamping, byte-stable), ``"compiled"`` (vectorised stamp plan)
-    or ``"lanes"`` (compiled plus lane-parallel batch transients in
-    :meth:`run_batch`; single measurements use the compiled path).
+    ``engine`` selects the simulation backend (:data:`~repro.spice.plan.ENGINES`):
+    ``"reference"`` runs one per-element :class:`TransientAnalysis` per
+    control voltage, ``"lanes"`` runs every transient of a call as one
+    :class:`LaneTransientAnalysis`.  Every measurement goes through
+    :meth:`_transients`, so :meth:`run` and :meth:`measure_at` are
+    one-task and one-circuit calls of the same path as :meth:`run_batch`.
     """
 
     #: Output node whose waveform is measured; topology subclasses override
@@ -95,6 +97,28 @@ class VcoTestbench:
 
     def _t_stop(self) -> float:
         return min(self.max_sim_time, max(6e-9, self.sim_cycles * 2e-9))
+
+    def _transients(
+        self, circuits: Sequence[Circuit], initial_conditions: Sequence[Dict[str, float]]
+    ) -> List[Optional[TransientResult]]:
+        """Simulate the circuits on the configured engine; ``None`` marks a failure."""
+        settings = dict(t_stop=self._t_stop(), dt=self.dt, use_dc_start=False)
+        if self.engine == "lanes":
+            try:
+                return LaneTransientAnalysis(
+                    circuits, initial_conditions=initial_conditions, **settings
+                ).run()
+            except (ConvergenceError, AnalysisError):
+                return [None] * len(circuits)
+        results: List[Optional[TransientResult]] = []
+        for circuit, conditions in zip(circuits, initial_conditions):
+            try:
+                results.append(
+                    TransientAnalysis(circuit, initial_conditions=conditions, **settings).run()
+                )
+            except (ConvergenceError, AnalysisError):
+                results.append(None)
+        return results
 
     def _measure_result(
         self, result: Optional[TransientResult], vctrl: float, vdd: float
@@ -147,17 +171,7 @@ class VcoTestbench:
             design, self.technology, vctrl, device_overrides=device_overrides
         )
         vdd = self.technology.vdd
-        try:
-            result = TransientAnalysis(
-                circuit,
-                t_stop=self._t_stop(),
-                dt=self.dt,
-                initial_conditions=self._kick_conditions(vdd),
-                use_dc_start=False,
-                engine="reference" if self.engine == "reference" else "compiled",
-            ).run()
-        except (ConvergenceError, AnalysisError):
-            result = None
+        (result,) = self._transients([circuit], [self._kick_conditions(vdd)])
         return self._measure_result(result, vctrl, vdd)
 
     # -- jitter estimate ----------------------------------------------------------------
@@ -227,21 +241,18 @@ class VcoTestbench:
         device_overrides: Optional[Dict[str, Dict[str, float]]] = None,
     ) -> VcoPerformance:
         """Measure the five performances of one design point."""
-        low = self.measure_at(design, self.vctrl_min, device_overrides)
-        high = self.measure_at(design, self.vctrl_max, device_overrides)
-        return self._combine(design, low, high)
+        return self.run_batch([(design, None, device_overrides)])[0]
 
     def run_batch(self, tasks: Sequence[BatchTask]) -> List[VcoPerformance]:
         """Measure many (design, technology, overrides) tasks in one go.
 
-        Every task contributes two lanes (one per control voltage) to a
-        single :class:`LaneTransientAnalysis`, so the whole batch advances
-        through one time-marching loop with a batched Jacobian.  All tasks
-        must share the ring topology (they do by construction: designs,
-        technologies and mismatch overrides only change parameter values).
+        Every task contributes two transients (one per control voltage) to
+        one :meth:`_transients` call; on the ``lanes`` engine the whole
+        batch advances through one time-marching loop with a batched
+        Jacobian.  All tasks must share the ring topology (they do by
+        construction: designs, technologies and mismatch overrides only
+        change parameter values).
         """
-        if not tasks:
-            return []
         prepared = [
             (design, technology or self.technology, overrides)
             for design, technology, overrides in tasks
@@ -254,16 +265,7 @@ class VcoTestbench:
                     self._build_circuit(design, tech, vctrl, device_overrides=overrides)
                 )
                 initial_conditions.append(self._kick_conditions(tech.vdd))
-        try:
-            results: List[Optional[TransientResult]] = LaneTransientAnalysis(
-                circuits,
-                t_stop=self._t_stop(),
-                dt=self.dt,
-                initial_conditions=initial_conditions,
-                use_dc_start=False,
-            ).run()
-        except (ConvergenceError, AnalysisError):
-            results = [None] * len(circuits)
+        results = self._transients(circuits, initial_conditions)
         performances = []
         for index, (design, tech, overrides) in enumerate(prepared):
             low = self._measure_result(results[2 * index], self.vctrl_min, tech.vdd)

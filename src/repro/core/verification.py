@@ -4,9 +4,11 @@ The last claim of the paper is that the behavioural prediction "has been
 verified with transistor level simulations" without "a corresponding drop
 in accuracy".  This module quantifies that claim for the reproduction: the
 selected (or any) operating point is mapped back to transistor sizes and
-re-evaluated with a reference evaluator -- by default the transistor-level
-MNA test bench -- and the relative error of every performance against the
-behavioural (table-model) prediction is reported.
+re-evaluated with a reference evaluator -- the transistor-level MNA test
+bench of ``HierarchicalFlow.spice_evaluator`` or any other
+:class:`~repro.circuits.evaluators.VcoEvaluator` -- and the relative
+error of every performance against the behavioural (table-model)
+prediction is reported.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.circuits.evaluators import VcoEvaluator
-from repro.circuits.topology import topology_for_parameters
 from repro.core.combined_model import CombinedPerformanceVariationModel
-from repro.process.technology import TECH_012UM
 
 __all__ = ["VerificationPoint", "VerificationReport", "BottomUpVerification"]
 
@@ -92,16 +92,9 @@ class BottomUpVerification:
     def __init__(
         self,
         model: CombinedPerformanceVariationModel,
-        reference_evaluator: Optional[VcoEvaluator] = None,
-        engine: str = "reference",
+        reference_evaluator: VcoEvaluator,
     ) -> None:
         self.model = model
-        if reference_evaluator is None:
-            # The model knows only its design-parameter names; resolve them
-            # back to the topology whose SPICE test bench can re-measure
-            # the reconstructed design points.
-            topology = topology_for_parameters(model.performance.parameter_names)
-            reference_evaluator = topology.spice_evaluator(TECH_012UM, engine=engine)
         self.reference_evaluator = reference_evaluator
 
     def _make_point(

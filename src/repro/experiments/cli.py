@@ -58,6 +58,7 @@ from repro.experiments.registry import (
 from repro.experiments.report import report_payload
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.optim.evaluation import EVALUATOR_CHOICES
+from repro.spice.plan import ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--spice-engine",
-        choices=("reference", "compiled", "lanes"),
+        choices=ENGINES,
         default=None,
         help="transistor-level verification backend (does not change the cache key)",
     )
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--spice-engine",
-        choices=("reference", "compiled", "lanes"),
+        choices=ENGINES,
         default=None,
         help="transistor-level verification backend (does not change the job id)",
     )

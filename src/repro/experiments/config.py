@@ -90,10 +90,10 @@ class ScenarioConfig:
     run_yield / run_verification:
         Which optional stages the runner executes.
     spice_engine:
-        Backend of the transistor-level verification simulations
-        (``reference`` / ``compiled`` / ``lanes``).  Excluded from the
-        config hash: the engines agree to solver tolerance (not to the
-        bit), and the numbers an experiment *selects and reports* come
+        Backend of the transistor-level verification simulations, one of
+        :data:`repro.spice.plan.ENGINES` (``reference`` / ``lanes``).
+        Excluded from the config hash: the engines agree to solver
+        tolerance (not to the bit), and the numbers an experiment *selects and reports* come
         from the analytical evaluator either way.
     topology:
         Key into :data:`repro.circuits.topology.TOPOLOGIES` selecting the

@@ -14,13 +14,19 @@ level:
   source stepping homotopies,
 * :mod:`repro.spice.transient` -- fixed/adaptive-step transient analysis
   with backward-Euler and trapezoidal integration,
+* :mod:`repro.spice.plan` -- the stamp plan of the lane engine, which
+  solves many same-topology circuits at once (one circuit is one lane),
 * :mod:`repro.spice.parser` -- a SPICE-like netlist text parser, and
 * :mod:`repro.spice.waveform` -- waveform measurement utilities (period,
   frequency, duty cycle, RMS, settling time).
 
-The engine is intentionally compact but genuinely solves the nonlinear
-nodal equations; it is used for bottom-up verification of results obtained
-with the calibrated analytical evaluator in :mod:`repro.circuits`.
+There are two engines, named in :data:`ENGINES`: ``reference``
+(:class:`TransientAnalysis` and :class:`DCOperatingPoint`, per-element
+Python stamping, the test oracle) and ``lanes``
+(:class:`LaneTransientAnalysis` over a :class:`CircuitPlan`).  Both are
+compact but genuinely solve the nonlinear nodal equations; they are used
+for bottom-up verification of results obtained with the calibrated
+analytical evaluator in :mod:`repro.circuits`.
 """
 
 from repro.spice.dc import DCOperatingPoint, DCResult, dc_operating_point
@@ -43,7 +49,7 @@ from repro.spice.exceptions import (
 from repro.spice.mosfet import MOSFET, MOSFETModel, NMOS_DEFAULT, PMOS_DEFAULT
 from repro.spice.netlist import Circuit, GROUND
 from repro.spice.parser import parse_netlist
-from repro.spice.plan import CircuitPlan, ENGINES, LaneSystem, compile_circuits
+from repro.spice.plan import CircuitPlan, ENGINES, LaneSystem
 from repro.spice.transient import LaneTransientAnalysis, TransientAnalysis, TransientResult
 from repro.spice.waveform import Waveform
 
@@ -70,7 +76,6 @@ __all__ = [
     "LaneTransientAnalysis",
     "CircuitPlan",
     "LaneSystem",
-    "compile_circuits",
     "ENGINES",
     "Waveform",
     "parse_netlist",

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.spice.elements import VoltageSource
-from repro.spice.exceptions import AnalysisError, ConvergenceError
+from repro.spice.exceptions import ConvergenceError
 from repro.spice.mna import NewtonOptions, NewtonSolver
 from repro.spice.mosfet import MOSFET, OperatingPoint
 from repro.spice.netlist import Circuit, GROUND
@@ -81,11 +81,8 @@ class DCResult:
 class DCOperatingPoint:
     """DC operating-point analysis with gmin and source stepping homotopies.
 
-    ``engine`` selects the assembly backend: ``"reference"`` (per-element
-    Python stamping, byte-stable) or ``"compiled"`` (vectorised stamp plan
-    from :mod:`repro.spice.plan`, tolerance-equivalent).  The compiled
-    engine reports a singular Jacobian as a :class:`ConvergenceError`
-    instead of :class:`~repro.spice.exceptions.SingularMatrixError`.
+    This is the per-element reference engine; the lane engine's DC solve
+    is :func:`repro.spice.plan.lane_dc_solve`.
     """
 
     def __init__(
@@ -94,39 +91,14 @@ class DCOperatingPoint:
         options: NewtonOptions | None = None,
         gmin_steps: int = 8,
         source_steps: int = 10,
-        engine: str = "reference",
     ) -> None:
-        if engine not in ("reference", "compiled"):
-            raise AnalysisError(f"unknown DC engine {engine!r}")
         self.circuit = circuit
         self.options = options or NewtonOptions()
         self.gmin_steps = gmin_steps
         self.source_steps = source_steps
-        self.engine = engine
-
-    def _run_compiled(self, x0: Optional[np.ndarray]) -> DCResult:
-        from repro.spice.plan import LaneSystem, compile_circuits, lane_dc_solve
-
-        plan = compile_circuits([self.circuit])
-        system = LaneSystem(plan)
-        start = None
-        if x0 is not None:
-            start = np.zeros((1, plan.pad_size))
-            start[0, : plan.n_unknowns] = np.asarray(x0, dtype=float)
-        x, converged, iterations = lane_dc_solve(
-            system, self.options, start, self.gmin_steps, self.source_steps
-        )
-        if not converged[0]:
-            raise ConvergenceError(
-                "compiled DC operating point did not converge",
-                iterations=int(iterations[0]),
-            )
-        return DCResult(self.circuit, x[0, : plan.n_unknowns].copy(), int(iterations[0]))
 
     def run(self, x0: Optional[np.ndarray] = None) -> DCResult:
         """Solve for the DC operating point."""
-        if self.engine == "compiled":
-            return self._run_compiled(x0)
         solver = NewtonSolver(self.circuit, self.options)
         try:
             result = solver.solve(x0, analysis="dc")

@@ -320,7 +320,7 @@ class MOSFET(Element):
 class MOSFETArrays:
     """Per-lane, per-device MOSFET parameters for array-wise evaluation.
 
-    Used by the compiled stamp-plan engine (:mod:`repro.spice.plan`): one
+    Used by the lane stamp-plan engine (:mod:`repro.spice.plan`): one
     row of devices per lane, all lanes sharing the same topology, so that
     the whole ``(n_lanes, n_devices)`` block of drain currents and
     derivatives is evaluated with numpy ufuncs instead of per-device
@@ -409,7 +409,7 @@ class MOSFETArrays:
 
         ``terminals`` stacks the ``vd``, ``vg``, ``vs`` and ``vb`` arrays
         on a leading axis of size 4.  Mirrors the ``delta = 1e-6`` finite
-        differences of :meth:`MOSFET.contribute` so the compiled Jacobian
+        differences of :meth:`MOSFET.contribute` so the lane Jacobian
         matches the reference engine's linearisation.  The base point and
         its four perturbations go through one :meth:`drain_current` call
         on a leading stack axis of size 5; every operation is elementwise,

@@ -1,4 +1,4 @@
-"""Compiled stamp-plan MNA engine with lane-parallel assembly.
+"""Stamp-plan MNA engine with lane-parallel assembly (the ``lanes`` engine).
 
 The reference engine (:mod:`repro.spice.mna`) re-stamps the circuit
 element by element in pure Python on every Newton iteration of every time
@@ -6,11 +6,11 @@ step.  This module compiles a :class:`~repro.spice.netlist.Circuit` *once*
 into per-element-type index and parameter arrays and then performs
 assembly as vectorised scatter-adds whose flat indices are built once:
 
-* :func:`compile_circuits` builds a :class:`CircuitPlan` from ``n_lanes``
-  circuits that share one topology (same element types, names and nodes at
-  every position) but may carry different parameter values — exactly the
-  (design, technology, mismatch) triples that bottom-up verification fans
-  out.
+* :class:`CircuitPlan` is built from ``n_lanes`` circuits that share one
+  topology (same element types, names and nodes at every position) but
+  may carry different parameter values — exactly the (design, technology,
+  mismatch) triples that bottom-up verification fans out.  A single
+  circuit is a one-lane plan.
 * :class:`LaneSystem` holds the per-step ``(n_lanes, n, n)`` linear
   matrix and ``(n_lanes, n)`` constant vector and assembles all lanes at
   once; MOSFET and diode model equations are evaluated array-wise over
@@ -60,13 +60,13 @@ __all__ = [
     "ENGINES",
     "CircuitPlan",
     "LaneSystem",
-    "compile_circuits",
     "lane_newton",
     "lane_dc_solve",
 ]
 
-#: Engine identifiers accepted by the analyses and evaluators.
-ENGINES = ("reference", "compiled", "lanes")
+#: Engine identifiers accepted by the test bench, evaluators and flow:
+#: the per-element ``reference`` oracle and the lane-parallel stamp plan.
+ENGINES = ("reference", "lanes")
 
 
 class _SourceTable:
@@ -111,7 +111,7 @@ class CircuitPlan:
 
     def __init__(self, circuits: Sequence[Circuit]) -> None:
         if not circuits:
-            raise NetlistError("compile_circuits needs at least one circuit")
+            raise NetlistError("CircuitPlan needs at least one circuit")
         base = circuits[0]
         base.validate()
         for lane, other in enumerate(circuits[1:], start=1):
@@ -249,7 +249,7 @@ class CircuitPlan:
             else:
                 raise NetlistError(
                     f"element {element.name!r} of type {type(element).__name__} is not "
-                    "supported by the compiled engine"
+                    "supported by the lane engine"
                 )
 
         self.a_static = a_static
@@ -345,11 +345,6 @@ class CircuitPlan:
                 raise NetlistError(
                     f"lane {lane} MOSFET {elem.name!r} changes polarity across lanes"
                 )
-
-
-def compile_circuits(circuits: Sequence[Circuit]) -> CircuitPlan:
-    """Compile same-topology circuits (one per lane) into a stamp plan."""
-    return CircuitPlan(circuits)
 
 
 class _Scatter:

@@ -24,7 +24,7 @@ from repro.spice.elements import VoltageSource
 from repro.spice.exceptions import AnalysisError, ConvergenceError
 from repro.spice.mna import NewtonOptions, NewtonSolver
 from repro.spice.netlist import Circuit, GROUND
-from repro.spice.plan import LaneSystem, compile_circuits, lane_dc_solve, lane_newton
+from repro.spice.plan import CircuitPlan, LaneSystem, lane_dc_solve, lane_newton
 from repro.spice.waveform import Waveform
 
 __all__ = ["TransientResult", "TransientAnalysis", "LaneTransientAnalysis"]
@@ -94,10 +94,9 @@ class TransientAnalysis:
         False).
     use_dc_start:
         Whether to compute a DC operating point as the starting state.
-    engine:
-        ``"reference"`` for the per-element Python engine (byte-stable) or
-        ``"compiled"`` for the vectorised stamp plan of
-        :mod:`repro.spice.plan` (tolerance-equivalent results).
+
+    This is the per-element reference engine, the oracle of
+    :class:`LaneTransientAnalysis`.
     """
 
     def __init__(
@@ -111,7 +110,6 @@ class TransientAnalysis:
         use_dc_start: bool = True,
         newton_options: NewtonOptions | None = None,
         max_step_refinements: int = 6,
-        engine: str = "reference",
     ) -> None:
         if t_stop <= 0.0 or dt <= 0.0:
             raise AnalysisError("t_stop and dt must be positive")
@@ -119,10 +117,7 @@ class TransientAnalysis:
             raise AnalysisError("dt must be smaller than t_stop")
         if integrator not in ("be", "trap"):
             raise AnalysisError("integrator must be 'be' or 'trap'")
-        if engine not in ("reference", "compiled"):
-            raise AnalysisError(f"unknown transient engine {engine!r}")
         self.circuit = circuit
-        self.engine = engine
         self.t_stop = float(t_stop)
         self.dt = float(dt)
         self.integrator = integrator
@@ -158,25 +153,6 @@ class TransientAnalysis:
 
     def run(self) -> TransientResult:
         """Run the transient simulation and return the sampled solution."""
-        if self.engine == "compiled":
-            lanes = LaneTransientAnalysis(
-                [self.circuit],
-                self.t_stop,
-                self.dt,
-                integrator=self.integrator,
-                t_start_recording=self.t_start_recording,
-                initial_conditions=[self.initial_conditions],
-                use_dc_start=self.use_dc_start,
-                newton_options=self.newton_options,
-                max_step_refinements=self.max_step_refinements,
-            )
-            result = lanes.run()[0]
-            if result is None:
-                raise ConvergenceError(
-                    "transient time point failed to converge after "
-                    f"{self.max_step_refinements} step refinements"
-                )
-            return result
         solver = NewtonSolver(self.circuit, self.newton_options)
         state: Dict[str, Dict[str, float]] = {}
         x = self._initial_state(solver)
@@ -307,7 +283,7 @@ class LaneTransientAnalysis:
 
     def run(self) -> List[Optional[TransientResult]]:
         """Advance every lane to ``t_stop`` and return per-lane results."""
-        plan = compile_circuits(self.circuits)
+        plan = CircuitPlan(self.circuits)
         system = LaneSystem(plan)
         options = self.newton_options
         n_lanes, n = plan.n_lanes, plan.n_unknowns

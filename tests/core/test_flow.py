@@ -177,11 +177,6 @@ def test_bottom_up_verification_single_point(combined_model, analytical_evaluato
     assert errors["current"] < 0.3
 
 
-def test_bottom_up_verification_engine_selects_default_evaluator(combined_model):
-    verifier = BottomUpVerification(combined_model, engine="lanes")
-    assert verifier.reference_evaluator.engine == "lanes"
-
-
 def test_flow_spice_evaluator_carries_engine_knobs(technology):
     from repro.experiments.config import ScenarioConfig
 
@@ -192,8 +187,8 @@ def test_flow_spice_evaluator_carries_engine_knobs(technology):
     assert evaluator.n_stages == flow.n_stages
     assert evaluator.technology is technology
 
-    scenario = ScenarioConfig(name="engine-knob", spice_engine="compiled")
-    assert HierarchicalFlow.from_scenario(scenario).spice_engine == "compiled"
+    scenario = ScenarioConfig(name="engine-knob", spice_engine="lanes")
+    assert HierarchicalFlow.from_scenario(scenario).spice_engine == "lanes"
 
     with pytest.raises(ValueError):
         HierarchicalFlow(spice_engine="spectre")

@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.experiments import cli
 from repro.optim.evaluation import EVALUATOR_CHOICES
+from repro.spice.plan import ENGINES
 
 #: Environment for subprocesses: make ``import repro`` work from the src
 #: layout even when the package is not installed in the interpreter.
@@ -119,6 +120,22 @@ def test_spice_engine_override_reaches_the_scenario():
     # An execution detail: the cache key must not move.
     base = cli._scenario_with_overrides(cli.build_parser().parse_args(["run", "fast-smoke"]))
     assert scenario.config_hash() == base.config_hash()
+
+
+def test_spice_engine_choices_match_the_api():
+    # Both subcommands offer exactly the SPICE ENGINES; the retired
+    # ``compiled`` engine is a usage error.
+    parser = cli.build_parser()
+    subcommands = parser._subparsers._group_actions[0].choices
+    for command in ("run", "submit"):
+        (option,) = [a for a in subcommands[command]._actions if a.dest == "spice_engine"]
+        assert option.choices is ENGINES
+        for name in ENGINES:
+            args = parser.parse_args([command, "fast-smoke", "--spice-engine", name])
+            assert args.spice_engine == name
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([command, "fast-smoke", "--spice-engine", "compiled"])
+        assert excinfo.value.code == 2
 
 
 def test_invalid_override_value_is_a_usage_error(capsys):

@@ -69,18 +69,25 @@ def test_drain_mode_waits_for_expired_lease_jobs(tmp_path, monkeypatch):
     assert calls["n"] >= 2
 
 
-@pytest.mark.parametrize("backend", ["process", "vectorized"])
-def test_job_naming_a_retired_backend_fails_without_killing_the_worker(tmp_path, backend):
+@pytest.mark.parametrize(
+    "field, backend",
+    [("evaluation", "process"), ("evaluation", "vectorized"), ("spice_engine", "compiled")],
+    ids=["process", "vectorized", "compiled"],
+)
+def test_job_naming_a_retired_backend_fails_without_killing_the_worker(
+    tmp_path, field, backend
+):
     """A job stored while ``process`` / ``vectorized`` were accepted
-    backend names no longer resolves: it fails as an unresolvable
-    scenario, and the same worker goes on to finish the next job."""
+    backend names, or ``compiled`` an accepted SPICE engine, no longer
+    resolves: it fails as an unresolvable scenario, and the same worker
+    goes on to finish the next job."""
     db = tmp_path / "service.db"
     store = SqliteJobStore(db, lease_ttl=30.0)
     stale, _ = store.submit(TINY)
     with sqlite3.connect(db) as connection:
         connection.execute(
             "UPDATE jobs SET scenario_json = ? WHERE id = ?",
-            (json.dumps(dict(TINY.as_dict(), evaluation=backend)), stale.id),
+            (json.dumps(dict(TINY.as_dict(), **{field: backend})), stale.id),
         )
     healthy, _ = store.submit(TINY.with_overrides(seed=38))
     executed = worker_loop(db, tmp_path / "cache", lease_ttl=30.0, poll_interval=0.01, max_jobs=2)

@@ -1,36 +1,49 @@
-"""Cross-engine equivalence tests: reference vs compiled vs lanes.
+"""Cross-engine equivalence tests: the reference engine vs the lane engine.
 
-The compiled stamp-plan engine (:mod:`repro.spice.plan`) promises results
+The lane engine's stamp plan (:mod:`repro.spice.plan`) promises results
 *tolerance-equivalent* to the per-element reference engine — agreement to
 well below the Newton solver tolerances, not bit-equality (see the module
 docstring for the two documented deviations).  These tests sweep both DC
-and transient analyses over parser-driven netlists, exercise the gmin and
-source-stepping homotopy fallbacks, pin the lane-parallel batch to the
-single-lane compiled run bit-for-bit, and hold a golden-number regression
-on the ring-VCO test bench.
+and transient analyses over parser-driven netlists, with a one-lane
+:class:`CircuitPlan` against the reference :class:`DCOperatingPoint` and
+:class:`TransientAnalysis` oracles, exercise the gmin and source-stepping
+homotopy fallbacks, pin a lane of a batch to its single-lane run
+bit-for-bit, pin every single-design test-bench and evaluator call to the
+batch path bit-for-bit, and hold a golden-number regression on the
+ring-VCO test bench.
 """
 
 import numpy as np
 import pytest
 
+from repro.circuits.evaluators import RingVcoSpiceEvaluator
+from repro.circuits.pseudodiff import (
+    PseudoDiffSpiceEvaluator,
+    PseudoDiffTestbench,
+    PseudoDiffVcoDesign,
+)
 from repro.circuits.ring_vco import VcoDesign
 from repro.circuits.testbench import VcoTestbench
 from repro.process.technology import TECH_012UM
 from repro.spice import (
     Circuit,
+    CircuitPlan,
+    ENGINES,
+    LaneSystem,
     MOSFET,
     NMOS_DEFAULT,
     Resistor,
     TransientAnalysis,
     VoltageSource,
-    compile_circuits,
     parse_netlist,
 )
-from repro.spice.dc import DCOperatingPoint
+from repro.spice.dc import DCOperatingPoint, DCResult
 from repro.spice.exceptions import AnalysisError, NetlistError
+from repro.spice.mna import NewtonOptions
+from repro.spice.plan import lane_dc_solve
 from repro.spice.transient import LaneTransientAnalysis
 
-# Parser-driven netlists covering every element the compiled engine stamps:
+# Parser-driven netlists covering every element the lane engine stamps:
 # passives, branch elements (V, L), controlled sources, diodes and MOSFETs.
 NETLISTS = {
     "ladder_divider": """
@@ -75,18 +88,21 @@ C1 out 0 1n
 }
 
 
-def _dc_voltages(circuit, engine):
-    result = DCOperatingPoint(circuit, engine=engine).run()
-    return result.voltages
+def _lane_dc(circuit, **homotopy):
+    """DC operating point of ``circuit`` as a one-lane :func:`lane_dc_solve`."""
+    plan = CircuitPlan([circuit])
+    x, converged, iterations = lane_dc_solve(LaneSystem(plan), NewtonOptions(), **homotopy)
+    assert converged[0]
+    return DCResult(circuit, x[0, : plan.n_unknowns].copy(), int(iterations[0]))
 
 
 @pytest.mark.parametrize("name", sorted(NETLISTS))
 def test_dc_compiled_matches_reference(name):
-    reference = _dc_voltages(parse_netlist(NETLISTS[name]), "reference")
-    compiled = _dc_voltages(parse_netlist(NETLISTS[name]), "compiled")
-    assert set(compiled) == set(reference)
+    reference = DCOperatingPoint(parse_netlist(NETLISTS[name])).run().voltages
+    lane = _lane_dc(parse_netlist(NETLISTS[name])).voltages
+    assert set(lane) == set(reference)
     for node, value in reference.items():
-        assert compiled[node] == pytest.approx(value, rel=1e-6, abs=1e-9)
+        assert lane[node] == pytest.approx(value, rel=1e-6, abs=1e-9)
 
 
 def _hard_start_circuit():
@@ -103,18 +119,16 @@ def _hard_start_circuit():
 
 def test_compiled_gmin_stepping_matches_reference():
     reference = DCOperatingPoint(_hard_start_circuit()).run()
-    compiled = DCOperatingPoint(_hard_start_circuit(), engine="compiled").run()
-    assert compiled.voltage("mid") == pytest.approx(reference.voltage("mid"), rel=1e-6)
-    assert 0.0 < compiled.voltage("mid") < 1.2
+    lane = _lane_dc(_hard_start_circuit())
+    assert lane.voltage("mid") == pytest.approx(reference.voltage("mid"), rel=1e-6)
+    assert 0.0 < lane.voltage("mid") < 1.2
 
 
 def test_compiled_source_stepping_fallback():
-    # With the gmin ladder disabled the compiled engine must fall through
+    # With the gmin ladder disabled the lane DC solve must fall through
     # to source stepping and still land on the same operating point.
-    full = DCOperatingPoint(_hard_start_circuit(), engine="compiled").run()
-    stepped = DCOperatingPoint(
-        _hard_start_circuit(), gmin_steps=0, engine="compiled"
-    ).run()
+    full = _lane_dc(_hard_start_circuit())
+    stepped = _lane_dc(_hard_start_circuit(), gmin_steps=0)
     assert stepped.voltage("mid") == pytest.approx(full.voltage("mid"), rel=1e-6)
 
 
@@ -141,22 +155,15 @@ CL d 0 50f
     "name, netlist, probe", TRANSIENT_CASES, ids=lambda c: c if isinstance(c, str) else ""
 )
 def test_transient_compiled_matches_reference(name, netlist, probe, integrator):
-    waves = {}
-    for engine in ("reference", "compiled"):
-        result = TransientAnalysis(
-            parse_netlist(netlist),
-            t_stop=20e-9,
-            dt=0.2e-9,
-            integrator=integrator,
-            engine=engine,
-        ).run()
-        waves[engine] = result.voltage(probe)
-    reference, compiled = waves["reference"], waves["compiled"]
-    assert np.array_equal(reference.time, compiled.time)
-    np.testing.assert_allclose(compiled.values, reference.values, rtol=1e-5, atol=1e-8)
+    settings = dict(t_stop=20e-9, dt=0.2e-9, integrator=integrator)
+    reference = TransientAnalysis(parse_netlist(netlist), **settings).run().voltage(probe)
+    (result,) = LaneTransientAnalysis([parse_netlist(netlist)], **settings).run()
+    lane = result.voltage(probe)
+    assert np.array_equal(reference.time, lane.time)
+    np.testing.assert_allclose(lane.values, reference.values, rtol=1e-5, atol=1e-8)
 
 
-def test_lane_batch_bitwise_equals_single_compiled():
+def test_lane_batch_bitwise_equals_single_lane():
     # A lane's trajectory must not depend on what shares its batch: masked
     # Newton updates freeze converged/foreign lanes exactly.
     netlists = [
@@ -167,16 +174,14 @@ def test_lane_batch_bitwise_equals_single_compiled():
         [parse_netlist(text) for text in netlists], t_stop=10e-9, dt=0.1e-9
     ).run()
     for text, lane_result in zip(netlists, batch):
-        single = TransientAnalysis(
-            parse_netlist(text), t_stop=10e-9, dt=0.1e-9, engine="compiled"
-        ).run()
+        (single,) = LaneTransientAnalysis([parse_netlist(text)], t_stop=10e-9, dt=0.1e-9).run()
         assert np.array_equal(lane_result.voltage("out").values, single.voltage("out").values)
 
 
 def test_lane_topology_mismatch_rejected():
     circuits = [parse_netlist(NETLISTS["ladder_divider"]), parse_netlist(NETLISTS["diode_clamp"])]
     with pytest.raises(NetlistError):
-        compile_circuits(circuits)
+        CircuitPlan(circuits)
 
 
 def test_lane_initial_condition_validation():
@@ -191,13 +196,10 @@ def test_lane_initial_condition_validation():
 
 
 def test_engine_argument_validation():
-    circuit = parse_netlist(NETLISTS["ladder_divider"])
-    with pytest.raises(AnalysisError):
-        DCOperatingPoint(circuit, engine="nope")
-    with pytest.raises(AnalysisError):
-        TransientAnalysis(circuit, t_stop=1e-9, dt=1e-11, engine="nope")
-    with pytest.raises(ValueError):
-        VcoTestbench(engine="nope")
+    assert ENGINES == ("reference", "lanes")
+    for retired in ("nope", "compiled"):
+        with pytest.raises(ValueError):
+            VcoTestbench(engine=retired)
 
 
 # -- ring-VCO test bench ---------------------------------------------------------------
@@ -213,8 +215,31 @@ _GOLDEN = {
 }
 
 
-def _bench(engine):
-    return VcoTestbench(TECH_012UM, dt=60e-12, sim_cycles=2, engine=engine)
+#: Test bench, SPICE evaluator and three designs of each topology.
+_TOPOLOGIES = {
+    "ring-vco": (
+        VcoTestbench,
+        RingVcoSpiceEvaluator,
+        [
+            VcoDesign(),
+            VcoDesign(nmos_width=20e-6, pmos_width=40e-6),
+            VcoDesign(tail_nmos_width=20e-6, tail_pmos_width=40e-6),
+        ],
+    ),
+    "pseudodiff-vco": (
+        PseudoDiffTestbench,
+        PseudoDiffSpiceEvaluator,
+        [
+            PseudoDiffVcoDesign(),
+            PseudoDiffVcoDesign(cross_width=4e-6),
+            PseudoDiffVcoDesign(nmos_width=20e-6, pmos_width=40e-6),
+        ],
+    ),
+}
+
+
+def _bench(engine, testbench_cls=VcoTestbench):
+    return testbench_cls(TECH_012UM, dt=60e-12, sim_cycles=2, engine=engine)
 
 
 def test_ring_vco_golden_regression():
@@ -225,13 +250,41 @@ def test_ring_vco_golden_regression():
 
 
 def test_ring_vco_lanes_match_reference_bench():
-    designs = [
-        VcoDesign(),
-        VcoDesign(nmos_width=20e-6, pmos_width=40e-6),
-    ]
+    designs = _TOPOLOGIES["ring-vco"][2][:2]
     reference = [_bench("reference").run(design) for design in designs]
     lanes = _bench("lanes").run_batch([(design, None, None) for design in designs])
     for ref, lane in zip(reference, lanes):
         ref_dict, lane_dict = ref.as_dict(), lane.as_dict()
         for key, value in ref_dict.items():
             assert lane_dict[key] == pytest.approx(value, rel=1e-6), key
+
+
+def test_reference_bench_run_batch_equals_run():
+    # A reference bench simulates its batches on the reference engine too.
+    bench = _bench("reference")
+    designs = _TOPOLOGIES["ring-vco"][2][:2]
+    batch = bench.run_batch([(design, None, None) for design in designs])
+    for design, performance in zip(designs, batch):
+        assert performance.as_dict() == bench.run(design).as_dict()
+
+
+@pytest.mark.parametrize("topology", sorted(_TOPOLOGIES))
+def test_lanes_single_design_calls_equal_the_batch_bitwise(topology):
+    # A single design is a one-task batch, and a lane's trajectory does not
+    # depend on what shares its batch: run == run_batch at width 1 and at
+    # width N, and evaluate == evaluate_batch, bit for bit.
+    testbench_cls, evaluator_cls, designs = _TOPOLOGIES[topology]
+    bench = _bench("lanes", testbench_cls)
+    tasks = [(design, None, None) for design in designs]
+    wide = bench.run_batch(tasks)
+    assert any(performance.fmax > 0.0 for performance in wide)
+    for design, task, lane in zip(designs, tasks, wide):
+        single = bench.run(design).as_dict()
+        assert single == bench.run_batch([task])[0].as_dict()
+        assert single == lane.as_dict()
+    evaluator = evaluator_cls(
+        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1, engine="lanes"
+    )
+    batch = evaluator.evaluate_batch(designs)
+    for design, performance in zip(designs, batch):
+        assert evaluator.evaluate(design).as_dict() == performance.as_dict()

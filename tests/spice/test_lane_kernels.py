@@ -22,11 +22,11 @@ from repro.spice import (
     NMOS_DEFAULT,
     PMOS_DEFAULT,
     Circuit,
+    CircuitPlan,
     Diode,
     LaneSystem,
     Resistor,
     VoltageSource,
-    compile_circuits,
 )
 from repro.spice.mosfet import MOSFETArrays
 from repro.spice.plan import _Scatter
@@ -102,7 +102,7 @@ def _stamp_circuit():
 
 @pytest.mark.parametrize("target", ["jacobian", "residual"])
 def test_scatter_equals_add_at(target):
-    plan = compile_circuits([_stamp_circuit() for _ in range(3)])
+    plan = CircuitPlan([_stamp_circuit() for _ in range(3)])
     L, P = plan.n_lanes, plan.pad_size
     if target == "jacobian":
         blocks, size = [*plan.d_jac_idx, *plan.mos_jac_idx], P * P
