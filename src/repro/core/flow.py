@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.behavioural.pll import PllDesign
 from repro.circuits.evaluators import VcoEvaluator
@@ -51,8 +51,8 @@ __all__ = [
 #: Signature of the per-stage checkpoint hook accepted by
 #: :meth:`HierarchicalFlow.run`: ``hook(stage_name, artefact)`` is invoked
 #: right after each stage completes with one of the stage names
-#: ``"circuit"``, ``"system"``, ``"yield"`` or ``"verification"`` and the
-#: artefact that stage produced.
+#: ``"circuit"``, ``"corners"``, ``"system"``, ``"yield"`` or
+#: ``"verification"`` and the artefact that stage produced.
 StageHook = Callable[[str, object], None]
 
 #: Unit scalings of the selected design's headline objectives, shared by
@@ -472,11 +472,7 @@ class HierarchicalFlow:
         verification_evaluator: Optional[VcoEvaluator] = None,
         max_points: int = 3,
     ) -> VerificationReport:
-        """Bottom-up verification of the combined model (optional stage).
-
-        Shared by :meth:`run` and the experiment runner so both execute
-        the identical verification for a given configuration.
-        """
+        """Bottom-up verification of the combined model (optional stage)."""
         verifier = BottomUpVerification(
             model, reference_evaluator=verification_evaluator or self.evaluator
         )
@@ -488,8 +484,6 @@ class HierarchicalFlow:
         """Write the model's ``.tbl`` files and Verilog-A under ``output_directory``.
 
         Returns the model directory and the list of generated files.
-        Shared by :meth:`run` and the experiment runner so both export the
-        identical artefacts (including the divide-ratio plumbing).
         """
         model_directory = os.path.join(output_directory, "vco_model")
         generated = list(write_model_directory(model, model_directory))
@@ -523,45 +517,92 @@ class HierarchicalFlow:
         :meth:`from_scenario`).
 
         ``stage_hook(stage_name, artefact)`` -- when given -- is invoked
-        right after each stage completes (``"circuit"``, ``"system"``,
-        ``"yield"``, ``"verification"``), letting callers checkpoint or
-        inspect intermediate artefacts without the flow knowing anything
-        about caching.  (The experiment runner drives the stages
-        individually so it can also *skip* cached ones; it shares this
-        class's stage methods rather than this loop.)
+        right after each stage completes (``"circuit"``, ``"corners"``,
+        ``"system"``, ``"yield"``, ``"verification"``), letting callers
+        checkpoint or inspect intermediate artefacts without the flow
+        knowing anything about caching.
 
         ``cancel`` -- a :class:`~repro.cancel.CancelToken` -- is observed
-        at stage and optimiser-generation boundaries and raises
-        :class:`~repro.cancel.JobCancelled` there.
+        before every stage and at optimiser-generation boundaries and
+        raises :class:`~repro.cancel.JobCancelled` there.
+        """
+        return self._run(
+            _ComputedStages(),
+            output_directory=output_directory,
+            run_yield=run_yield,
+            run_verification=run_verification,
+            verification_evaluator=verification_evaluator,
+            progress=progress,
+            stage_hook=stage_hook,
+            cancel=cancel,
+        )
+
+    def _run(
+        self,
+        stages: "_ComputedStages",
+        output_directory: Optional[str] = None,
+        run_yield: Optional[bool] = None,
+        run_verification: Optional[bool] = None,
+        verification_evaluator: Optional[VcoEvaluator] = None,
+        progress: Optional[Callable[[int, int], None]] = None,
+        stage_hook: Optional[StageHook] = None,
+        cancel: Optional[object] = None,
+    ) -> FlowReport:
+        """The stage sequence behind :meth:`run`, satisfied through ``stages``.
+
+        ``stages.stage(name, compute)`` returns the artefact of every stage
+        that runs, where ``compute(checkpoint)`` computes it with an
+        optional mid-stage checkpoint, and ``stages.yield_batch_size``
+        sets the yield stage's Monte Carlo batch.  This method alone owns
+        the stage order, the skip rules, the cancellation checks, the
+        ``stage_hook`` calls, the model export and the
+        :class:`FlowReport`; the experiment runner passes a cache-backed
+        source so completed stages load instead of recomputing.
         """
         run_yield = self.default_run_yield if run_yield is None else run_yield
         if run_verification is None:
             run_verification = self.default_run_verification
 
-        def checkpoint(stage: str, artefact: object) -> None:
+        def satisfy(stage: str, compute: Callable[[Optional[object]], object]) -> Any:
+            if cancel is not None:
+                cancel.raise_if_cancelled()
+            artefact = stages.stage(stage, compute)
             if stage_hook is not None:
                 stage_hook(stage, artefact)
+            return artefact
 
-        circuit = self.circuit_stage(progress=progress, cancel=cancel)
-        checkpoint("circuit", circuit)
+        circuit = satisfy(
+            "circuit",
+            lambda checkpoint: self.circuit_stage(
+                progress=progress, checkpoint=checkpoint, cancel=cancel
+            ),
+        )
         corner_report = None
         if self.corners:
-            corner_report = self.corner_stage(circuit, self.corners, cancel=cancel)
-            checkpoint("corners", corner_report)
-        system = self.system_stage(circuit.model, cancel=cancel)
-        checkpoint("system", system)
+            corner_report = satisfy(
+                "corners", lambda _: self.corner_stage(circuit, self.corners, cancel=cancel)
+            )
+        system = satisfy("system", lambda _: self.system_stage(circuit.model, cancel=cancel))
         yield_report = None
         if run_yield and system.selected is not None:
-            yield_report = self.verify_yield(
-                circuit.model, system.selected_values, cancel=cancel
+            yield_report = satisfy(
+                "yield",
+                lambda checkpoint: self.verify_yield(
+                    circuit.model,
+                    system.selected_values,
+                    checkpoint=checkpoint,
+                    batch_size=stages.yield_batch_size,
+                    cancel=cancel,
+                ),
             )
-            checkpoint("yield", yield_report)
         verification = None
         if run_verification:
-            verification = self.verification_stage(
-                circuit.model, verification_evaluator=verification_evaluator
+            verification = satisfy(
+                "verification",
+                lambda _: self.verification_stage(
+                    circuit.model, verification_evaluator=verification_evaluator
+                ),
             )
-            checkpoint("verification", verification)
         generated: List[str] = []
         model_directory = None
         if output_directory is not None:
@@ -575,3 +616,14 @@ class HierarchicalFlow:
             generated_files=generated,
             corner_report=corner_report,
         )
+
+
+class _ComputedStages:
+    """Stage source of a plain :meth:`HierarchicalFlow.run`: compute every
+    stage in one piece, checkpoint nothing.  Every stage source (the
+    experiment runner's cache-backed one too) has this interface."""
+
+    yield_batch_size: Optional[int] = None
+
+    def stage(self, stage: str, compute: Callable[[Optional[object]], object]) -> Any:
+        return compute(None)

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.circuits.performance import VcoPerformance
 from repro.circuits.topology import design_from_parameters
-from repro.optim.pareto import ParetoFront
 from repro.tablemodel import TableND
 
 __all__ = ["PerformanceModel"]
@@ -70,22 +69,6 @@ class PerformanceModel:
         self._build_tables()
 
     # -- construction ------------------------------------------------------------------
-
-    @classmethod
-    def from_pareto_front(cls, front: ParetoFront, control: str = "3E") -> "PerformanceModel":
-        """Build the model from an optimisation result's Pareto front."""
-        if len(front) == 0:
-            raise ValueError("the Pareto front is empty")
-        performances = np.column_stack(
-            [front.raw_objective(name) for name in _PERFORMANCE_NAMES]
-        )
-        return cls(
-            parameters=front.parameters,
-            performances=performances,
-            parameter_names=front.parameter_names,
-            performance_names=list(_PERFORMANCE_NAMES),
-            control=control,
-        )
 
     def _build_tables(self) -> None:
         # (kvco, current) are the system-level designables; every other

@@ -650,7 +650,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     _configure_logging(args.log_level)
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    if not 0 <= args.shard_index < max(1, args.shard_count):
+    # The coordinator refuses every claim with a shard count below one, and
+    # the worker would retry those refusals forever.
+    if args.shard_count < 1:
+        print(f"error: shard count {args.shard_count} must be at least 1", file=sys.stderr)
+        return 2
+    if not 0 <= args.shard_index < args.shard_count:
         print(
             f"error: shard index {args.shard_index} outside 0..{args.shard_count - 1}",
             file=sys.stderr,

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cancel import CancelToken
-from repro.circuits.evaluators import VcoEvaluator
 from repro.obs import trace as obs_trace
 from repro.core.flow import (
     FlowReport,
@@ -32,7 +31,7 @@ from repro.core.flow import (
     summarise_generation,
     summarise_yield_partial,
 )
-from repro.experiments.cache import ArtefactCache, CacheEntry
+from repro.experiments.cache import STAGES, ArtefactCache, CacheEntry
 from repro.experiments.config import ScenarioConfig
 
 __all__ = ["StageOutcome", "ExperimentResult", "ExperimentRunner", "DEFAULT_YIELD_BATCH"]
@@ -103,11 +102,6 @@ class ExperimentRunner:
     force:
         Recompute every stage even when a checkpoint exists (checkpoints
         are overwritten with the freshly computed artefacts).
-    evaluator:
-        Optional evaluator override forwarded to
-        :meth:`HierarchicalFlow.from_scenario` (e.g. the SPICE engine for a
-        ground-truth run).  Runs with a custom evaluator bypass the cache:
-        the config hash only describes the scenario, not the evaluator.
     yield_batch_size:
         Monte Carlo samples per mid-stage yield checkpoint.  A yield stage
         interrupted between batches resumes from the persisted partial
@@ -135,7 +129,6 @@ class ExperimentRunner:
         scenario: ScenarioConfig,
         cache_dir: Optional[Path] = None,
         force: bool = False,
-        evaluator: Optional[VcoEvaluator] = None,
         yield_batch_size: Optional[int] = DEFAULT_YIELD_BATCH,
         circuit_checkpoint: bool = True,
         artifacts: Optional[Any] = None,
@@ -143,12 +136,8 @@ class ExperimentRunner:
         self.scenario = scenario
         self.cache = artifacts if artifacts is not None else ArtefactCache(cache_dir)
         self.force = force
-        self.evaluator = evaluator
         self.yield_batch_size = yield_batch_size
         self.circuit_checkpoint = circuit_checkpoint
-        #: Custom evaluators produce different numbers than the scenario
-        #: hash promises, so their artefacts must never enter the cache.
-        self._use_cache = evaluator is None
 
     # -- public API ----------------------------------------------------------------------
 
@@ -191,10 +180,10 @@ class ExperimentRunner:
             current Pareto front) and once per yield Monte Carlo batch
             (:func:`~repro.core.flow.summarise_yield_partial`, with the
             running yield estimate).  The service workers feed these to
-            the job store's event log for live SSE streaming.  Fires only
-            when the corresponding checkpointing is active (a cache entry
-            exists), and never for stages satisfied from the cache; hook
-            failures are swallowed -- progress must never break a run.
+            the job store's event log for live SSE streaming.  The circuit
+            payloads need ``circuit_checkpoint``; neither fires for a
+            stage satisfied from the cache, and hook failures are
+            swallowed -- progress must never break a run.
 
         Returns
         -------
@@ -204,7 +193,7 @@ class ExperimentRunner:
             skipped.
         """
         scenario = self.scenario
-        entry = self.cache.entry_for(scenario) if self._use_cache else None
+        entry = self.cache.entry_for(scenario)
         # Tracing wraps the run but never feeds back into it: spans only
         # read clocks, so artefact bytes are identical with or without
         # observability (asserted by tests and the overhead benchmark).
@@ -223,13 +212,13 @@ class ExperimentRunner:
                     cancel=cancel,
                     progress_hook=progress_hook,
                 )
-            if trace is not None and entry is not None:
+            if trace is not None:
                 entry.write_trace(trace.spans)
         return result
 
     def _execute(
         self,
-        entry: Optional[CacheEntry],
+        entry: CacheEntry,
         output_directory: Optional[str],
         progress: Optional[Callable[[int, int], None]],
         stage_hook: Optional[StageHook],
@@ -238,158 +227,93 @@ class ExperimentRunner:
     ) -> ExperimentResult:
         started = time.perf_counter()
         scenario = self.scenario
-        flow = HierarchicalFlow.from_scenario(scenario, evaluator=self.evaluator)
-        if entry is not None:
-            entry.write_scenario(scenario)
-        outcomes: List[StageOutcome] = []
+        flow = HierarchicalFlow.from_scenario(scenario)
+        entry.write_scenario(scenario)
 
-        def checkpoint(stage: str, artefact: object) -> None:
-            if stage_hook is not None:
-                stage_hook(stage, artefact)
+        def observe(stage: str, summarise: Callable[[Any], Dict[str, Any]]):
+            if progress_hook is not None:
+                return lambda state: progress_hook(stage, summarise(state))
+            return None
 
-        def observe_cancel() -> None:
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-
-        observe_cancel()
-        circuit_partial = (
-            _StagePartial(entry, "circuit")
-            if entry is not None and self.circuit_checkpoint
-            else None
-        )
-        if circuit_partial is not None and progress_hook is not None:
-            circuit_partial = _ObservedPartial(
-                circuit_partial,
-                lambda state: progress_hook("circuit", summarise_generation(state)),
-            )
-        if self.force and entry is not None:
-            # --force promises a full recompute: a mid-stage partial left
-            # by an interrupted run must not be resumed from.
-            entry.clear_partial("circuit")
-        circuit, outcome = self._stage(
-            entry,
-            "circuit",
-            lambda: flow.circuit_stage(
-                progress=progress, checkpoint=circuit_partial, cancel=cancel
-            ),
-        )
-        if entry is not None:
-            # The stage artefact now owns the work: the per-generation
-            # NSGA-II partial (kept through the model build so a crash
-            # there never loses the optimisation) is obsolete.
-            entry.clear_partial("circuit")
-        outcomes.append(outcome)
-        checkpoint("circuit", circuit)
-        observe_cancel()
-
-        corner_report = None
-        if scenario.corners:
-            corner_report, outcome = self._stage(
-                entry,
-                "corners",
-                lambda: flow.corner_stage(circuit, scenario.corners, cancel=cancel),
-            )
-            checkpoint("corners", corner_report)
-        else:
-            outcome = StageOutcome("corners", SKIPPED)
-        outcomes.append(outcome)
-        observe_cancel()
-
-        system, outcome = self._stage(
-            entry, "system", lambda: flow.system_stage(circuit.model, cancel=cancel)
-        )
-        outcomes.append(outcome)
-        checkpoint("system", system)
-        observe_cancel()
-
-        yield_report = None
-        if scenario.run_yield and system.selected is not None:
-            yield_partial = _StagePartial(entry, "yield") if entry is not None else None
-            if yield_partial is not None and progress_hook is not None:
-                yield_partial = _ObservedPartial(
-                    yield_partial,
-                    lambda state: progress_hook(
-                        "yield",
-                        summarise_yield_partial(
-                            state, scenario.yield_samples, flow.specifications
-                        ),
-                    ),
-                )
-            if self.force and entry is not None:
-                entry.clear_partial("yield")
-            yield_report, outcome = self._stage(
+        partials = {
+            "yield": _StagePartial(
                 entry,
                 "yield",
-                lambda: flow.verify_yield(
-                    circuit.model,
-                    system.selected_values,
-                    checkpoint=yield_partial,
-                    batch_size=self.yield_batch_size,
-                    cancel=cancel,
+                observe(
+                    "yield",
+                    lambda state: summarise_yield_partial(
+                        state, scenario.yield_samples, flow.specifications
+                    ),
                 ),
             )
-            checkpoint("yield", yield_report)
-        else:
-            outcome = StageOutcome("yield", SKIPPED)
-        outcomes.append(outcome)
-        observe_cancel()
-
-        verification = None
-        if scenario.run_verification:
-            verification, outcome = self._stage(
-                entry, "verification", lambda: flow.verification_stage(circuit.model)
+        }
+        if self.circuit_checkpoint:
+            partials["circuit"] = _StagePartial(
+                entry, "circuit", observe("circuit", summarise_generation)
             )
-            checkpoint("verification", verification)
-        else:
-            outcome = StageOutcome("verification", SKIPPED)
-        outcomes.append(outcome)
-
-        model_directory = None
-        generated: List[str] = []
-        if output_directory is not None:
-            model_directory, generated = flow.export_model(circuit.model, output_directory)
-
-        report = FlowReport(
-            circuit_stage=circuit,
-            system_stage=system,
-            yield_report=yield_report,
-            verification=verification,
-            model_directory=model_directory,
-            generated_files=generated,
-            corner_report=corner_report,
+        stages = _CachedStages(entry, self.force, partials, self.yield_batch_size)
+        report = flow._run(
+            stages,
+            output_directory=output_directory,
+            progress=progress,
+            stage_hook=stage_hook,
+            cancel=cancel,
         )
         result = ExperimentResult(
             scenario=scenario,
             config_hash=scenario.config_hash(),
             report=report,
-            outcomes=outcomes,
-            cache_dir=entry.directory if entry is not None else None,
+            outcomes=[
+                stages.outcomes.get(stage, StageOutcome(stage, SKIPPED)) for stage in STAGES
+            ],
+            cache_dir=entry.directory,
             elapsed=time.perf_counter() - started,
         )
-        if entry is not None:
-            entry.write_report_summary(result.summary())
+        entry.write_report_summary(result.summary())
         return result
 
-    # -- internals -----------------------------------------------------------------------
 
-    def _stage(self, entry: Optional[CacheEntry], stage: str, compute: Callable[[], Any]):
+@dataclass
+class _CachedStages:
+    """Cache-backed stage source for :meth:`HierarchicalFlow._run`.
+
+    Loads a stage's checkpointed artefact from the cache entry, or computes
+    it (resuming from the stage's mid-stage partial, if it has one) and
+    stores it, recording a :class:`StageOutcome` for every stage that ran.
+    """
+
+    entry: CacheEntry
+    force: bool
+    partials: Dict[str, "_StagePartial"]
+    yield_batch_size: Optional[int]
+    outcomes: Dict[str, StageOutcome] = field(default_factory=dict)
+
+    def stage(self, stage: str, compute: Callable[[Optional[Any]], Any]) -> Any:
         """Satisfy one stage from the cache or by computing it."""
+        if self.force and stage in self.partials:
+            # --force promises a full recompute: a mid-stage partial left
+            # by an interrupted run must not be resumed from.
+            self.entry.clear_partial(stage)
         with obs_trace.span(f"stage.{stage}") as attrs:
             started = time.perf_counter()
-            if entry is not None and not self.force and entry.has(stage):
-                artefact = entry.load(stage)
-                if attrs is not None:
-                    attrs["source"] = CACHED
-                return artefact, StageOutcome(
-                    stage, CACHED, time.perf_counter() - started
-                )
-            artefact = compute()
-            if entry is not None:
+            if not self.force and self.entry.has(stage):
+                artefact = self.entry.load(stage)
+                source = CACHED
+            else:
+                artefact = compute(self.partials.get(stage))
                 with obs_trace.span("checkpoint.store", stage=stage, kind="stage"):
-                    entry.store(stage, artefact)
+                    self.entry.store(stage, artefact)
+                source = COMPUTED
             if attrs is not None:
-                attrs["source"] = COMPUTED
-            return artefact, StageOutcome(stage, COMPUTED, time.perf_counter() - started)
+                attrs["source"] = source
+            seconds = time.perf_counter() - started
+        if stage == "circuit":
+            # The stage artefact now owns the work: the per-generation
+            # NSGA-II partial (kept through the model build so a crash
+            # there never loses the optimisation) is obsolete.
+            self.entry.clear_partial("circuit")
+        self.outcomes[stage] = StageOutcome(stage, source, seconds)
+        return artefact
 
 
 class _StagePartial:
@@ -399,11 +323,23 @@ class _StagePartial:
     :class:`~repro.experiments.cache.CacheEntry` to the duck-typed
     ``load() / store(state) / clear()`` interface
     :meth:`~repro.core.yield_analysis.YieldAnalysis.run` expects.
+
+    ``observe(state)``, when given, runs after each successful ``store``
+    -- the seam that turns mid-stage checkpoints (NSGA-II generations,
+    yield Monte Carlo batches) into live progress events.  It runs *after*
+    the persist (the checkpoint is the source of truth) and its failures
+    are swallowed: progress reporting must never corrupt or abort a run.
     """
 
-    def __init__(self, entry: CacheEntry, stage: str) -> None:
+    def __init__(
+        self,
+        entry: CacheEntry,
+        stage: str,
+        observe: Optional[Callable[[Any], None]] = None,
+    ) -> None:
         self.entry = entry
         self.stage = stage
+        self.observe = observe
 
     def load(self) -> Optional[Any]:
         return self.entry.load_partial(self.stage)
@@ -411,37 +347,11 @@ class _StagePartial:
     def store(self, state: Any) -> None:
         with obs_trace.span("checkpoint.store", stage=self.stage, kind="partial"):
             self.entry.store_partial(self.stage, state)
+        if self.observe is not None:
+            try:
+                self.observe(state)
+            except Exception:  # noqa: BLE001 - progress must never break a run
+                pass
 
     def clear(self) -> None:
         self.entry.clear_partial(self.stage)
-
-
-class _ObservedPartial:
-    """A checkpoint wrapper that reports every persisted state.
-
-    Wraps a :class:`_StagePartial` and calls ``observe(state)`` after each
-    successful ``store`` -- the seam that turns mid-stage checkpoints
-    (NSGA-II generations, yield Monte Carlo batches) into live progress
-    events.  The observer runs *after* the persist (the checkpoint is the
-    source of truth) and its failures are swallowed: progress reporting
-    must never corrupt or abort a run.
-    """
-
-    def __init__(self, partial: _StagePartial, observe: Callable[[Any], None]) -> None:
-        self._partial = partial
-        self._observe = observe
-
-    def load(self) -> Optional[Any]:
-        return self._partial.load()
-
-    def store(self, state: Any) -> None:
-        self._partial.store(state)
-        try:
-            self._observe(state)
-        except Exception:  # noqa: BLE001 - progress must never break a run
-            pass
-
-    def clear(self) -> None:
-        self._partial.clear()
-
-

@@ -145,6 +145,20 @@ def test_invalid_override_value_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("shard_count", ["0", "-1"])
+def test_worker_rejects_a_shard_count_below_one(monkeypatch, capsys, shard_count):
+    """Every claim with a shard count below one is refused by the
+    coordinator, so the worker would poll forever: reject it up front."""
+    from repro.service import worker
+
+    calls = []
+    monkeypatch.setattr(worker, "remote_worker_loop", lambda *a, **k: calls.append(a))
+    argv = ["worker", "--coordinator", "http://127.0.0.1:1", "--shard-count", shard_count]
+    assert cli.main(argv) == 2
+    assert calls == []
+    assert "shard count" in capsys.readouterr().err
+
+
 def test_submit_unknown_scenario_fails_before_contacting_server(capsys):
     # Validated against the local registry, so no server is needed.
     assert cli.main(["submit", "no-such-scenario", "--url", "http://127.0.0.1:1"]) == 2

@@ -1,11 +1,15 @@
 """Experiment runner: caching, resume bit-identity, odd-ring scenarios."""
 
+import dataclasses
 import os
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.experiments.cache import ArtefactCache, CacheEntry
+from repro.cancel import CancelToken, JobCancelled
+from repro.core.flow import HierarchicalFlow
+from repro.experiments.cache import STAGES, ArtefactCache, CacheEntry
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import ExperimentRunner
 
@@ -308,3 +312,52 @@ def test_progress_hook_failures_never_break_the_run(tmp_path):
     )
     assert result.stage_sources["circuit"] == "computed"
     assert result.report.yield_report is not None
+
+
+# -- one stage sequence: flow.run and the runner -----------------------------------------
+
+
+def test_flow_run_observes_cancellation_between_stages():
+    """A token cancelled from the ``system`` stage hook stops the flow
+    before the next stage, exactly like the runner."""
+    token = CancelToken()
+    seen = []
+
+    def hook(stage, artefact):
+        seen.append(stage)
+        if stage == "system":
+            token.cancel()
+
+    flow = HierarchicalFlow.from_scenario(TINY)
+    with pytest.raises(JobCancelled):
+        flow.run(run_yield=False, run_verification=True, stage_hook=hook, cancel=token)
+    assert seen == ["circuit", "system"]
+
+
+@pytest.mark.parametrize(
+    "optional_stage, overrides",
+    [("verification", {"run_verification": True}), ("corners", {"corners": "standard"})],
+)
+def test_flow_run_and_runner_produce_identical_stage_bytes(tmp_path, optional_stage, overrides):
+    """``HierarchicalFlow.run`` and the cache-backed runner drive one stage
+    sequence: every artefact pickles to the bytes of the runner's
+    ``<stage>.pkl``, and a stage that does not run is absent from both."""
+    scenario = dataclasses.replace(TINY, **overrides)
+    report = HierarchicalFlow.from_scenario(scenario).run()
+    result = ExperimentRunner(scenario, cache_dir=tmp_path, yield_batch_size=3).run()
+    artefacts = {
+        "circuit": report.circuit_stage,
+        "corners": report.corner_report,
+        "system": report.system_stage,
+        "yield": report.yield_report,
+        "verification": report.verification,
+    }
+    assert artefacts[optional_stage] is not None
+    for stage in STAGES:
+        path = result.cache_dir / f"{stage}.pkl"
+        if artefacts[stage] is None:
+            assert not path.exists(), stage
+            assert result.stage_sources[stage] == "skipped"
+        else:
+            expected = pickle.dumps(artefacts[stage], protocol=pickle.HIGHEST_PROTOCOL)
+            assert path.read_bytes() == expected, stage
