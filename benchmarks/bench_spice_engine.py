@@ -2,7 +2,8 @@
 
 Bottom-up verification was the flow's serial tail: every transistor-level
 transient of the 22-transistor ring VCO re-stamped the MNA system element
-by element in pure Python on every Newton iteration.  The ``lanes`` engine
+by element in pure Python on every Newton iteration.  That engine is now
+the test oracle (``tests/spice/reference_engine.py``).  The lane engine
 (:mod:`repro.spice.plan`) compiles the circuit once into index/parameter
 arrays, assembles with vectorised scatter-adds, and advances every
 verification point through one batched time-marching loop.
@@ -25,7 +26,8 @@ from repro.circuits import RingVcoSpiceEvaluator, VcoDesign
 from repro.circuits.ring_vco import build_ring_vco
 from repro.core.verification import BottomUpVerification
 from repro.process import TECH_012UM
-from repro.spice import LaneTransientAnalysis, TransientAnalysis
+from repro.spice import LaneTransientAnalysis
+from tests.spice.reference_engine import ReferenceSpiceEvaluator, TransientAnalysis
 
 
 def _ring_transient(engine: str):
@@ -69,9 +71,8 @@ def test_spice_verification_lanes_vs_reference(benchmark, combined_model):
     """The Table-2 verification stage through the lane-parallel batch path."""
 
     def verify(engine):
-        evaluator = RingVcoSpiceEvaluator(
-            TECH_012UM, dt=8e-12, sim_cycles=5, n_workers=1, engine=engine
-        )
+        evaluator_cls = RingVcoSpiceEvaluator if engine == "lanes" else ReferenceSpiceEvaluator
+        evaluator = evaluator_cls(TECH_012UM, dt=8e-12, sim_cycles=5, n_workers=1)
         verifier = BottomUpVerification(combined_model, reference_evaluator=evaluator)
         return verifier.verify_model_points(max_points=3)
 

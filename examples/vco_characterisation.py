@@ -69,7 +69,7 @@ def main() -> None:
     print(f"  {len(circuit)} elements, {circuit.n_nodes} nodes "
           f"({len(circuit.elements_of_type(type(circuit.element('mn0'))))} MOSFETs)")
 
-    print("\nTransistor-level tuning curve (pure-Python MNA transients):")
+    print("\nTransistor-level tuning curve (lane-engine MNA transients):")
     tuning_curve(design, [0.5, 0.8, 1.2])
 
     print("\nFull characterisation with both evaluators:")

@@ -5,8 +5,8 @@ Two evaluators implement the same interface (:class:`VcoEvaluator`):
 * :class:`RingVcoSpiceEvaluator` runs the transistor-level test bench of
   :mod:`repro.circuits.testbench` on the MNA engine.  It is the
   ground-truth engine used for bottom-up verification and spot checks, but
-  a single evaluation costs a few seconds of pure-Python transient
-  simulation.
+  a single evaluation runs two transistor-level transients, orders of
+  magnitude slower than the analytical evaluator.
 
 * :class:`RingVcoAnalyticalEvaluator` computes the same five performances
   from first-order device physics (starving current from the shared MOSFET
@@ -616,9 +616,8 @@ def _evaluate_spice_chunk_in_worker(
     evaluator = _SPICE_WORKER_EVALUATOR
     if evaluator is None:  # pragma: no cover - defensive
         raise RuntimeError("worker process was not initialised with an evaluator")
-    name = "spice.lane_chunk" if evaluator.engine == "lanes" else "spice.chunk"
     with obs_trace.collect_spans(context) as spans:
-        with obs_trace.span(name, chunk=chunk_index, n_tasks=len(tasks)):
+        with obs_trace.span("spice.lane_chunk", chunk=chunk_index, n_tasks=len(tasks)):
             results = evaluator._evaluate_chunk(tasks)
     return results, spans
 
@@ -632,16 +631,11 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         Size of the process pool used by :meth:`evaluate_batch`; ``None``
         (the default) uses the CPU count capped at 8 (:meth:`pool_size`),
         and ``HierarchicalFlow(n_workers=...)`` fills it in when unset.
-    engine:
-        ``"reference"`` (per-element Python engine, the default) or
-        ``"lanes"`` (lane-parallel stamp plan: each chunk of
-        ``lane_width`` tasks is one lane-parallel transient, and chunks
-        still fan out over the process pool).  The lane engine is
-        tolerance-equivalent to the reference, not byte-identical.
     lane_width:
         Number of (design, technology, mismatch) tasks simulated together
-        per lane batch when ``engine="lanes"`` (each task contributes two
-        transient lanes, one per control voltage).
+        as one lane-parallel transient (each task contributes two
+        transient lanes, one per control voltage); the chunks of
+        ``lane_width`` tasks fan out over the process pool.
     """
 
     #: Topology hooks (see :class:`RingVcoAnalyticalEvaluator`): subclasses
@@ -660,15 +654,10 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         dt: float = 4e-12,
         sim_cycles: float = 8.0,
         n_workers: Optional[int] = None,
-        engine: str = "reference",
         lane_width: int = 8,
     ) -> None:
-        from repro.spice.plan import ENGINES
-
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be at least 1")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
         if lane_width < 1:
             raise ValueError("lane_width must be at least 1")
         self.technology = technology
@@ -678,7 +667,6 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         self.dt = dt
         self.sim_cycles = sim_cycles
         self.n_workers = n_workers
-        self.engine = engine
         self.lane_width = lane_width
 
     def _testbench(self, technology: Technology) -> VcoTestbench:
@@ -689,7 +677,6 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
             n_stages=self.n_stages,
             dt=self.dt,
             sim_cycles=self.sim_cycles,
-            engine=self.engine,
         )
 
     def evaluate(
@@ -726,13 +713,11 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
     ) -> List[VcoPerformance]:
         """Fan a batch of transistor-level evaluations out over a process pool.
 
-        One transient costs seconds of pure Python, so unlike the
-        analytical evaluator the batch here parallelises across processes.
-        The (design, technology, mismatch) triples are cut into chunks:
-        ``lane_width`` tasks per chunk for ``engine="lanes"`` (one
-        lane-parallel transient each), else ``ceil(n / (4 workers))``
-        tasks simulated one transient after another.  The pool is
-        initialised once with the (picklable) evaluator, the chunks are
+        Transients are costly, so unlike the analytical evaluator the
+        batch here parallelises across processes.  The (design,
+        technology, mismatch) triples are cut into chunks of
+        ``lane_width`` tasks, one lane-parallel transient each.  The pool
+        is initialised once with the (picklable) evaluator, the chunks are
         mapped in order, and every worker runs the same chunk evaluation
         as this process would, so the results equal the in-process loop.
         One worker or one chunk runs in process, without a pool.
@@ -742,12 +727,9 @@ class RingVcoSpiceEvaluator(VcoEvaluator):
         )
         tasks = list(zip(designs_b, techs, mms))
         n_tasks = len(tasks)
-        EVALUATIONS.inc(n_tasks, backend=f"spice-{self.engine}")
-        if self.engine == "lanes":
-            chunksize = self.lane_width
-        else:
-            chunksize = max(1, -(-n_tasks // (min(self.pool_size(), n_tasks) * 4)))
-        chunks = [tasks[start : start + chunksize] for start in range(0, n_tasks, chunksize)]
+        EVALUATIONS.inc(n_tasks, backend="spice-lanes")
+        width = self.lane_width
+        chunks = [tasks[start : start + width] for start in range(0, n_tasks, width)]
         n_workers = min(self.pool_size(), len(chunks))
         if n_workers < 2 or len(chunks) < 2:
             results: List[VcoPerformance] = []

@@ -5,8 +5,8 @@ design point the VCO is simulated at the minimum and maximum control
 voltages, the oscillation frequency and average supply current are measured
 from the transient waveforms, and the VCO gain is the frequency difference
 over the control-voltage span.  RMS period jitter is estimated from the
-device thermal noise at the oscillation operating point (the pure-Python
-engine does not run transient noise analysis; the estimator is the standard
+device thermal noise at the oscillation operating point (the engine does
+not run transient noise analysis; the estimator is the standard
 first-crossing approximation ``sigma_edge = sqrt(kT C_L) / I`` accumulated
 over the ``2 N`` edges of one period).
 """
@@ -19,10 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.circuits.performance import VcoPerformance
 from repro.circuits.ring_vco import N_STAGES, VcoDesign, build_ring_vco
 from repro.process.technology import TECH_012UM, Technology
-from repro.spice.exceptions import AnalysisError, ConvergenceError
+from repro.spice.exceptions import AnalysisError
 from repro.spice.netlist import Circuit
-from repro.spice.plan import ENGINES
-from repro.spice.transient import LaneTransientAnalysis, TransientAnalysis, TransientResult
+from repro.spice.transient import LaneTransientAnalysis, TransientResult
 
 __all__ = ["VcoTestbench", "VcoMeasurement"]
 
@@ -46,12 +45,10 @@ class VcoMeasurement:
 class VcoTestbench:
     """Measure the five VCO performances with the MNA transient engine.
 
-    ``engine`` selects the simulation backend (:data:`~repro.spice.plan.ENGINES`):
-    ``"reference"`` runs one per-element :class:`TransientAnalysis` per
-    control voltage, ``"lanes"`` runs every transient of a call as one
-    :class:`LaneTransientAnalysis`.  Every measurement goes through
-    :meth:`_transients`, so :meth:`run` and :meth:`measure_at` are
-    one-task and one-circuit calls of the same path as :meth:`run_batch`.
+    Every measurement goes through :meth:`_transients`, which runs all
+    transients of a call as one :class:`LaneTransientAnalysis`, so
+    :meth:`run` and :meth:`measure_at` are one-task and one-circuit calls
+    of the same path as :meth:`run_batch`.
     """
 
     #: Output node whose waveform is measured; topology subclasses override
@@ -67,14 +64,11 @@ class VcoTestbench:
         sim_cycles: float = 8.0,
         dt: float = 4e-12,
         max_sim_time: float = 30e-9,
-        engine: str = "reference",
     ) -> None:
         if vctrl_max is None:
             vctrl_max = technology.vdd
         if not 0.0 < vctrl_min < vctrl_max:
             raise ValueError("control-voltage window must satisfy 0 < vctrl_min < vctrl_max")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
         self.technology = technology
         self.vctrl_min = vctrl_min
         self.vctrl_max = vctrl_max
@@ -82,7 +76,6 @@ class VcoTestbench:
         self.sim_cycles = sim_cycles
         self.dt = dt
         self.max_sim_time = max_sim_time
-        self.engine = engine
 
     # -- shared transient set-up ------------------------------------------------------
 
@@ -101,24 +94,17 @@ class VcoTestbench:
     def _transients(
         self, circuits: Sequence[Circuit], initial_conditions: Sequence[Dict[str, float]]
     ) -> List[Optional[TransientResult]]:
-        """Simulate the circuits on the configured engine; ``None`` marks a failure."""
-        settings = dict(t_stop=self._t_stop(), dt=self.dt, use_dc_start=False)
-        if self.engine == "lanes":
-            try:
-                return LaneTransientAnalysis(
-                    circuits, initial_conditions=initial_conditions, **settings
-                ).run()
-            except (ConvergenceError, AnalysisError):
-                return [None] * len(circuits)
-        results: List[Optional[TransientResult]] = []
-        for circuit, conditions in zip(circuits, initial_conditions):
-            try:
-                results.append(
-                    TransientAnalysis(circuit, initial_conditions=conditions, **settings).run()
-                )
-            except (ConvergenceError, AnalysisError):
-                results.append(None)
-        return results
+        """Simulate the circuits as one lane batch; ``None`` marks a failure."""
+        try:
+            return LaneTransientAnalysis(
+                circuits,
+                t_stop=self._t_stop(),
+                dt=self.dt,
+                initial_conditions=initial_conditions,
+                use_dc_start=False,
+            ).run()
+        except AnalysisError:
+            return [None] * len(circuits)
 
     def _measure_result(
         self, result: Optional[TransientResult], vctrl: float, vdd: float
@@ -247,11 +233,10 @@ class VcoTestbench:
         """Measure many (design, technology, overrides) tasks in one go.
 
         Every task contributes two transients (one per control voltage) to
-        one :meth:`_transients` call; on the ``lanes`` engine the whole
-        batch advances through one time-marching loop with a batched
-        Jacobian.  All tasks must share the ring topology (they do by
-        construction: designs, technologies and mismatch overrides only
-        change parameter values).
+        one :meth:`_transients` call, so the whole batch advances through
+        one time-marching loop with a batched Jacobian.  All tasks must
+        share the ring topology (they do by construction: designs,
+        technologies and mismatch overrides only change parameter values).
         """
         prepared = [
             (design, technology or self.technology, overrides)

@@ -80,7 +80,7 @@ class CircuitTopology:
         ``f(technology, n_stages) -> VcoEvaluator`` building the fast
         first-order evaluator driving optimisation and Monte Carlo.
     spice_evaluator_factory:
-        ``f(technology, n_stages, n_workers, engine) -> VcoEvaluator``
+        ``f(technology, n_stages, n_workers) -> VcoEvaluator``
         building the transistor-level reference evaluator.
     device_geometries:
         ``f(design, n_stages)`` listing every matched transistor for the
@@ -137,11 +137,10 @@ class CircuitTopology:
         technology: Technology,
         n_stages: Optional[int] = None,
         n_workers: Optional[int] = None,
-        engine: str = "reference",
     ) -> VcoEvaluator:
         """The transistor-level reference evaluator of this topology."""
         return self.spice_evaluator_factory(
-            technology, self.resolve_n_stages(n_stages), n_workers, engine
+            technology, self.resolve_n_stages(n_stages), n_workers
         )
 
     # -- serialisation -------------------------------------------------------------------
@@ -243,11 +242,9 @@ def _ring_analytical(technology: Technology, n_stages: int) -> RingVcoAnalytical
 
 
 def _ring_spice(
-    technology: Technology, n_stages: int, n_workers: Optional[int], engine: str
+    technology: Technology, n_stages: int, n_workers: Optional[int]
 ) -> RingVcoSpiceEvaluator:
-    return RingVcoSpiceEvaluator(
-        technology, n_stages=n_stages, n_workers=n_workers, engine=engine
-    )
+    return RingVcoSpiceEvaluator(technology, n_stages=n_stages, n_workers=n_workers)
 
 
 def _pseudodiff_analytical(
@@ -257,11 +254,9 @@ def _pseudodiff_analytical(
 
 
 def _pseudodiff_spice(
-    technology: Technology, n_stages: int, n_workers: Optional[int], engine: str
+    technology: Technology, n_stages: int, n_workers: Optional[int]
 ) -> PseudoDiffSpiceEvaluator:
-    return PseudoDiffSpiceEvaluator(
-        technology, n_stages=n_stages, n_workers=n_workers, engine=engine
-    )
+    return PseudoDiffSpiceEvaluator(technology, n_stages=n_stages, n_workers=n_workers)
 
 
 register_topology(

@@ -252,17 +252,11 @@ class HierarchicalFlow:
         evaluation: str = DEFAULT_EVALUATION,
         n_workers: Optional[int] = None,
         n_stages: Optional[int] = None,
-        spice_engine: str = "reference",
         topology: str = DEFAULT_TOPOLOGY,
         corners: str = "",
     ) -> None:
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be at least 1")
-        from repro.spice.plan import ENGINES
-
-        if spice_engine not in ENGINES:
-            raise ValueError(f"unknown spice_engine {spice_engine!r}; choose from {ENGINES}")
-        self.spice_engine = spice_engine
         self.technology = technology
         # An explicitly passed evaluator wins the topology resolution (it
         # carries its registry key as a class attribute); otherwise the
@@ -356,7 +350,6 @@ class HierarchicalFlow:
             evaluation=scenario.evaluation,
             n_workers=scenario.n_workers,
             n_stages=scenario.n_stages,
-            spice_engine=scenario.spice_engine,
             topology=scenario.topology,
             corners=scenario.corners,
         )
@@ -433,18 +426,16 @@ class HierarchicalFlow:
     def spice_evaluator(self) -> VcoEvaluator:
         """A transistor-level evaluator matching this flow's configuration.
 
-        Carries the flow's topology, technology, ring length, worker count
-        and the configured :attr:`spice_engine` -- pass it to
-        :meth:`verification_stage` (or :meth:`run`) as the
-        ``verification_evaluator`` to verify against the MNA test bench
-        instead of the analytical evaluator.  Kept out of the default
+        Carries the flow's topology, technology, ring length and worker
+        count -- pass it to :meth:`verification_stage` (or :meth:`run`) as
+        the ``verification_evaluator`` to verify against the MNA test
+        bench instead of the analytical evaluator.  Kept out of the default
         verification path so existing artefacts stay byte-identical.
         """
         return self.topology.spice_evaluator(
             self.technology,
             n_stages=self.n_stages,
             n_workers=self.n_workers,
-            engine=self.spice_engine,
         )
 
     def corner_stage(

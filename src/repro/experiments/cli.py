@@ -11,9 +11,8 @@ Local subcommands run the hierarchical flow in-process::
 scenario's config hash (see :mod:`repro.experiments.cache`), so a second
 invocation of the same scenario loads the cached stages and is
 bit-identical to the cold run.  ``--evaluation`` / ``--n-workers`` /
-``--spice-engine`` / ``--seed`` override the registered scenario; only
-``--seed`` changes the config hash (backends are bit-identical, so they
-share cache entries).
+``--seed`` override the registered scenario; only ``--seed`` changes the
+config hash (backends are bit-identical, so they share cache entries).
 
 Service subcommands talk to the experiment service
 (:mod:`repro.service`), which shares work between many clients::
@@ -58,7 +57,6 @@ from repro.experiments.registry import (
 from repro.experiments.report import report_payload
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.optim.evaluation import EVALUATOR_CHOICES
-from repro.spice.plan import ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -86,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--n-workers", type=int, default=None, help="worker count of the SPICE batch pool"
-    )
-    run.add_argument(
-        "--spice-engine",
-        choices=ENGINES,
-        default=None,
-        help="transistor-level verification backend (does not change the cache key)",
     )
     run.add_argument(
         "--seed", type=int, default=None, help="seed override (changes the cache key)"
@@ -226,12 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--n-workers", type=int, default=None, help="worker count of the SPICE batch pool"
-    )
-    submit.add_argument(
-        "--spice-engine",
-        choices=ENGINES,
-        default=None,
-        help="transistor-level verification backend (does not change the job id)",
     )
     submit.add_argument(
         "--seed", type=int, default=None, help="seed override (changes the job id)"
@@ -469,8 +455,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         overrides["evaluation"] = args.evaluation
     if getattr(args, "n_workers", None) is not None:
         overrides["n_workers"] = args.n_workers
-    if getattr(args, "spice_engine", None) is not None:
-        overrides["spice_engine"] = args.spice_engine
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     return overrides

@@ -34,7 +34,6 @@ from repro.optim.evaluation import DEFAULT_EVALUATION, EVALUATOR_CHOICES
 from repro.optim.nsga2 import NSGA2Config
 from repro.process.corners import CornerSet, corner_set, corner_set_names
 from repro.process.technology import Technology, technology
-from repro.spice.plan import ENGINES as SPICE_ENGINES
 
 __all__ = ["ScenarioConfig", "HASH_EXCLUDED_FIELDS"]
 
@@ -90,11 +89,13 @@ class ScenarioConfig:
     run_yield / run_verification:
         Which optional stages the runner executes.
     spice_engine:
-        Backend of the transistor-level verification simulations, one of
-        :data:`repro.spice.plan.ENGINES` (``reference`` / ``lanes``).
-        Excluded from the config hash: the engines agree to solver
-        tolerance (not to the bit), and the numbers an experiment *selects and reports* come
-        from the analytical evaluator either way.
+        Retired: the SPICE layer has one engine, so ``"lanes"`` is the
+        only legal value and nothing reads the field.  It is kept, and
+        excluded from the config hash, only because the repository
+        benchmark's ``spice-verify`` workload still passes
+        ``spice_engine="lanes"``; the change to the benchmark that stops
+        passing it deletes the field.  A stored job naming another engine
+        fails as an unresolvable scenario.
     topology:
         Key into :data:`repro.circuits.topology.TOPOLOGIES` selecting the
         circuit family the flow optimises.  The default (``ring-vco``)
@@ -124,7 +125,7 @@ class ScenarioConfig:
     n_workers: Optional[int] = None
     run_yield: bool = True
     run_verification: bool = False
-    spice_engine: str = "reference"
+    spice_engine: str = "lanes"
     topology: str = DEFAULT_TOPOLOGY
     corners: str = ""
 
@@ -156,11 +157,8 @@ class ScenarioConfig:
             )
         if self.n_workers is not None and self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
-        if self.spice_engine not in SPICE_ENGINES:
-            raise ValueError(
-                f"spice_engine must be one of {', '.join(SPICE_ENGINES)}; "
-                f"got {self.spice_engine!r}"
-            )
+        if self.spice_engine != "lanes":
+            raise ValueError(f"spice_engine must be 'lanes'; got {self.spice_engine!r}")
         if self.corners and self.corners not in corner_set_names():
             raise ValueError(
                 f"corners must be empty or one of {', '.join(corner_set_names())}; "

@@ -1,9 +1,10 @@
 """Linear elements, sources and the junction diode.
 
-Every element implements the ``contribute`` protocol described in
-:mod:`repro.spice.netlist`.  Independent sources accept either a constant
-value or a :class:`SourceWaveform` (DC, pulse, sine, piece-wise linear) so
-the same element types serve DC and transient test benches.
+Elements only hold their parameters; :class:`repro.spice.plan.CircuitPlan`
+compiles them into the lane engine's stamp arrays.  Independent sources
+accept either a constant value or a :class:`SourceWaveform` (DC, pulse,
+sine, piece-wise linear) so the same element types serve DC and transient
+test benches.
 """
 
 from __future__ import annotations
@@ -171,14 +172,6 @@ class Resistor(Element):
         """Conductance ``1/R``."""
         return 1.0 / self.resistance
 
-    def contribute(self, ctx) -> None:
-        a = ctx.node(self.nodes[0])
-        b = ctx.node(self.nodes[1])
-        g = self.conductance
-        current = g * (ctx.v(self.nodes[0]) - ctx.v(self.nodes[1]))
-        ctx.stamp_current(a, b, current)
-        ctx.stamp_conductance(a, b, g)
-
 
 class Capacitor(Element):
     """Linear capacitor between two nodes.
@@ -196,31 +189,6 @@ class Capacitor(Element):
         self.capacitance = float(capacitance)
         self.initial_voltage = ic
 
-    def contribute(self, ctx) -> None:
-        if ctx.analysis != "tran" or ctx.dt <= 0.0 or self.capacitance == 0.0:
-            return
-        a = ctx.node(self.nodes[0])
-        b = ctx.node(self.nodes[1])
-        v_now = ctx.v(self.nodes[0]) - ctx.v(self.nodes[1])
-        v_prev = ctx.v_prev(self.nodes[0]) - ctx.v_prev(self.nodes[1])
-        c = self.capacitance
-        state = ctx.element_state(self.name)
-        if ctx.integrator == "trap":
-            i_prev = state.get("current", 0.0)
-            geq = 2.0 * c / ctx.dt
-            current = geq * (v_now - v_prev) - i_prev
-        else:  # backward Euler
-            geq = c / ctx.dt
-            current = geq * (v_now - v_prev)
-        state["pending_current"] = current
-        ctx.stamp_current(a, b, current)
-        ctx.stamp_conductance(a, b, geq)
-
-    def accept_timestep(self, state: dict) -> None:
-        """Commit the integrator state after a time step is accepted."""
-        if "pending_current" in state:
-            state["current"] = state.pop("pending_current")
-
 
 class Inductor(Element):
     """Linear inductor; short circuit in DC, companion model in transient."""
@@ -235,31 +203,6 @@ class Inductor(Element):
             raise NetlistError(f"inductor {name!r} must have a positive inductance")
         self.inductance = float(inductance)
         self.initial_current = ic
-
-    def contribute(self, ctx) -> None:
-        a = ctx.node(self.nodes[0])
-        b = ctx.node(self.nodes[1])
-        k = ctx.branch(self.name)
-        current = ctx.i_branch(self.name)
-        # KCL: branch current leaves node a, enters node b.
-        ctx.add_residual(a, current)
-        ctx.add_residual(b, -current)
-        ctx.add_jacobian(a, k, 1.0)
-        ctx.add_jacobian(b, k, -1.0)
-        v_now = ctx.v(self.nodes[0]) - ctx.v(self.nodes[1])
-        if ctx.analysis == "tran" and ctx.dt > 0.0:
-            i_prev = ctx.i_branch_prev(self.name)
-            # Backward Euler branch equation: v - L (i - i_prev)/dt = 0.
-            req = self.inductance / ctx.dt
-            ctx.add_residual(k, v_now - req * (current - i_prev))
-            ctx.add_jacobian(k, a, 1.0)
-            ctx.add_jacobian(k, b, -1.0)
-            ctx.add_jacobian(k, k, -req)
-        else:
-            # DC: inductor is a short; enforce v = 0.
-            ctx.add_residual(k, v_now)
-            ctx.add_jacobian(k, a, 1.0)
-            ctx.add_jacobian(k, b, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,31 +225,6 @@ class VoltageSource(Element):
         super().__init__(name, (node_pos, node_neg))
         self.waveform = _as_waveform(value)
 
-    def source_value(self, ctx) -> float:
-        """Instantaneous source value scaled by any homotopy factor."""
-        if ctx.analysis == "tran":
-            raw = self.waveform.value(ctx.time)
-        else:
-            raw = self.waveform.dc
-        return ctx.source_scale * raw
-
-    def contribute(self, ctx) -> None:
-        a = ctx.node(self.nodes[0])
-        b = ctx.node(self.nodes[1])
-        k = ctx.branch(self.name)
-        current = ctx.i_branch(self.name)
-        ctx.add_residual(a, current)
-        ctx.add_residual(b, -current)
-        ctx.add_jacobian(a, k, 1.0)
-        ctx.add_jacobian(b, k, -1.0)
-        v_now = ctx.v(self.nodes[0]) - ctx.v(self.nodes[1])
-        ctx.add_residual(k, v_now - self.source_value(ctx))
-        ctx.add_jacobian(k, a, 1.0)
-        ctx.add_jacobian(k, b, -1.0)
-
-    def supply_current_nodes(self) -> Tuple[str, ...]:
-        return (self.nodes[0],)
-
 
 class CurrentSource(Element):
     """Independent current source; current flows from node+ through the
@@ -315,20 +233,6 @@ class CurrentSource(Element):
     def __init__(self, name: str, node_pos: str, node_neg: str, value) -> None:
         super().__init__(name, (node_pos, node_neg))
         self.waveform = _as_waveform(value)
-
-    def source_value(self, ctx) -> float:
-        """Instantaneous source current scaled by any homotopy factor."""
-        if ctx.analysis == "tran":
-            raw = self.waveform.value(ctx.time)
-        else:
-            raw = self.waveform.dc
-        return ctx.source_scale * raw
-
-    def contribute(self, ctx) -> None:
-        a = ctx.node(self.nodes[0])
-        b = ctx.node(self.nodes[1])
-        current = self.source_value(ctx)
-        ctx.stamp_current(a, b, current)
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +257,6 @@ class VCVS(Element):
         super().__init__(name, (out_pos, out_neg, ctrl_pos, ctrl_neg))
         self.gain = float(gain)
 
-    def contribute(self, ctx) -> None:
-        op, on, cp, cn = (ctx.node(n) for n in self.nodes)
-        k = ctx.branch(self.name)
-        current = ctx.i_branch(self.name)
-        ctx.add_residual(op, current)
-        ctx.add_residual(on, -current)
-        ctx.add_jacobian(op, k, 1.0)
-        ctx.add_jacobian(on, k, -1.0)
-        v_out = ctx.v(self.nodes[0]) - ctx.v(self.nodes[1])
-        v_ctrl = ctx.v(self.nodes[2]) - ctx.v(self.nodes[3])
-        ctx.add_residual(k, v_out - self.gain * v_ctrl)
-        ctx.add_jacobian(k, op, 1.0)
-        ctx.add_jacobian(k, on, -1.0)
-        ctx.add_jacobian(k, cp, -self.gain)
-        ctx.add_jacobian(k, cn, self.gain)
-
 
 class VCCS(Element):
     """Voltage-controlled current source ``G``: i(out) = gm * v(ctrl)."""
@@ -384,13 +272,6 @@ class VCCS(Element):
     ) -> None:
         super().__init__(name, (out_pos, out_neg, ctrl_pos, ctrl_neg))
         self.transconductance = float(transconductance)
-
-    def contribute(self, ctx) -> None:
-        op, on, cp, cn = (ctx.node(n) for n in self.nodes)
-        v_ctrl = ctx.v(self.nodes[2]) - ctx.v(self.nodes[3])
-        current = self.transconductance * v_ctrl
-        ctx.stamp_current(op, on, current)
-        ctx.stamp_transconductance(op, on, cp, cn, self.transconductance)
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +302,3 @@ class Diode(Element):
     def thermal_voltage(self) -> float:
         """``kT/q`` at the configured temperature."""
         return 1.380649e-23 * self.temperature / 1.602176634e-19
-
-    def contribute(self, ctx) -> None:
-        a = ctx.node(self.nodes[0])
-        b = ctx.node(self.nodes[1])
-        n_vt = self.emission_coefficient * self.thermal_voltage
-        v = ctx.v(self.nodes[0]) - ctx.v(self.nodes[1])
-        # Junction-voltage limiting keeps the exponential finite.
-        v_limited = min(v, 40.0 * n_vt)
-        exp_term = math.exp(v_limited / n_vt)
-        current = self.saturation_current * (exp_term - 1.0)
-        conductance = self.saturation_current * exp_term / n_vt
-        if v > v_limited:
-            # Linear continuation beyond the limiting voltage.
-            current += conductance * (v - v_limited)
-        ctx.stamp_current(a, b, current)
-        ctx.stamp_conductance(a, b, conductance + 1e-12)

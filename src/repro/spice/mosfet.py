@@ -9,8 +9,7 @@ analog-cell simulation:
 * body effect through the usual ``gamma``/``phi`` expression,
 * simple velocity-saturation degradation of the overdrive,
 * Meyer-style gate capacitances plus overlap and junction capacitances,
-  stamped as companion models during transient analysis,
-* thermal-noise current PSD used by the analytical jitter estimator.
+  stamped as companion models during transient analysis.
 
 The quantitative accuracy of a foundry BSim3v3 model is *not* claimed; what
 matters for the reproduction is that performances vary smoothly and
@@ -100,22 +99,6 @@ NMOS_DEFAULT = MOSFETModel(name="nmos012", polarity=1, vth0=0.33, u0=0.032, gamm
 PMOS_DEFAULT = MOSFETModel(
     name="pmos012", polarity=-1, vth0=0.36, u0=0.011, gamma=0.48, lambda_=0.10
 )
-
-
-@dataclass
-class OperatingPoint:
-    """Small-signal quantities of a MOSFET at a bias point."""
-
-    ids: float
-    vgs: float
-    vds: float
-    vbs: float
-    gm: float
-    gds: float
-    gmb: float
-    region: str
-    vth: float
-    vdsat: float
 
 
 class MOSFET(Element):
@@ -227,94 +210,6 @@ class MOSFET(Element):
         ids = self._channel_current(nvg - nvd, nvs - nvd, nvb - nvd)
         return -p * ids
 
-    def operating_point(self, vd: float, vg: float, vs: float, vb: float) -> OperatingPoint:
-        """Small-signal parameters at the given terminal voltages."""
-        delta = 1e-6
-        ids = self.drain_current(vd, vg, vs, vb)
-        gm = (self.drain_current(vd, vg + delta, vs, vb) - ids) / delta
-        gds = (self.drain_current(vd + delta, vg, vs, vb) - ids) / delta
-        gmb = (self.drain_current(vd, vg, vs, vb + delta) - ids) / delta
-        p = self.model.polarity
-        vgs = p * (vg - vs)
-        vds = p * (vd - vs)
-        vbs = p * (vb - vs)
-        model = self.model
-        phi_minus_vbs = max(model.phi - vbs, 1e-6)
-        vth = model.vth0 + model.gamma * (math.sqrt(phi_minus_vbs) - math.sqrt(model.phi))
-        vdsat = max(vgs - vth, 0.0)
-        if vgs <= vth:
-            region = "subthreshold"
-        elif vds < vdsat:
-            region = "triode"
-        else:
-            region = "saturation"
-        return OperatingPoint(
-            ids=ids,
-            vgs=vgs,
-            vds=vds,
-            vbs=vbs,
-            gm=abs(gm),
-            gds=abs(gds),
-            gmb=abs(gmb),
-            region=region,
-            vth=vth,
-            vdsat=vdsat,
-        )
-
-    def thermal_noise_psd(self, gm: float) -> float:
-        """Drain thermal-noise current PSD ``4 k T (2/3) gm`` in A^2/Hz."""
-        return 4.0 * _BOLTZMANN * self.model.temperature * (2.0 / 3.0) * max(gm, 0.0)
-
-    # -- stamping ---------------------------------------------------------------------
-
-    def contribute(self, ctx) -> None:
-        d, g, s, b = self.nodes
-        nd, ng, ns, nb = (ctx.node(n) for n in self.nodes)
-        vd, vg, vs, vb = (ctx.v(n) for n in self.nodes)
-        ids = self.drain_current(vd, vg, vs, vb)
-        delta = 1e-6
-        did_dvd = (self.drain_current(vd + delta, vg, vs, vb) - ids) / delta
-        did_dvg = (self.drain_current(vd, vg + delta, vs, vb) - ids) / delta
-        did_dvs = (self.drain_current(vd, vg, vs + delta, vb) - ids) / delta
-        did_dvb = (self.drain_current(vd, vg, vs, vb + delta) - ids) / delta
-        # KCL: the channel current enters at the drain and leaves at the source.
-        ctx.add_residual(nd, ids)
-        ctx.add_residual(ns, -ids)
-        for column, derivative in ((nd, did_dvd), (ng, did_dvg), (ns, did_dvs), (nb, did_dvb)):
-            ctx.add_jacobian(nd, column, derivative)
-            ctx.add_jacobian(ns, column, -derivative)
-        # A small drain-source conductance improves conditioning.
-        ctx.stamp_conductance(nd, ns, 1e-12)
-        if ctx.analysis == "tran" and ctx.dt > 0.0:
-            self._stamp_capacitances(ctx)
-
-    def _stamp_capacitances(self, ctx) -> None:
-        state = ctx.element_state(self.name)
-        for (node_a, node_b), capacitance in self.gate_capacitances().items():
-            if capacitance <= 0.0:
-                continue
-            a = ctx.node(node_a)
-            b = ctx.node(node_b)
-            v_now = ctx.v(node_a) - ctx.v(node_b)
-            v_prev = ctx.v_prev(node_a) - ctx.v_prev(node_b)
-            key = f"i_{node_a}_{node_b}"
-            if ctx.integrator == "trap":
-                i_prev = state.get(key, 0.0)
-                geq = 2.0 * capacitance / ctx.dt
-                current = geq * (v_now - v_prev) - i_prev
-            else:
-                geq = capacitance / ctx.dt
-                current = geq * (v_now - v_prev)
-            state[f"pending_{key}"] = current
-            ctx.stamp_current(a, b, current)
-            ctx.stamp_conductance(a, b, geq)
-
-    def accept_timestep(self, state: dict) -> None:
-        """Commit the capacitor companion-model state after a time step."""
-        pending = [key for key in state if key.startswith("pending_")]
-        for key in pending:
-            state[key[len("pending_"):]] = state.pop(key)
-
 
 @dataclass
 class MOSFETArrays:
@@ -408,9 +303,8 @@ class MOSFETArrays:
         """Drain currents plus the four finite-difference derivatives.
 
         ``terminals`` stacks the ``vd``, ``vg``, ``vs`` and ``vb`` arrays
-        on a leading axis of size 4.  Mirrors the ``delta = 1e-6`` finite
-        differences of :meth:`MOSFET.contribute` so the lane Jacobian
-        matches the reference engine's linearisation.  The base point and
+        on a leading axis of size 4.  The derivatives are forward
+        differences with ``delta = 1e-6``.  The base point and
         its four perturbations go through one :meth:`drain_current` call
         on a leading stack axis of size 5; every operation is elementwise,
         so each slice equals its own separate call bit for bit.

@@ -4,18 +4,10 @@ A :class:`Circuit` is an ordered collection of :class:`Element` instances
 connected between named nodes.  The node name ``"0"`` (alias ``"gnd"``)
 is the global reference and is never assigned an unknown.
 
-Elements describe themselves to the analyses through a small protocol:
-
-``contribute(ctx)``
-    Add the element's contribution to the nonlinear residual vector and
-    Jacobian matrix for the current Newton iterate.  The
-    :class:`~repro.spice.mna.StampContext` passed in exposes the analysis
-    type (``"dc"`` or ``"tran"``), the present voltage estimates, previous
-    time-point values and integration coefficients.
-
-``n_branches``
-    Number of extra MNA branch-current unknowns the element needs
-    (voltage sources, inductors and VCVS need one).
+An element is a name, its nodes and its parameters; ``n_branches`` is
+the number of extra MNA branch-current unknowns it needs (voltage
+sources, inductors and VCVS need one).  The lane engine's
+:class:`~repro.spice.plan.CircuitPlan` turns the elements into stamps.
 """
 
 from __future__ import annotations
@@ -56,16 +48,6 @@ class Element:
         self.nodes: Tuple[str, ...] = tuple(canonical_node(n) for n in nodes)
         if not self.nodes:
             raise NetlistError(f"element {self.name!r} must connect to at least one node")
-
-    # -- protocol -------------------------------------------------------------
-
-    def contribute(self, ctx) -> None:
-        """Stamp the large-signal residual/Jacobian contribution."""
-        raise NotImplementedError
-
-    def supply_current_nodes(self) -> Tuple[str, ...]:
-        """Nodes through which supply current is drawn (for power metering)."""
-        return ()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r}, nodes={self.nodes})"
@@ -139,9 +121,7 @@ class Circuit:
 
     def _topology_maps(self) -> Tuple[List[str], Dict[str, int], Dict[str, int], int]:
         """Node list and index maps, built once and cached until the circuit
-        changes (``add`` / ``remove`` invalidate).  The analyses construct a
-        stamp context on every Newton iteration, so rebuilding these dicts
-        from scratch each time dominated reference-engine assembly cost."""
+        changes (``add`` / ``remove`` invalidate)."""
         if self._topology is None:
             seen: Dict[str, None] = {}
             for element in self._elements:

@@ -1,10 +1,8 @@
-"""Stamp-plan MNA engine with lane-parallel assembly (the ``lanes`` engine).
+"""Stamp-plan MNA engine with lane-parallel assembly.
 
-The reference engine (:mod:`repro.spice.mna`) re-stamps the circuit
-element by element in pure Python on every Newton iteration of every time
-step.  This module compiles a :class:`~repro.spice.netlist.Circuit` *once*
-into per-element-type index and parameter arrays and then performs
-assembly as vectorised scatter-adds whose flat indices are built once:
+A :class:`~repro.spice.netlist.Circuit` is compiled *once* into
+per-element-type index and parameter arrays, and assembly is then a set
+of vectorised scatter-adds whose flat indices are built once:
 
 * :class:`CircuitPlan` is built from ``n_lanes`` circuits that share one
   topology (same element types, names and nodes at every position) but
@@ -17,16 +15,19 @@ assembly as vectorised scatter-adds whose flat indices are built once:
   every (lane, device) pair via :class:`~repro.spice.mosfet.MOSFETArrays`
   (one stacked device call per assembly), and each target's stamps land
   in one ``np.bincount`` scatter.
-* :func:`lane_newton` / :func:`lane_dc_solve` mirror the reference
-  Newton-Raphson semantics (damping, voltage-step limiting, gmin shunt,
-  gmin/source-stepping homotopies) with per-lane convergence masks and one
-  batched ``np.linalg.solve`` per iteration.
+* :func:`lane_newton` / :func:`lane_dc_solve` run damped Newton-Raphson
+  (voltage-step limiting, gmin shunt, gmin/source-stepping homotopies)
+  with per-lane convergence masks and one batched ``np.linalg.solve``
+  per iteration.
 
-Contract: results are **tolerance-equivalent** to the reference engine,
-not byte-equal.  Two deliberate deviations are documented here:
+This is the package's only engine.  Its test oracle, a per-element
+engine that re-stamps every element in Python on every Newton
+iteration, lives in ``tests/spice/reference_engine.py``.  The two agree
+to well below the solver tolerances, not to the bit, and differ on
+purpose in two ways:
 
-* the reference engine adds the tiny 1e-12 conditioning shunt of diodes
-  and MOSFETs to the Jacobian only; the plan folds it into the static
+* the oracle adds the tiny 1e-12 conditioning shunt of diodes and
+  MOSFETs to the Jacobian only; the plan folds it into the static
   matrix, so it also contributes ``1e-12 * v`` to the residual — an
   effect at the solver tolerance floor;
 * a lane whose Jacobian is singular is reported as non-converged instead
@@ -36,6 +37,7 @@ not byte-equal.  Two deliberate deviations are documented here:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,21 +54,28 @@ from repro.spice.elements import (
     VoltageSource,
 )
 from repro.spice.exceptions import NetlistError
-from repro.spice.mna import NewtonOptions
 from repro.spice.mosfet import MOSFET, MOSFETArrays
 from repro.spice.netlist import Circuit, GROUND
 
 __all__ = [
-    "ENGINES",
+    "NewtonOptions",
     "CircuitPlan",
     "LaneSystem",
     "lane_newton",
     "lane_dc_solve",
 ]
 
-#: Engine identifiers accepted by the test bench, evaluators and flow:
-#: the per-element ``reference`` oracle and the lane-parallel stamp plan.
-ENGINES = ("reference", "lanes")
+@dataclass
+class NewtonOptions:
+    """Tuning knobs of the Newton-Raphson solver."""
+
+    max_iterations: int = 100
+    abs_tolerance: float = 1e-9
+    rel_tolerance: float = 1e-6
+    voltage_step_limit: float = 0.6
+    damping: float = 1.0
+    gmin: float = 1e-12
+    source_scale: float = 1.0
 
 
 class _SourceTable:
@@ -520,11 +529,13 @@ def lane_newton(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Damped Newton-Raphson on every active lane at once.
 
-    Mirrors :meth:`repro.spice.mna.NewtonSolver.solve` per lane (residual
-    norms, step limiting, convergence tests) but with a batched solve and
-    per-lane masks.  ``x`` (shape ``(n_lanes, pad_size)``) is updated in
-    place; lanes that fail (non-finite values, singular Jacobian, iteration
-    limit) simply end up not converged.
+    Each lane takes a Newton step, scaled down so no node voltage moves by
+    more than ``options.voltage_step_limit``, and converges when its
+    residual or step max-norm drops below ``abs_tolerance`` or both fall
+    by ``rel_tolerance``.  All lanes share one batched solve.  ``x``
+    (shape ``(n_lanes, pad_size)``) is updated in place; lanes that fail
+    (non-finite values, singular Jacobian, iteration limit) simply end up
+    not converged.
     """
     plan = system.plan
     L, n, n_nodes = plan.n_lanes, plan.n_unknowns, plan.n_nodes
@@ -596,9 +607,9 @@ def lane_dc_solve(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-lane DC operating point with gmin and source-stepping homotopies.
 
-    Mirrors :class:`repro.spice.dc.DCOperatingPoint`: plain solve first,
-    then a gmin ladder restarted from the initial guess, then source
-    stepping from zero — each stage only for the lanes that still need it.
+    A plain solve first, then a gmin ladder restarted from the initial
+    guess, then source stepping from zero — each stage only for the lanes
+    that still need it.
     Returns ``(x, converged, iterations)`` with ``x`` padded to
     ``(n_lanes, pad_size)``.
     """

@@ -1,11 +1,12 @@
 """Transient analysis.
 
-A fixed-step (optionally refined) time-marching loop: at every time point
-the nonlinear system with capacitor/inductor companion models is solved by
-the shared Newton solver, starting from the previous solution.  Backward
-Euler is used by default because of its robustness on switching circuits;
-trapezoidal integration is available for higher accuracy on smooth
-waveforms.
+A fixed-step (optionally refined) time-marching loop over many
+same-topology circuits at once: at every time point the nonlinear system
+with capacitor/inductor companion models is solved by the lane Newton
+solver of :mod:`repro.spice.plan`, starting from the previous solution.
+One circuit is a one-lane run.  Backward Euler is used by default because
+of its robustness on switching circuits; trapezoidal integration is
+available for higher accuracy on smooth waveforms.
 
 The result object exposes every node voltage as a
 :class:`~repro.spice.waveform.Waveform`, plus supply-current waveforms
@@ -19,15 +20,13 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.spice.dc import DCOperatingPoint, DCResult
 from repro.spice.elements import VoltageSource
-from repro.spice.exceptions import AnalysisError, ConvergenceError
-from repro.spice.mna import NewtonOptions, NewtonSolver
+from repro.spice.exceptions import AnalysisError
 from repro.spice.netlist import Circuit, GROUND
-from repro.spice.plan import CircuitPlan, LaneSystem, lane_dc_solve, lane_newton
+from repro.spice.plan import CircuitPlan, LaneSystem, NewtonOptions, lane_dc_solve, lane_newton
 from repro.spice.waveform import Waveform
 
-__all__ = ["TransientResult", "TransientAnalysis", "LaneTransientAnalysis"]
+__all__ = ["TransientResult", "LaneTransientAnalysis"]
 
 
 @dataclass
@@ -71,134 +70,6 @@ class TransientResult:
         return {node: self.voltage(node) for node in self.circuit.nodes}
 
 
-class TransientAnalysis:
-    """Time-domain simulation of a circuit.
-
-    Parameters
-    ----------
-    circuit:
-        The circuit to simulate.
-    t_stop:
-        Final simulation time (seconds).
-    dt:
-        Base time step.  When a time point fails to converge the step is
-        halved (up to ``max_step_refinements`` times) before giving up.
-    integrator:
-        ``"be"`` (backward Euler, default) or ``"trap"`` (trapezoidal).
-    t_start_recording:
-        Samples before this time are discarded from the stored result
-        (useful for skipping start-up transients while keeping memory low).
-    initial_conditions:
-        Optional mapping of node name to initial voltage.  Nodes not listed
-        start from the DC operating point (or zero if ``use_dc_start`` is
-        False).
-    use_dc_start:
-        Whether to compute a DC operating point as the starting state.
-
-    This is the per-element reference engine, the oracle of
-    :class:`LaneTransientAnalysis`.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        t_stop: float,
-        dt: float,
-        integrator: str = "be",
-        t_start_recording: float = 0.0,
-        initial_conditions: Optional[Dict[str, float]] = None,
-        use_dc_start: bool = True,
-        newton_options: NewtonOptions | None = None,
-        max_step_refinements: int = 6,
-    ) -> None:
-        if t_stop <= 0.0 or dt <= 0.0:
-            raise AnalysisError("t_stop and dt must be positive")
-        if dt >= t_stop:
-            raise AnalysisError("dt must be smaller than t_stop")
-        if integrator not in ("be", "trap"):
-            raise AnalysisError("integrator must be 'be' or 'trap'")
-        self.circuit = circuit
-        self.t_stop = float(t_stop)
-        self.dt = float(dt)
-        self.integrator = integrator
-        self.t_start_recording = float(t_start_recording)
-        self.initial_conditions = dict(initial_conditions or {})
-        self.use_dc_start = use_dc_start
-        self.newton_options = newton_options or NewtonOptions(
-            max_iterations=60, voltage_step_limit=1.0
-        )
-        self.max_step_refinements = max_step_refinements
-
-    # -- start-up ---------------------------------------------------------------------
-
-    def _initial_state(self, solver: NewtonSolver) -> np.ndarray:
-        n = self.circuit.n_unknowns
-        x = np.zeros(n)
-        if self.use_dc_start:
-            try:
-                dc: DCResult = DCOperatingPoint(self.circuit, self.newton_options).run()
-                x = dc.x.copy()
-            except ConvergenceError:
-                x = np.zeros(n)
-        node_index = self.circuit.node_index()
-        for node, value in self.initial_conditions.items():
-            if node == GROUND:
-                continue
-            if node not in node_index:
-                raise AnalysisError(f"initial condition on unknown node {node!r}")
-            x[node_index[node]] = float(value)
-        return x
-
-    # -- main loop ----------------------------------------------------------------------
-
-    def run(self) -> TransientResult:
-        """Run the transient simulation and return the sampled solution."""
-        solver = NewtonSolver(self.circuit, self.newton_options)
-        state: Dict[str, Dict[str, float]] = {}
-        x = self._initial_state(solver)
-        times = []
-        solutions = []
-        if self.t_start_recording <= 0.0:
-            times.append(0.0)
-            solutions.append(x.copy())
-        t = 0.0
-        dt = self.dt
-        while t < self.t_stop - 1e-21:
-            step = min(dt, self.t_stop - t)
-            accepted = False
-            refinements = 0
-            while not accepted:
-                try:
-                    result = solver.solve(
-                        x,
-                        analysis="tran",
-                        time=t + step,
-                        dt=step,
-                        x_prev=x,
-                        integrator=self.integrator,
-                        state=state,
-                    )
-                    accepted = True
-                except ConvergenceError:
-                    refinements += 1
-                    if refinements > self.max_step_refinements:
-                        raise
-                    step *= 0.5
-            t += step
-            x = result.x
-            # Commit integrator state (trapezoidal capacitor currents).
-            for element in self.circuit:
-                accept = getattr(element, "accept_timestep", None)
-                if accept is not None and element.name in state:
-                    accept(state[element.name])
-            if t >= self.t_start_recording:
-                times.append(t)
-                solutions.append(x.copy())
-        if not times:
-            raise AnalysisError("no time points were recorded; check t_start_recording")
-        return TransientResult(self.circuit, np.asarray(times), np.vstack(solutions))
-
-
 class LaneTransientAnalysis:
     """Lane-parallel transient: many same-topology circuits in one loop.
 
@@ -208,15 +79,31 @@ class LaneTransientAnalysis:
     and step refinement independently, so a stiff lane refining its time
     step does not slow the others' Newton iterations down to lock-step.
 
-    Parameters mirror :class:`TransientAnalysis`; ``circuits`` is a
-    sequence of circuits sharing one topology (same element types, names
-    and nodes — parameter values may differ per lane), and
-    ``initial_conditions`` is either one mapping shared by every lane or a
-    per-lane sequence of mappings.
+    Parameters
+    ----------
+    circuits:
+        Circuits sharing one topology (same element types, names and
+        nodes — parameter values may differ per lane).
+    t_stop:
+        Final simulation time (seconds).
+    dt:
+        Base time step.  When a lane's time point fails to converge its
+        step is halved (up to ``max_step_refinements`` times) before the
+        lane is given up.
+    integrator:
+        ``"be"`` (backward Euler, default) or ``"trap"`` (trapezoidal).
+    t_start_recording:
+        Samples before this time are discarded from the stored result
+        (useful for skipping start-up transients while keeping memory low).
+    initial_conditions:
+        One mapping of node name to initial voltage shared by every lane,
+        or a per-lane sequence of mappings.  Nodes not listed start from
+        the DC operating point (or zero if ``use_dc_start`` is False).
+    use_dc_start:
+        Whether to compute a DC operating point as the starting state.
 
     :meth:`run` returns one :class:`TransientResult` per lane, with
-    ``None`` for lanes whose time stepping failed to converge (where the
-    scalar analysis would raise :class:`ConvergenceError`).
+    ``None`` for lanes whose time stepping failed to converge.
     """
 
     def __init__(

@@ -166,15 +166,16 @@ def test_base_class_batch_fallback_loops_scalar(evaluator):
 
 
 def test_spice_pool_batch_matches_serial():
-    """The pooled batch runs the same scalar code, so results are identical.
+    """The pooled batch runs the same chunk code, so results are identical.
 
     Reduced transient settings keep the two transistor-level runs cheap;
-    ``n_workers=2`` forces the pool path even on single-core machines.
+    ``lane_width=1`` with ``n_workers=2`` forces the pool path even on
+    single-core machines.
     """
     from repro.circuits.evaluators import RingVcoSpiceEvaluator
 
     evaluator = RingVcoSpiceEvaluator(
-        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=2
+        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=2, lane_width=1
     )
     rng = np.random.default_rng(7)
     designs = [random_design(rng) for _ in range(2)]
@@ -208,15 +209,14 @@ def test_spice_pool_rejects_bad_worker_count():
 
 
 def test_spice_lanes_batch_matches_reference():
-    """The lane engine is tolerance-equivalent to the per-element engine."""
+    """The lane engine is tolerance-equivalent to the per-element oracle."""
     from repro.circuits.evaluators import RingVcoSpiceEvaluator
+    from tests.spice.reference_engine import ReferenceSpiceEvaluator
 
     rng = np.random.default_rng(13)
     designs = [random_design(rng) for _ in range(2)]
-    reference = RingVcoSpiceEvaluator(TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1)
-    lanes = RingVcoSpiceEvaluator(
-        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1, engine="lanes"
-    )
+    reference = ReferenceSpiceEvaluator(TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1)
+    lanes = RingVcoSpiceEvaluator(TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1)
     for ref, lane in zip(reference.evaluate_batch(designs), lanes.evaluate_batch(designs)):
         for key, value in ref.as_dict().items():
             assert lane.as_dict()[key] == pytest.approx(value, rel=1e-6), key
@@ -234,10 +234,10 @@ def test_spice_lanes_pool_matches_in_process():
     rng = np.random.default_rng(17)
     designs = [random_design(rng) for _ in range(2)]
     in_process = RingVcoSpiceEvaluator(
-        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1, engine="lanes"
+        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1
     ).evaluate_batch(designs)
     pooled = RingVcoSpiceEvaluator(
-        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=2, engine="lanes", lane_width=1
+        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=2, lane_width=1
     ).evaluate_batch(designs)
     assert len(pooled) == 2
     for a, b in zip(in_process, pooled):
@@ -245,9 +245,10 @@ def test_spice_lanes_pool_matches_in_process():
 
 
 def test_spice_lanes_handles_mismatch_samples():
-    """Device overrides flow through the lane path like the scalar path."""
+    """Device overrides flow through the lane path like the oracle's path."""
     from repro.circuits import vco_device_geometries
     from repro.circuits.evaluators import RingVcoSpiceEvaluator
+    from tests.spice.reference_engine import ReferenceSpiceEvaluator
 
     rng = np.random.default_rng(19)
     design = random_design(rng)
@@ -255,10 +256,8 @@ def test_spice_lanes_handles_mismatch_samples():
     samples = MonteCarloEngine(
         TECH_012UM, n_samples=1, seed=19, include_global=False
     ).sample_batch(devices)
-    reference = RingVcoSpiceEvaluator(TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1)
-    lanes = RingVcoSpiceEvaluator(
-        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1, engine="lanes"
-    )
+    reference = ReferenceSpiceEvaluator(TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1)
+    lanes = RingVcoSpiceEvaluator(TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1)
     scalar = reference.evaluate(design, mismatch=samples[0].mismatch)
     (batched,) = lanes.evaluate_batch([design], samples=samples)
     for key, value in scalar.as_dict().items():
@@ -268,7 +267,5 @@ def test_spice_lanes_handles_mismatch_samples():
 def test_spice_engine_validation():
     from repro.circuits.evaluators import RingVcoSpiceEvaluator
 
-    with pytest.raises(ValueError):
-        RingVcoSpiceEvaluator(engine="nope")
     with pytest.raises(ValueError):
         RingVcoSpiceEvaluator(lane_width=0)

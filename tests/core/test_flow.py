@@ -178,20 +178,11 @@ def test_bottom_up_verification_single_point(combined_model, analytical_evaluato
 
 
 def test_flow_spice_evaluator_carries_engine_knobs(technology):
-    from repro.experiments.config import ScenarioConfig
-
-    flow = HierarchicalFlow(technology=technology, spice_engine="lanes", n_workers=3)
+    flow = HierarchicalFlow(technology=technology, n_workers=3)
     evaluator = flow.spice_evaluator()
-    assert evaluator.engine == "lanes"
     assert evaluator.n_workers == 3
     assert evaluator.n_stages == flow.n_stages
     assert evaluator.technology is technology
-
-    scenario = ScenarioConfig(name="engine-knob", spice_engine="lanes")
-    assert HierarchicalFlow.from_scenario(scenario).spice_engine == "lanes"
-
-    with pytest.raises(ValueError):
-        HierarchicalFlow(spice_engine="spectre")
 
 
 # -- full flow -------------------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import pytest
 import repro
 from repro.experiments import cli
 from repro.optim.evaluation import EVALUATOR_CHOICES
-from repro.spice.plan import ENGINES
 
 #: Environment for subprocesses: make ``import repro`` work from the src
 #: layout even when the package is not installed in the interpreter.
@@ -113,28 +112,13 @@ def test_unknown_scenario_usage_error_in_subprocess(tmp_path):
     assert "Traceback" not in result.stderr
 
 
-def test_spice_engine_override_reaches_the_scenario():
-    args = cli.build_parser().parse_args(["run", "fast-smoke", "--spice-engine", "lanes"])
-    scenario = cli._scenario_with_overrides(args)
-    assert scenario.spice_engine == "lanes"
-    # An execution detail: the cache key must not move.
-    base = cli._scenario_with_overrides(cli.build_parser().parse_args(["run", "fast-smoke"]))
-    assert scenario.config_hash() == base.config_hash()
-
-
 def test_spice_engine_choices_match_the_api():
-    # Both subcommands offer exactly the SPICE ENGINES; the retired
-    # ``compiled`` engine is a usage error.
+    # The SPICE layer has one engine and no engine flag: naming one, even
+    # ``lanes``, is a usage error on both subcommands.
     parser = cli.build_parser()
-    subcommands = parser._subparsers._group_actions[0].choices
     for command in ("run", "submit"):
-        (option,) = [a for a in subcommands[command]._actions if a.dest == "spice_engine"]
-        assert option.choices is ENGINES
-        for name in ENGINES:
-            args = parser.parse_args([command, "fast-smoke", "--spice-engine", name])
-            assert args.spice_engine == name
         with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args([command, "fast-smoke", "--spice-engine", "compiled"])
+            parser.parse_args([command, "fast-smoke", "--spice-engine", "lanes"])
         assert excinfo.value.code == 2
 
 

@@ -35,6 +35,8 @@ def test_scenario_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         make_scenario(spice_engine="spectre")
     with pytest.raises(ValueError):
+        make_scenario(spice_engine="reference")
+    with pytest.raises(ValueError):
         ScenarioConfig(name="")
     with pytest.raises(KeyError):
         make_scenario(technology="fantasy-node")
@@ -99,9 +101,6 @@ def test_config_hash_ignores_execution_details():
     assert base.config_hash() == base.with_overrides(n_workers=4).config_hash()
     assert base.config_hash() == base.with_overrides(name="other").config_hash()
     assert base.config_hash() == base.with_overrides(run_verification=True).config_hash()
-    # Engines agree to solver tolerance, so switching one never invalidates
-    # cached artefacts produced by another.
-    assert base.config_hash() == base.with_overrides(spice_engine="lanes").config_hash()
     for field_name in HASH_EXCLUDED_FIELDS:
         assert field_name not in base.hashed_fields()
 

@@ -69,7 +69,7 @@ def test_spice_pool_worker_spans_merge_into_the_parent_trace():
 
     designs = [VcoDesign()] * 4
     evaluator = RingVcoSpiceEvaluator(
-        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=2
+        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=2, lane_width=2
     )
     untraced = evaluator.evaluate_batch(designs)
     with obs_trace.start_trace("spicetrace") as trace:
@@ -81,8 +81,9 @@ def test_spice_pool_worker_spans_merge_into_the_parent_trace():
 
     spans = trace.spans
     batch = next(r for r in spans if r["name"] == "spice.evaluate_batch")
-    chunks = [r for r in spans if r["name"] == "spice.chunk"]
-    assert len(chunks) == batch["attrs"]["n_chunks"] >= 2
+    chunks = [r for r in spans if r["name"] == "spice.lane_chunk"]
+    assert len(chunks) == batch["attrs"]["n_chunks"] == 2
+    assert all(r["attrs"]["n_tasks"] == 2 for r in chunks)
     assert {r["parent_id"] for r in chunks} == {batch["span_id"]}
     assert {r["trace_id"] for r in chunks} == {"spicetrace"}
     # The chunks genuinely ran in pool workers, not in this process.
@@ -96,7 +97,7 @@ def test_spice_lane_pool_worker_spans_merge_into_the_parent_trace():
 
     designs = [VcoDesign(), VcoDesign(tail_nmos_width=20e-6), VcoDesign(), VcoDesign()]
     evaluator = RingVcoSpiceEvaluator(
-        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=2, engine="lanes", lane_width=1
+        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=2, lane_width=1
     )
     untraced = evaluator.evaluate_batch(designs)
     with obs_trace.start_trace("lanetrace") as trace:

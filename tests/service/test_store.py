@@ -87,19 +87,18 @@ def test_requeue_adopts_the_resubmissions_execution_fields(store):
     """Hash-excluded fields (backend, worker count) may differ between the
     failed submission and the corrective one; the requeue must store the
     NEW scenario so the worker honours the fix."""
-    broken = TINY.with_overrides(evaluation="vectorised", spice_engine="lanes", n_workers=64)
+    broken = TINY.with_overrides(evaluation="vectorised", n_workers=64)
     job, _ = store.submit(broken)
     store.claim("w1")
     store.fail(job.id, "w1", "pool cannot spawn")
-    fixed = TINY.with_overrides(evaluation="serial", name="tiny-fixed")
+    fixed = TINY.with_overrides(evaluation="serial", n_workers=2, name="tiny-fixed")
     assert fixed.config_hash() == broken.config_hash()  # same job id
     requeued, created = store.submit(fixed)
     assert created
     assert requeued.scenario == "tiny-fixed"
     resolved = requeued.resolve_scenario()
     assert resolved.evaluation == "serial"
-    assert resolved.n_workers is None
-    assert resolved.spice_engine == "reference"
+    assert resolved.n_workers == 2
 
 
 def test_expired_lease_is_reclaimed_by_next_claim(tmp_path):

@@ -71,16 +71,21 @@ def test_drain_mode_waits_for_expired_lease_jobs(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "field, backend",
-    [("evaluation", "process"), ("evaluation", "vectorized"), ("spice_engine", "compiled")],
-    ids=["process", "vectorized", "compiled"],
+    [
+        ("evaluation", "process"),
+        ("evaluation", "vectorized"),
+        ("spice_engine", "compiled"),
+        ("spice_engine", "reference"),
+    ],
+    ids=["process", "vectorized", "compiled", "reference"],
 )
 def test_job_naming_a_retired_backend_fails_without_killing_the_worker(
     tmp_path, field, backend
 ):
     """A job stored while ``process`` / ``vectorized`` were accepted
-    backend names, or ``compiled`` an accepted SPICE engine, no longer
-    resolves: it fails as an unresolvable scenario, and the same worker
-    goes on to finish the next job."""
+    backend names, or ``compiled`` / ``reference`` accepted SPICE engines,
+    no longer resolves: it fails as an unresolvable scenario, and the same
+    worker goes on to finish the next job."""
     db = tmp_path / "service.db"
     store = SqliteJobStore(db, lease_ttl=30.0)
     stale, _ = store.submit(TINY)

@@ -1,4 +1,9 @@
-"""Tests for DC and transient analyses plus waveform measurements."""
+"""Tests for DC and transient analyses plus waveform measurements.
+
+The analyses run on the lane engine through the one-lane helpers of
+:mod:`tests.spice.one_lane`; the Newton-solver tests check the reference
+engine's solver (:mod:`tests.spice.reference_engine`).
+"""
 
 import numpy as np
 import pytest
@@ -9,14 +14,13 @@ from repro.spice import (
     MOSFET,
     NMOS_DEFAULT,
     Resistor,
-    TransientAnalysis,
     VoltageSource,
     Waveform,
-    dc_operating_point,
 )
-from repro.spice.dc import DCOperatingPoint
 from repro.spice.exceptions import AnalysisError, NetlistError
-from repro.spice.mna import NewtonSolver
+
+from tests.spice.one_lane import dc_operating_point, transient
+from tests.spice.reference_engine import NewtonSolver
 
 
 # -- Newton solver / DC ---------------------------------------------------------------
@@ -56,7 +60,7 @@ def test_dc_gmin_stepping_handles_hard_start():
     circuit.add(MOSFET("m1", "vdd", "vdd", "mid", "0", NMOS_DEFAULT, 20e-6, 0.24e-6))
     circuit.add(MOSFET("m2", "mid", "mid", "0", "0", NMOS_DEFAULT, 20e-6, 0.24e-6))
     circuit.add(Resistor("rleak", "mid", "0", 1e9))
-    result = DCOperatingPoint(circuit).run()
+    result = dc_operating_point(circuit)
     assert 0.0 < result.voltage("mid") < 1.2
 
 
@@ -83,27 +87,25 @@ def _rc():
 
 def test_transient_argument_validation():
     with pytest.raises(AnalysisError):
-        TransientAnalysis(_rc(), t_stop=0.0, dt=1e-9)
+        transient(_rc(), t_stop=0.0, dt=1e-9)
     with pytest.raises(AnalysisError):
-        TransientAnalysis(_rc(), t_stop=1e-6, dt=1e-5)
+        transient(_rc(), t_stop=1e-6, dt=1e-5)
     with pytest.raises(AnalysisError):
-        TransientAnalysis(_rc(), t_stop=1e-6, dt=1e-9, integrator="euler")
+        transient(_rc(), t_stop=1e-6, dt=1e-9, integrator="euler")
 
 
 def test_transient_unknown_initial_condition_node_raises():
-    analysis = TransientAnalysis(_rc(), t_stop=1e-6, dt=1e-8, initial_conditions={"nope": 1.0})
     with pytest.raises(AnalysisError):
-        analysis.run()
+        transient(_rc(), t_stop=1e-6, dt=1e-8, initial_conditions={"nope": 1.0})
 
 
 def test_transient_records_after_start_time():
-    analysis = TransientAnalysis(_rc(), t_stop=2e-6, dt=1e-8, t_start_recording=1e-6)
-    result = analysis.run()
+    result = transient(_rc(), t_stop=2e-6, dt=1e-8, t_start_recording=1e-6)
     assert result.time[0] >= 1e-6
 
 
 def test_transient_supply_current_waveform():
-    result = TransientAnalysis(_rc(), t_stop=1e-6, dt=1e-8, use_dc_start=False).run()
+    result = transient(_rc(), t_stop=1e-6, dt=1e-8, use_dc_start=False)
     supply = result.supply_current()
     # Charging current is largest right after the step and decays away.
     assert supply.maximum() > 0.0
@@ -111,7 +113,7 @@ def test_transient_supply_current_waveform():
 
 
 def test_transient_nodes_dictionary():
-    result = TransientAnalysis(_rc(), t_stop=1e-7, dt=1e-9).run()
+    result = transient(_rc(), t_stop=1e-7, dt=1e-9)
     assert set(result.nodes) == {"in", "out"}
     ground = result.voltage("0")
     assert np.all(ground.values == 0.0)

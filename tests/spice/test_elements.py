@@ -1,4 +1,7 @@
-"""Tests for the linear elements, sources and waveforms via DC/transient runs."""
+"""Tests for the linear elements, sources and waveforms via DC/transient runs.
+
+The runs are one-lane lane-engine analyses (:mod:`tests.spice.one_lane`).
+"""
 
 import numpy as np
 import pytest
@@ -13,11 +16,11 @@ from repro.spice import (
     VCCS,
     VCVS,
     VoltageSource,
-    dc_operating_point,
-    TransientAnalysis,
 )
 from repro.spice.elements import DCWaveform, PWLWaveform, PulseWaveform, SineWaveform
 from repro.spice.exceptions import NetlistError
+
+from tests.spice.one_lane import dc_operating_point, transient
 
 
 # -- waveforms -----------------------------------------------------------------------
@@ -200,7 +203,7 @@ def test_rc_charging_time_constant():
     circuit.add(Resistor("r1", "in", "out", 1e3))
     circuit.add(Capacitor("c1", "out", "0", 1e-9))
     tau = 1e-6
-    result = TransientAnalysis(circuit, t_stop=5 * tau, dt=tau / 100, use_dc_start=False).run()
+    result = transient(circuit, t_stop=5 * tau, dt=tau / 100, use_dc_start=False)
     wave = result.voltage("out")
     assert wave.at(tau) == pytest.approx(1.0 - np.exp(-1.0), abs=0.03)
     assert wave.at(5 * tau) == pytest.approx(1.0, abs=0.02)
@@ -211,9 +214,9 @@ def test_rc_discharge_with_initial_condition():
     circuit.add(Resistor("r1", "out", "0", 1e3))
     circuit.add(Capacitor("c1", "out", "0", 1e-9))
     circuit.add(Resistor("rbig", "out", "0", 1e9))
-    result = TransientAnalysis(
+    result = transient(
         circuit, t_stop=3e-6, dt=1e-8, initial_conditions={"out": 1.0}, use_dc_start=False
-    ).run()
+    )
     wave = result.voltage("out")
     assert wave.at(1e-6) == pytest.approx(np.exp(-1.0), abs=0.03)
 
@@ -224,7 +227,7 @@ def test_rl_current_rise():
     circuit.add(Resistor("r1", "in", "out", 1e3))
     circuit.add(Inductor("l1", "out", "0", 1e-3))
     tau = 1e-6
-    result = TransientAnalysis(circuit, t_stop=5 * tau, dt=tau / 100, use_dc_start=False).run()
+    result = transient(circuit, t_stop=5 * tau, dt=tau / 100, use_dc_start=False)
     current = result.branch_current("l1")
     assert current.values[-1] == pytest.approx(1e-3, rel=0.05)
 
@@ -234,9 +237,7 @@ def test_trapezoidal_integrator_rc():
     circuit.add(VoltageSource("v1", "in", "0", 1.0))
     circuit.add(Resistor("r1", "in", "out", 1e3))
     circuit.add(Capacitor("c1", "out", "0", 1e-9))
-    result = TransientAnalysis(
-        circuit, t_stop=5e-6, dt=5e-8, integrator="trap", use_dc_start=False
-    ).run()
+    result = transient(circuit, t_stop=5e-6, dt=5e-8, integrator="trap", use_dc_start=False)
     assert result.voltage("out").values[-1] == pytest.approx(1.0, abs=0.02)
 
 
@@ -245,7 +246,7 @@ def test_sine_source_propagates_through_follower():
     circuit.add(VoltageSource("v1", "in", "0", SineWaveform(0.0, 1.0, 1e6)))
     circuit.add(Resistor("r1", "in", "out", 10.0))
     circuit.add(Resistor("r2", "out", "0", 1e6))
-    result = TransientAnalysis(circuit, t_stop=3.6e-6, dt=1e-8, use_dc_start=False).run()
+    result = transient(circuit, t_stop=3.6e-6, dt=1e-8, use_dc_start=False)
     wave = result.voltage("out")
     assert wave.maximum() == pytest.approx(1.0, abs=0.05)
     assert wave.minimum() == pytest.approx(-1.0, abs=0.05)

@@ -1,12 +1,13 @@
-"""Cross-engine equivalence tests: the reference engine vs the lane engine.
+"""Cross-engine equivalence tests: the lane engine vs the reference oracle.
 
 The lane engine's stamp plan (:mod:`repro.spice.plan`) promises results
-*tolerance-equivalent* to the per-element reference engine — agreement to
-well below the Newton solver tolerances, not bit-equality (see the module
-docstring for the two documented deviations).  These tests sweep both DC
-and transient analyses over parser-driven netlists, with a one-lane
-:class:`CircuitPlan` against the reference :class:`DCOperatingPoint` and
-:class:`TransientAnalysis` oracles, exercise the gmin and source-stepping
+*tolerance-equivalent* to the per-element reference engine of
+:mod:`tests.spice.reference_engine` — agreement to well below the Newton
+solver tolerances, not bit-equality (see the plan's module docstring for
+the two documented deviations).  These tests sweep both DC and transient
+analyses over small netlists, with a one-lane :class:`CircuitPlan`
+against the oracle's :class:`DCOperatingPoint` and
+:class:`TransientAnalysis`, exercise the gmin and source-stepping
 homotopy fallbacks, pin a lane of a batch to its single-lane run
 bit-for-bit, pin every single-design test-bench and evaluator call to the
 batch path bit-for-bit, and hold a golden-number regression on the
@@ -26,80 +27,122 @@ from repro.circuits.ring_vco import VcoDesign
 from repro.circuits.testbench import VcoTestbench
 from repro.process.technology import TECH_012UM
 from repro.spice import (
+    Capacitor,
     Circuit,
     CircuitPlan,
-    ENGINES,
-    LaneSystem,
+    CurrentSource,
+    Diode,
+    Inductor,
+    LaneTransientAnalysis,
     MOSFET,
     NMOS_DEFAULT,
     Resistor,
-    TransientAnalysis,
+    VCCS,
+    VCVS,
     VoltageSource,
-    parse_netlist,
 )
-from repro.spice.dc import DCOperatingPoint, DCResult
+from repro.spice.elements import PulseWaveform, SineWaveform
 from repro.spice.exceptions import AnalysisError, NetlistError
-from repro.spice.mna import NewtonOptions
-from repro.spice.plan import lane_dc_solve
-from repro.spice.transient import LaneTransientAnalysis
 
-# Parser-driven netlists covering every element the lane engine stamps:
-# passives, branch elements (V, L), controlled sources, diodes and MOSFETs.
+from tests.spice.one_lane import dc_operating_point as _lane_dc
+from tests.spice.reference_engine import DCOperatingPoint, ReferenceTestbench, TransientAnalysis
+
+
+def _circuit(*elements):
+    circuit = Circuit()
+    circuit.extend(elements)
+    return circuit
+
+
+# Netlists covering every element the lane engine stamps: passives,
+# branch elements (V, L), controlled sources, diodes and MOSFETs.
+
+
+def _ladder_divider():
+    # Resistive ladder with a VCVS buffer.
+    return _circuit(
+        VoltageSource("V1", "in", "0", 1.2),
+        Resistor("R1", "in", "a", 2e3),
+        Resistor("R2", "a", "b", 1e3),
+        Resistor("R3", "b", "0", 1e3),
+        VCVS("E1", "out", "0", "b", "0", 2.0),
+        Resistor("Rload", "out", "0", 10e3),
+    )
+
+
+def _diode_clamp():
+    # Forward-biased diode with series resistor.
+    return _circuit(
+        VoltageSource("V1", "in", "0", 0.9),
+        Resistor("R1", "in", "d", 1e3),
+        Diode("D1", "d", "0", saturation_current=1e-15, emission_coefficient=1.2),
+    )
+
+
+def _mos_inverter():
+    # NMOS inverter with resistive load.
+    nch = NMOS_DEFAULT.with_variation(name="nch", vth0=0.4, lambda_=0.1)
+    return _circuit(
+        VoltageSource("VDD", "vdd", "0", 1.2),
+        VoltageSource("VIN", "g", "0", 0.7),
+        Resistor("RD", "vdd", "d", 5e3),
+        MOSFET("M1", "d", "g", "0", "0", nch, 10e-6, 0.24e-6),
+    )
+
+
+def _vccs_rc():
+    # VCCS-loaded RC with a current source.
+    return _circuit(
+        CurrentSource("I1", "0", "a", 1e-3),
+        Resistor("R1", "a", "0", 2e3),
+        VCCS("G1", "b", "0", "a", "0", 0.5e-3),
+        Resistor("R2", "b", "0", 1e3),
+        Capacitor("C1", "b", "0", 1e-9),
+    )
+
+
+def _rlc_tank():
+    # Series RLC driven by a pulse.
+    return _circuit(
+        VoltageSource("V1", "in", "0", PulseWaveform(0.0, 1.0, 1e-9, 0.1e-9, 0.1e-9, 20e-9, 40e-9)),
+        Resistor("R1", "in", "m", 50.0),
+        Inductor("L1", "m", "out", 1e-6),
+        Capacitor("C1", "out", "0", 1e-9),
+    )
+
+
+def _rc_sine(resistance=1e3):
+    return _circuit(
+        VoltageSource("V1", "in", "0", SineWaveform(0.5, 0.4, 50e6)),
+        Resistor("R1", "in", "out", resistance),
+        Capacitor("C1", "out", "0", 1e-9),
+    )
+
+
+def _mos_switch():
+    nch = NMOS_DEFAULT.with_variation(name="nch", vth0=0.4)
+    return _circuit(
+        VoltageSource("VDD", "vdd", "0", 1.2),
+        VoltageSource("VIN", "g", "0", PulseWaveform(0.0, 1.2, 2e-9, 0.2e-9, 0.2e-9, 8e-9, 16e-9)),
+        Resistor("RD", "vdd", "d", 10e3),
+        Capacitor("CL", "d", "0", 50e-15),
+        MOSFET("M1", "d", "g", "0", "0", nch, 20e-6, 0.24e-6),
+    )
+
+
 NETLISTS = {
-    "ladder_divider": """
-* resistive ladder with a VCVS buffer
-V1 in 0 1.2
-R1 in a 2k
-R2 a b 1k
-R3 b 0 1k
-E1 out 0 b 0 2.0
-Rload out 0 10k
-""",
-    "diode_clamp": """
-* forward-biased diode with series resistor
-.model dclamp d (is=1e-15 n=1.2)
-V1 in 0 0.9
-R1 in d 1k
-D1 d 0 dclamp
-""",
-    "mos_inverter": """
-* NMOS inverter with resistive load
-.model nch nmos (vto=0.4 lambda=0.1)
-VDD vdd 0 1.2
-VIN g 0 0.7
-RD vdd d 5k
-M1 d g 0 0 nch W=10u L=0.24u
-""",
-    "vccs_rc": """
-* VCCS-loaded RC with a current source
-I1 0 a 1m
-R1 a 0 2k
-G1 b 0 a 0 0.5m
-R2 b 0 1k
-C1 b 0 1n
-""",
-    "rlc_tank": """
-* series RLC driven by a pulse
-V1 in 0 PULSE(0 1 1n 0.1n 0.1n 20n 40n)
-R1 in m 50
-L1 m out 1u
-C1 out 0 1n
-""",
+    "ladder_divider": _ladder_divider,
+    "diode_clamp": _diode_clamp,
+    "mos_inverter": _mos_inverter,
+    "vccs_rc": _vccs_rc,
+    "rlc_tank": _rlc_tank,
 }
-
-
-def _lane_dc(circuit, **homotopy):
-    """DC operating point of ``circuit`` as a one-lane :func:`lane_dc_solve`."""
-    plan = CircuitPlan([circuit])
-    x, converged, iterations = lane_dc_solve(LaneSystem(plan), NewtonOptions(), **homotopy)
-    assert converged[0]
-    return DCResult(circuit, x[0, : plan.n_unknowns].copy(), int(iterations[0]))
 
 
 @pytest.mark.parametrize("name", sorted(NETLISTS))
 def test_dc_compiled_matches_reference(name):
-    reference = DCOperatingPoint(parse_netlist(NETLISTS[name])).run().voltages
-    lane = _lane_dc(parse_netlist(NETLISTS[name])).voltages
+    reference = DCOperatingPoint(NETLISTS[name]()).run().voltages
+    lane = _lane_dc(NETLISTS[name]()).voltages
     assert set(lane) == set(reference)
     for node, value in reference.items():
         assert lane[node] == pytest.approx(value, rel=1e-6, abs=1e-9)
@@ -107,8 +150,8 @@ def test_dc_compiled_matches_reference(name):
 
 def _hard_start_circuit():
     # Stacked diode-connected MOSFETs: the plain Newton solve from zeros
-    # fails and the homotopies must kick in (same circuit as the reference
-    # engine's gmin-stepping test).
+    # fails and the homotopies must kick in (same circuit as the
+    # gmin-stepping test of test_analyses.py).
     circuit = Circuit()
     circuit.add(VoltageSource("vdd", "vdd", "0", 1.2))
     circuit.add(MOSFET("m1", "vdd", "vdd", "mid", "0", NMOS_DEFAULT, 20e-6, 0.24e-6))
@@ -132,32 +175,21 @@ def test_compiled_source_stepping_fallback():
     assert stepped.voltage("mid") == pytest.approx(full.voltage("mid"), rel=1e-6)
 
 
-TRANSIENT_CASES = [
-    ("rc_sine", "V1 in 0 SIN(0.5 0.4 50meg)\nR1 in out 1k\nC1 out 0 1n\n", "out"),
-    ("rlc_tank", NETLISTS["rlc_tank"], "out"),
-    (
-        "mos_switch",
-        """
-.model nch nmos (vto=0.4)
-VDD vdd 0 1.2
-VIN g 0 PULSE(0 1.2 2n 0.2n 0.2n 8n 16n)
-RD vdd d 10k
-M1 d g 0 0 nch W=20u L=0.24u
-CL d 0 50f
-""",
-        "d",
-    ),
-]
+#: Transient case name -> (netlist, probed node).
+TRANSIENT_CASES = {
+    "rc_sine": (_rc_sine, "out"),
+    "rlc_tank": (_rlc_tank, "out"),
+    "mos_switch": (_mos_switch, "d"),
+}
 
 
 @pytest.mark.parametrize("integrator", ["be", "trap"])
-@pytest.mark.parametrize(
-    "name, netlist, probe", TRANSIENT_CASES, ids=lambda c: c if isinstance(c, str) else ""
-)
-def test_transient_compiled_matches_reference(name, netlist, probe, integrator):
+@pytest.mark.parametrize("name", sorted(TRANSIENT_CASES))
+def test_transient_compiled_matches_reference(name, integrator):
+    netlist, probe = TRANSIENT_CASES[name]
     settings = dict(t_stop=20e-9, dt=0.2e-9, integrator=integrator)
-    reference = TransientAnalysis(parse_netlist(netlist), **settings).run().voltage(probe)
-    (result,) = LaneTransientAnalysis([parse_netlist(netlist)], **settings).run()
+    reference = TransientAnalysis(netlist(), **settings).run().voltage(probe)
+    (result,) = LaneTransientAnalysis([netlist()], **settings).run()
     lane = result.voltage(probe)
     assert np.array_equal(reference.time, lane.time)
     np.testing.assert_allclose(lane.values, reference.values, rtol=1e-5, atol=1e-8)
@@ -166,26 +198,23 @@ def test_transient_compiled_matches_reference(name, netlist, probe, integrator):
 def test_lane_batch_bitwise_equals_single_lane():
     # A lane's trajectory must not depend on what shares its batch: masked
     # Newton updates freeze converged/foreign lanes exactly.
-    netlists = [
-        f"V1 in 0 SIN(0.5 0.4 50meg)\nR1 in out {resistance}\nC1 out 0 1n\n"
-        for resistance in ("1k", "2.2k", "470")
-    ]
+    resistances = (1e3, 2.2e3, 470.0)
     batch = LaneTransientAnalysis(
-        [parse_netlist(text) for text in netlists], t_stop=10e-9, dt=0.1e-9
+        [_rc_sine(resistance) for resistance in resistances], t_stop=10e-9, dt=0.1e-9
     ).run()
-    for text, lane_result in zip(netlists, batch):
-        (single,) = LaneTransientAnalysis([parse_netlist(text)], t_stop=10e-9, dt=0.1e-9).run()
+    for resistance, lane_result in zip(resistances, batch):
+        (single,) = LaneTransientAnalysis([_rc_sine(resistance)], t_stop=10e-9, dt=0.1e-9).run()
         assert np.array_equal(lane_result.voltage("out").values, single.voltage("out").values)
 
 
 def test_lane_topology_mismatch_rejected():
-    circuits = [parse_netlist(NETLISTS["ladder_divider"]), parse_netlist(NETLISTS["diode_clamp"])]
+    circuits = [_ladder_divider(), _diode_clamp()]
     with pytest.raises(NetlistError):
         CircuitPlan(circuits)
 
 
 def test_lane_initial_condition_validation():
-    circuits = [parse_netlist(NETLISTS["vccs_rc"]) for _ in range(2)]
+    circuits = [_vccs_rc() for _ in range(2)]
     with pytest.raises(AnalysisError):
         LaneTransientAnalysis(circuits, t_stop=1e-9, dt=1e-11, initial_conditions=[{}])
     bad_node = LaneTransientAnalysis(
@@ -195,18 +224,11 @@ def test_lane_initial_condition_validation():
         bad_node.run()
 
 
-def test_engine_argument_validation():
-    assert ENGINES == ("reference", "lanes")
-    for retired in ("nope", "compiled"):
-        with pytest.raises(ValueError):
-            VcoTestbench(engine=retired)
-
-
 # -- ring-VCO test bench ---------------------------------------------------------------
 
 #: Golden numbers of the default design through the lane engine at the
-#: reduced test-bench settings below, captured from the reference run (the
-#: engines agree to ~1e-9 relative).  A drift beyond 1e-4 means an engine
+#: reduced test-bench settings below, captured from a reference-engine run
+#: (the engines agree to ~1e-9 relative).  A drift beyond 1e-4 means an engine
 #: change altered the physics, not just the arithmetic order.
 _GOLDEN = {
     "fmin": 314813339.18,
@@ -238,12 +260,12 @@ _TOPOLOGIES = {
 }
 
 
-def _bench(engine, testbench_cls=VcoTestbench):
-    return testbench_cls(TECH_012UM, dt=60e-12, sim_cycles=2, engine=engine)
+def _bench(testbench_cls=VcoTestbench):
+    return testbench_cls(TECH_012UM, dt=60e-12, sim_cycles=2)
 
 
 def test_ring_vco_golden_regression():
-    (performance,) = _bench("lanes").run_batch([(VcoDesign(), None, None)])
+    (performance,) = _bench().run_batch([(VcoDesign(), None, None)])
     assert performance.fmin == pytest.approx(_GOLDEN["fmin"], rel=1e-4)
     assert performance.fmax == pytest.approx(_GOLDEN["fmax"], rel=1e-4)
     assert performance.current == pytest.approx(_GOLDEN["current"], rel=1e-4)
@@ -251,21 +273,12 @@ def test_ring_vco_golden_regression():
 
 def test_ring_vco_lanes_match_reference_bench():
     designs = _TOPOLOGIES["ring-vco"][2][:2]
-    reference = [_bench("reference").run(design) for design in designs]
-    lanes = _bench("lanes").run_batch([(design, None, None) for design in designs])
+    reference = [_bench(ReferenceTestbench).run(design) for design in designs]
+    lanes = _bench().run_batch([(design, None, None) for design in designs])
     for ref, lane in zip(reference, lanes):
         ref_dict, lane_dict = ref.as_dict(), lane.as_dict()
         for key, value in ref_dict.items():
             assert lane_dict[key] == pytest.approx(value, rel=1e-6), key
-
-
-def test_reference_bench_run_batch_equals_run():
-    # A reference bench simulates its batches on the reference engine too.
-    bench = _bench("reference")
-    designs = _TOPOLOGIES["ring-vco"][2][:2]
-    batch = bench.run_batch([(design, None, None) for design in designs])
-    for design, performance in zip(designs, batch):
-        assert performance.as_dict() == bench.run(design).as_dict()
 
 
 @pytest.mark.parametrize("topology", sorted(_TOPOLOGIES))
@@ -274,7 +287,7 @@ def test_lanes_single_design_calls_equal_the_batch_bitwise(topology):
     # depend on what shares its batch: run == run_batch at width 1 and at
     # width N, and evaluate == evaluate_batch, bit for bit.
     testbench_cls, evaluator_cls, designs = _TOPOLOGIES[topology]
-    bench = _bench("lanes", testbench_cls)
+    bench = _bench(testbench_cls)
     tasks = [(design, None, None) for design in designs]
     wide = bench.run_batch(tasks)
     assert any(performance.fmax > 0.0 for performance in wide)
@@ -282,9 +295,7 @@ def test_lanes_single_design_calls_equal_the_batch_bitwise(topology):
         single = bench.run(design).as_dict()
         assert single == bench.run_batch([task])[0].as_dict()
         assert single == lane.as_dict()
-    evaluator = evaluator_cls(
-        TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1, engine="lanes"
-    )
+    evaluator = evaluator_cls(TECH_012UM, dt=60e-12, sim_cycles=2, n_workers=1)
     batch = evaluator.evaluate_batch(designs)
     for design, performance in zip(designs, batch):
         assert evaluator.evaluate(design).as_dict() == performance.as_dict()

@@ -1,10 +1,15 @@
-"""Tests for the MOSFET device model."""
+"""Tests for the MOSFET device model.
+
+Circuit-level checks run as one-lane lane-engine DC solves
+(:mod:`tests.spice.one_lane`).
+"""
 
 import pytest
 
 from repro.spice import Circuit, MOSFET, NMOS_DEFAULT, PMOS_DEFAULT, Resistor, VoltageSource
-from repro.spice import dc_operating_point
 from repro.spice.exceptions import NetlistError
+
+from tests.spice.one_lane import dc_operating_point
 
 
 def _nmos(width=10e-6, length=0.24e-6, model=NMOS_DEFAULT):
@@ -106,21 +111,13 @@ def test_pmos_conducts_with_negative_vgs():
     assert abs(off) < 1e-6
 
 
-def test_operating_point_regions():
-    device = _nmos()
-    op_sat = device.operating_point(1.2, 0.9, 0.0, 0.0)
-    assert op_sat.region == "saturation"
-    assert op_sat.gm > 0.0
-    assert op_sat.gds >= 0.0
-    op_triode = device.operating_point(0.05, 1.2, 0.0, 0.0)
-    assert op_triode.region == "triode"
-    op_off = device.operating_point(1.2, 0.1, 0.0, 0.0)
-    assert op_off.region == "subthreshold"
-
-
 def test_gm_larger_than_gds_in_saturation():
-    op = _nmos().operating_point(1.0, 0.9, 0.0, 0.0)
-    assert op.gm > op.gds
+    device = _nmos()
+    delta = 1e-6
+    ids = device.drain_current(1.0, 0.9, 0.0, 0.0)
+    gm = (device.drain_current(1.0, 0.9 + delta, 0.0, 0.0) - ids) / delta
+    gds = (device.drain_current(1.0 + delta, 0.9, 0.0, 0.0) - ids) / delta
+    assert gm > gds
 
 
 def test_gate_capacitances_scale_with_area():
@@ -130,12 +127,6 @@ def test_gate_capacitances_scale_with_area():
     total_large = sum(large.gate_capacitances().values())
     assert total_large > 3.0 * total_small
     assert all(c >= 0.0 for c in small.gate_capacitances().values())
-
-
-def test_thermal_noise_psd_increases_with_gm():
-    device = _nmos()
-    assert device.thermal_noise_psd(2e-3) > device.thermal_noise_psd(1e-3)
-    assert device.thermal_noise_psd(0.0) == 0.0
 
 
 def test_nmos_inverter_transfer():
@@ -165,17 +156,3 @@ def test_cmos_inverter_switching_threshold():
     assert run(1.2) < 0.1
     middle = run(0.6)
     assert 0.0 < middle < 1.2
-
-
-def test_device_operating_point_from_dc_result():
-    circuit = Circuit()
-    circuit.add(VoltageSource("vdd", "vdd", "0", 1.2))
-    circuit.add(VoltageSource("vg", "g", "0", 0.9))
-    circuit.add(Resistor("rd", "vdd", "d", 1e3))
-    circuit.add(MOSFET("m1", "d", "g", "0", "0", NMOS_DEFAULT, 10e-6, 0.24e-6))
-    result = dc_operating_point(circuit)
-    op = result.device_operating_point("m1")
-    assert op.ids > 0.0
-    assert op.vgs == pytest.approx(0.9, abs=1e-6)
-    with pytest.raises(TypeError):
-        result.device_operating_point("rd")
