@@ -8,8 +8,13 @@ stable measurements -- the real cost of one generation-state store
 (atomic pickle write through the cache entry, min over many rounds)
 times the number of stores a run performs, over the run's wall clock --
 because a direct wall-clock A/B diff of two ~200 ms runs is dominated
-by scheduler noise on shared CI machines.  The raw A/B diff is still
-measured and reported as ``extra_info`` for the curious.
+by scheduler noise on shared CI machines.
+
+The min store time alone can hide a slow write path: a store that
+escapes a filesystem flush is rare but wins the min.  So the A/B runs
+carry a second, coarse gate -- the best checkpointed run may take at
+most ``MAX_AB_RATIO`` times the best plain run -- and the median store
+time is reported next to the min.
 
 The two variants must also stay bit-identical: checkpointing persists
 state, it never perturbs it.
@@ -17,6 +22,7 @@ state, it never perturbs it.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from benchmarks.conftest import print_header
@@ -31,6 +37,9 @@ ROUNDS = 5
 
 #: Hard gate on the relative cost of per-generation checkpointing.
 MAX_OVERHEAD_PERCENT = 5.0
+
+#: Hard gate on best checkpointed run / best plain run (wall clock).
+MAX_AB_RATIO = 1.5
 
 
 def _run(scenario, cache_dir, checkpointed: bool):
@@ -86,25 +95,33 @@ def test_generation_checkpoint_overhead(benchmark, tmp_path):
     best_ckpt = min(times[True])
     stores_per_run = scenario.circuit_generations + 1  # initial pop + per generation
     store_seconds = min(store_times)
+    median_store_seconds = statistics.median(store_times)
     overhead_percent = 100.0 * stores_per_run * store_seconds / best_plain
-    ab_diff_percent = 100.0 * (best_ckpt - best_plain) / best_plain
+    ab_ratio = best_ckpt / best_plain
+    ab_diff_percent = 100.0 * (ab_ratio - 1.0)
 
     print_header("Per-generation checkpoint overhead on fast-smoke")
     print(f"run without checkpoints : {best_plain * 1e3:9.2f} ms (best of {ROUNDS})")
     print(f"run with checkpoints    : {best_ckpt * 1e3:9.2f} ms (best of {ROUNDS})")
-    print(f"one generation store    : {store_seconds * 1e3:9.3f} ms (largest state)")
+    print(f"one generation store    : {store_seconds * 1e3:9.3f} ms (largest state, min)")
+    print(f"                          {median_store_seconds * 1e3:9.3f} ms (median)")
     print(
         f"overhead ({stores_per_run} stores/run) : {overhead_percent:9.2f} %  "
         f"(gate: < {MAX_OVERHEAD_PERCENT} %)"
     )
-    print(f"raw A/B wall-clock diff : {ab_diff_percent:9.2f} %  (informational)")
+    print(f"raw A/B wall-clock diff : {ab_diff_percent:9.2f} %  (gate: <= {MAX_AB_RATIO}x)")
 
     assert overhead_percent < MAX_OVERHEAD_PERCENT, (
         f"generation checkpointing costs {overhead_percent:.2f} % on fast-smoke "
         f"(gate: {MAX_OVERHEAD_PERCENT} %)"
     )
+    assert ab_ratio <= MAX_AB_RATIO, (
+        f"fast-smoke with checkpoints takes {ab_ratio:.2f}x the plain run "
+        f"(gate: {MAX_AB_RATIO}x)"
+    )
     benchmark.extra_info["checkpoint_overhead_percent"] = overhead_percent
     benchmark.extra_info["checkpoint_store_ms"] = store_seconds * 1e3
+    benchmark.extra_info["checkpoint_store_median_ms"] = median_store_seconds * 1e3
     benchmark.extra_info["checkpoint_ab_diff_percent"] = ab_diff_percent
     benchmark.extra_info["checkpoint_run_ms"] = best_ckpt * 1e3
     benchmark.extra_info["plain_run_ms"] = best_plain * 1e3

@@ -18,10 +18,13 @@ Byte identity across the seam: artefacts travel as the exact pickle
 bytes the runner produced -- the store never re-serialises -- so a stage
 fetched from the coordinator is bit-identical to one computed locally.
 
-Downloads are written atomically (temp file + :func:`os.replace`,
-mirroring the cache's write rule) and the transport verifies the
-declared ``Content-Length``, so a connection dropped mid-download can
-never leave a truncated artefact in the local cache.
+Downloads go through the cache's one write rule
+(:meth:`~repro.experiments.cache.CacheEntry._atomic_write`: temp file,
+unlink the old file, rename into the free name) and the transport
+verifies the declared ``Content-Length``, so a connection dropped
+mid-download or a killed process never leaves a truncated artefact in
+the local cache: a reader sees the old bytes, no file (a recompute), or
+the new bytes.  Power-loss durability is not claimed (no ``fsync``).
 """
 
 from __future__ import annotations
@@ -332,9 +335,9 @@ class HttpArtifactEntry:
     def _pull(self, name: str) -> bool:
         """Fetch one artifact into the local cache; ``True`` if it exists.
 
-        The download lands in a temp file and is renamed into place
-        (:meth:`CacheEntry._atomic_write`), mirroring the cache's atomic
-        write rule: a crash or short read never leaves a truncated file.
+        The download goes through the cache's write rule
+        (:meth:`CacheEntry._atomic_write`): a crash or short read never
+        leaves a truncated file.
         """
         payload = self.remote.fetch(self.config_hash, name)
         if payload is None:

@@ -18,9 +18,19 @@ directory and can be overridden per call or globally through the
 
 Artefacts are stored with :mod:`pickle` (they are numpy-heavy Python
 objects; pickling round-trips float bits exactly, which is what makes a
-resumed run bit-identical to a cold one) and written atomically -- the
-payload goes to a temporary file first and is then :func:`os.replace`'d
-into place, so a crashed run never leaves a truncated artefact behind.
+resumed run bit-identical to a cold one).
+
+Write rule (:meth:`CacheEntry._atomic_write`, the one writer of every
+file here, of the coordinator's artefact tree and of the worker's
+downloads): the payload goes to a temporary file in the same directory,
+the old file is unlinked, and the temporary file is renamed into the
+now-free name.  It never renames onto a live file, which on ext4 forces
+a data flush of tens of milliseconds per checkpoint.  Crash model: a
+reader, or a process killed at any instant, sees the old bytes, no file,
+or the new bytes -- never a truncated file -- and "no file" reads as
+absent everywhere (``has`` is false, ``load_partial`` and the ``read_*``
+helpers return ``None``), which costs a recompute of the same bytes.
+Nothing is ``fsync``'d: surviving power loss is not claimed.
 """
 
 from __future__ import annotations
@@ -109,8 +119,8 @@ class CacheEntry:
         A partial checkpoint holds the work an *interrupted* stage already
         completed (e.g. the yield stage's evaluated Monte Carlo batches) so
         a rerun resumes mid-stage instead of restarting it.  A checkpoint
-        that cannot be unpickled (truncated by a hard crash before the
-        atomic rename, different package version) is treated as absent.
+        that cannot be unpickled (truncated by power loss, different
+        package version) is treated as absent.
         """
         path = self._partial_path(stage)
         if not path.is_file():
@@ -200,19 +210,31 @@ class CacheEntry:
         return path
 
     def _read_json(self, filename: str) -> Optional[Dict[str, Any]]:
-        path = self.directory / filename
-        if not path.is_file():
+        try:
+            with open(self.directory / filename, "r", encoding="utf-8") as handle:
+                return json.load(handle)
+        except FileNotFoundError:
             return None
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
 
     @staticmethod
     def _atomic_write(path: Path, payload: bytes) -> None:
+        """Write ``payload`` to ``path`` by the module's write rule.
+
+        Temp file, unlink the old ``path``, rename into the free name: a
+        reader sees the old bytes, no file, or the new bytes, and the
+        rename never lands on a live file (ext4 flushes the data before
+        such a rename).  No ``fsync``.  The temp file is removed on any
+        error.
+        """
         handle, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
         try:
             with os.fdopen(handle, "wb") as tmp:
                 tmp.write(payload)
-            os.replace(tmp_name, path)
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
+            os.rename(tmp_name, path)
         except BaseException:
             try:
                 os.unlink(tmp_name)

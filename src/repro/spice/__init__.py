@@ -37,12 +37,7 @@ from repro.spice.elements import (
     VCVS,
     VoltageSource,
 )
-from repro.spice.exceptions import (
-    AnalysisError,
-    ConvergenceError,
-    NetlistError,
-    SingularMatrixError,
-)
+from repro.spice.exceptions import AnalysisError, NetlistError
 from repro.spice.mosfet import MOSFET, MOSFETModel, NMOS_DEFAULT, PMOS_DEFAULT
 from repro.spice.netlist import Circuit, GROUND
 from repro.spice.plan import CircuitPlan, LaneSystem
@@ -70,7 +65,5 @@ __all__ = [
     "LaneSystem",
     "Waveform",
     "NetlistError",
-    "ConvergenceError",
     "AnalysisError",
-    "SingularMatrixError",
 ]

@@ -180,14 +180,11 @@ class Capacitor(Element):
     backward-Euler or trapezoidal companion model.
     """
 
-    def __init__(
-        self, name: str, node_pos: str, node_neg: str, capacitance: float, ic: float | None = None
-    ) -> None:
+    def __init__(self, name: str, node_pos: str, node_neg: str, capacitance: float) -> None:
         super().__init__(name, (node_pos, node_neg))
         if capacitance < 0.0:
             raise NetlistError(f"capacitor {name!r} must have a non-negative capacitance")
         self.capacitance = float(capacitance)
-        self.initial_voltage = ic
 
 
 class Inductor(Element):
@@ -195,14 +192,11 @@ class Inductor(Element):
 
     n_branches = 1
 
-    def __init__(
-        self, name: str, node_pos: str, node_neg: str, inductance: float, ic: float | None = None
-    ) -> None:
+    def __init__(self, name: str, node_pos: str, node_neg: str, inductance: float) -> None:
         super().__init__(name, (node_pos, node_neg))
         if inductance <= 0.0:
             raise NetlistError(f"inductor {name!r} must have a positive inductance")
         self.inductance = float(inductance)
-        self.initial_current = ic
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ __all__ = [
     "SpiceError",
     "NetlistError",
     "AnalysisError",
-    "ConvergenceError",
-    "SingularMatrixError",
 ]
 
 
@@ -21,16 +19,3 @@ class NetlistError(SpiceError):
 
 class AnalysisError(SpiceError):
     """An analysis was configured incorrectly or failed to run."""
-
-
-class ConvergenceError(AnalysisError):
-    """Newton-Raphson iteration failed to converge."""
-
-    def __init__(self, message: str, iterations: int = 0, residual: float = float("nan")) -> None:
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
-
-
-class SingularMatrixError(AnalysisError):
-    """The MNA matrix is singular (floating node, voltage-source loop...)."""

@@ -69,7 +69,9 @@ class MOSFETModel:
     #: Junction capacitance per drain/source area (F/m^2) and drain extension (m).
     cj: float = 1.0e-3
     drain_extension: float = 0.24e-6
-    #: Flicker-noise coefficient (dimensionless, used by the jitter model).
+    #: Flicker-noise coefficient (dimensionless).  Read by no model; kept
+    #: only because it enters every config hash (through the technology
+    #: dict), so deleting it would move the golden hashes.
     kf: float = 1.0e-25
     #: Nominal temperature (K).
     temperature: float = 300.15

@@ -30,9 +30,9 @@ purpose in two ways:
   MOSFETs to the Jacobian only; the plan folds it into the static
   matrix, so it also contributes ``1e-12 * v`` to the residual — an
   effect at the solver tolerance floor;
-* a lane whose Jacobian is singular is reported as non-converged instead
-  of raising :class:`~repro.spice.exceptions.SingularMatrixError`, so
-  that one pathological lane cannot abort its batch.
+* a lane whose Jacobian is singular is reported as non-converged (the
+  oracle raises its own ``SingularMatrixError``), so that one
+  pathological lane cannot abort its batch.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ engine would report a dead lane, so a test reads like a plain DC or
 transient analysis of one circuit.
 """
 
-from repro.spice import CircuitPlan, ConvergenceError, LaneSystem, LaneTransientAnalysis
+from repro.spice import CircuitPlan, LaneSystem, LaneTransientAnalysis
 from repro.spice.plan import NewtonOptions, lane_dc_solve
 
-from tests.spice.reference_engine import DCResult
+from tests.spice.reference_engine import ConvergenceError, DCResult
 
 
 def dc_operating_point(circuit, **homotopy) -> DCResult:

@@ -15,7 +15,10 @@ independent implementation to compare against:
 * :class:`DCOperatingPoint` adds the gmin- and source-stepping
   homotopies, :class:`TransientAnalysis` the time-marching loop;
 * :class:`ReferenceTestbench` and :class:`ReferenceSpiceEvaluator` run
-  the ring-VCO test bench and its evaluator on this engine.
+  the ring-VCO test bench and its evaluator on this engine;
+* :class:`ConvergenceError` and :class:`SingularMatrixError` are the
+  oracle's own failures (the lane engine reports a failed lane as
+  ``None`` or non-converged instead of raising).
 
 Residual convention: for each node, the residual is the sum of currents
 flowing *out* of the node into the connected elements; for each branch,
@@ -42,11 +45,24 @@ from repro.spice.elements import (
     VCVS,
     VoltageSource,
 )
-from repro.spice.exceptions import AnalysisError, ConvergenceError, SingularMatrixError
+from repro.spice.exceptions import AnalysisError
 from repro.spice.mosfet import MOSFET
 from repro.spice.netlist import Circuit, GROUND
 from repro.spice.plan import NewtonOptions
 from repro.spice.transient import TransientResult
+
+
+class ConvergenceError(AnalysisError):
+    """Newton-Raphson iteration failed to converge."""
+
+    def __init__(self, message: str, iterations: int = 0, residual: float = float("nan")) -> None:
+        super().__init__(message)
+        self.iterations = iterations
+        self.residual = residual
+
+
+class SingularMatrixError(AnalysisError):
+    """The MNA matrix is singular (floating node, voltage-source loop...)."""
 
 
 class StampContext:

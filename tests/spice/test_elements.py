@@ -95,6 +95,15 @@ def test_inductor_requires_positive_value():
         Inductor("l1", "a", "b", 0.0)
 
 
+def test_reactive_elements_take_no_initial_condition_argument():
+    # Initial conditions go to the analysis (``initial_conditions=``); an
+    # element-level ``ic=`` would be read by no engine, so it is refused.
+    with pytest.raises(TypeError):
+        Capacitor("c1", "a", "b", 1e-9, ic=1.0)
+    with pytest.raises(TypeError):
+        Inductor("l1", "a", "b", 1e-6, ic=1e-3)
+
+
 def test_diode_requires_positive_saturation_current():
     with pytest.raises(NetlistError):
         Diode("d1", "a", "b", saturation_current=0.0)
