@@ -16,7 +16,9 @@ one without importing anything heavier than this module:
   signal handler);
 * the experiment service's workers construct it with a ``should_cancel``
   callable polling the job store's ``cancel_requested`` flag, throttled
-  by ``poll_interval`` so checking at every boundary stays cheap.
+  by ``poll_interval`` so checking at every boundary stays cheap; an
+  answer the worker learns on another exchange is handed in with
+  :meth:`CancelToken.observe` and counts as a poll.
 """
 
 from __future__ import annotations
@@ -68,6 +70,17 @@ class CancelToken:
     def cancel(self) -> None:
         """Latch the token cancelled (local/manual cancellation)."""
         self._cancelled = True
+
+    def observe(self, cancelled: bool) -> None:
+        """Record an answer of the source learned outside a poll.
+
+        Latches the token when ``cancelled`` is true and restarts the
+        poll throttle: the next ``should_cancel`` call is due one
+        ``poll_interval`` from now.
+        """
+        self._last_poll = time.monotonic()
+        if cancelled:
+            self._cancelled = True
 
     def is_cancelled(self) -> bool:
         """Whether cancellation has been requested (latches once true)."""

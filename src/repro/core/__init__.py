@@ -37,13 +37,14 @@ from repro.core.flow import FlowReport, HierarchicalFlow
 from repro.core.performance_model import PerformanceModel
 from repro.core.specification import Specification, SpecificationSet, PLL_SPECIFICATIONS
 from repro.core.system_stage import PllSystemProblem, SystemLevelOptimisation
-from repro.core.variation_model import VariationModel
+from repro.core.variation_model import VariationModel, VariationModelError
 from repro.core.verification import BottomUpVerification, VerificationReport
 from repro.core.yield_analysis import YieldAnalysis, YieldReport
 
 __all__ = [
     "PerformanceModel",
     "VariationModel",
+    "VariationModelError",
     "CombinedPerformanceVariationModel",
     "Specification",
     "SpecificationSet",

@@ -24,12 +24,23 @@ from repro.circuits.evaluators import VcoEvaluator
 from repro.circuits.topology import topology_for_evaluator
 from repro.process.montecarlo import MonteCarloEngine
 from repro.tablemodel import Table1D
+from repro.tablemodel.spline import InterpolationError
 
-__all__ = ["VariationModel"]
+__all__ = ["VariationModel", "VariationModelError"]
 
 #: Performances carried by the variation model, in storage order.
 _PERFORMANCE_NAMES = ("kvco", "jitter", "current", "fmin", "fmax")
 _ALIASES = {"jvco": "jitter", "ivco": "current"}
+
+
+class VariationModelError(InterpolationError):
+    """The spread of one performance cannot be tabulated over the front.
+
+    Raised by the model build when a ``<perf>_delta`` table cannot be
+    interpolated -- typically a degenerate Pareto front whose points all
+    share one nominal value of that performance.  The message names the
+    performance and the front size.
+    """
 
 
 class VariationModel:
@@ -188,12 +199,18 @@ class VariationModel:
 
     def _build_tables(self) -> None:
         for idx, name in enumerate(self.performance_names):
-            self._tables[name] = Table1D(
-                self.nominal[:, idx],
-                self.spreads_percent[:, idx],
-                control=self.control,
-                name=f"{name}_delta",
-            )
+            try:
+                self._tables[name] = Table1D(
+                    self.nominal[:, idx],
+                    self.spreads_percent[:, idx],
+                    control=self.control,
+                    name=f"{name}_delta",
+                )
+            except InterpolationError as error:
+                raise VariationModelError(
+                    f"cannot tabulate the {name!r} spread over a Pareto front of"
+                    f" {self.nominal.shape[0]} point(s): {error}"
+                ) from error
 
     # -- queries --------------------------------------------------------------------------
 

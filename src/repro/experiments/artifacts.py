@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import abc
 import http.client
+import json
 import logging
 import os
 import pickle
@@ -39,7 +40,7 @@ import threading
 import time
 import urllib.parse
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.experiments.cache import STAGES, TRACE_FILE, ArtefactCache, CacheEntry
 from repro.experiments.config import ScenarioConfig
@@ -289,9 +290,21 @@ class HttpArtifactStore(ArtifactStore):
         ARTIFACT_BYTES.inc(len(payload), direction="down")
         return payload
 
-    def push(self, config_hash: str, name: str, payload: bytes) -> None:
-        """Upload one artifact's exact bytes to the coordinator."""
-        status, _ = self._request(
+    def names(self, config_hash: str) -> Set[str]:
+        """The artifact names the coordinator holds for one hash (one GET)."""
+        status, payload = self._request("GET", f"/v1/artifacts/{config_hash}")
+        names = _listing(status, payload)
+        if names is None:
+            raise ArtifactTransportError(f"GET /v1/artifacts/{config_hash} -> HTTP {status}")
+        return names
+
+    def push(self, config_hash: str, name: str, payload: bytes) -> Optional[Set[str]]:
+        """Upload one artifact's exact bytes to the coordinator.
+
+        Returns the hash's names after the write, which the coordinator
+        answers a PUT with (``None`` if the answer carries none).
+        """
+        status, answer = self._request(
             "PUT", f"/v1/artifacts/{config_hash}/{name}", payload
         )
         if status not in (200, 201, 204):
@@ -299,6 +312,7 @@ class HttpArtifactStore(ArtifactStore):
                 f"PUT /v1/artifacts/{config_hash}/{name} -> HTTP {status}"
             )
         ARTIFACT_BYTES.inc(len(payload), direction="up")
+        return _listing(status, answer)
 
     def delete(self, config_hash: str, name: str) -> None:
         """Remove one artifact on the coordinator (absent is fine)."""
@@ -309,6 +323,15 @@ class HttpArtifactStore(ArtifactStore):
             )
 
 
+def _listing(status: int, payload: bytes) -> Optional[Set[str]]:
+    """The ``names`` of a listing answer, or ``None`` if it is not one."""
+    try:
+        names = json.loads(payload.decode("utf-8"))["names"] if status == 200 else None
+    except (ValueError, KeyError, TypeError):
+        return None
+    return set(names) if isinstance(names, list) else None
+
+
 class HttpArtifactEntry:
     """One config hash's artefacts, coordinator-authoritative.
 
@@ -317,6 +340,14 @@ class HttpArtifactEntry:
     local copy is trusted once present; mid-stage partials are mutable
     and read remote-first so a reclaiming worker on another host resumes
     from the *latest* checkpoint, not a stale local one.
+
+    The entry learns what the coordinator holds from the answer to each
+    of its pushes, or else from one listing (``GET
+    /v1/artifacts/<hash>``), and answers ``has`` / ``load_partial``
+    misses from it instead of probing name by name.  The entry belongs
+    to the job's lease holder, the hash's only writer, so the listing
+    only changes through this entry's own pushes and deletes; a name the
+    entry wrote itself is served from its local copy.
     """
 
     def __init__(
@@ -329,8 +360,22 @@ class HttpArtifactEntry:
         self.local = local
         #: The local read-through directory (same layout as CacheEntry).
         self.directory = local.directory
+        #: The coordinator's names for the hash: ``None`` until listed.
+        self._listing: Optional[Set[str]] = None
+        #: Names this entry wrote; their local copy is the latest.
+        self._written: Set[str] = set()
 
     # -- read-through plumbing -----------------------------------------------------------
+
+    def _on_coordinator(self, name: str) -> bool:
+        """Whether the coordinator holds ``name``, from the one listing.
+
+        Raises :class:`ArtifactTransportError` when the coordinator is
+        unreachable, like a per-name fetch would.
+        """
+        if self._listing is None:
+            self._listing = self.remote.names(self.config_hash)
+        return name in self._listing
 
     def _pull(self, name: str) -> bool:
         """Fetch one artifact into the local cache; ``True`` if it exists.
@@ -348,8 +393,11 @@ class HttpArtifactEntry:
 
     def _push_file(self, name: str) -> None:
         """Upload the local file's exact bytes (no re-serialisation)."""
+        self._written.add(name)
         payload = (self.directory / name).read_bytes()
-        self.remote.push(self.config_hash, name, payload)
+        listing = self.remote.push(self.config_hash, name, payload)
+        if listing is not None:
+            self._listing = listing
 
     def _push_best_effort(self, name: str) -> None:
         """Upload where failure only costs a recompute on reclaim.
@@ -376,7 +424,7 @@ class HttpArtifactEntry:
         """Whether the stage artefact exists locally or on the coordinator."""
         if self.local.has(stage):
             return True
-        return self._pull(f"{stage}.pkl")
+        return self._on_coordinator(f"{stage}.pkl") and self._pull(f"{stage}.pkl")
 
     def load(self, stage: str) -> Any:
         """The stage artefact, fetched through the local cache."""
@@ -409,10 +457,15 @@ class HttpArtifactEntry:
         dropped rather than resurrected.  Only an **unreachable**
         coordinator falls back to the local partial: resuming from an
         older checkpoint replays the missing batches deterministically,
-        so the final artefact stays bit-identical either way.
+        so the final artefact stays bit-identical either way.  A partial
+        this entry wrote itself is read from its local copy: no other
+        writer can have advanced it.
         """
+        name = f"{stage}.partial.pkl"
+        if name in self._written:
+            return self.local.load_partial(stage)
         try:
-            if self._pull(f"{stage}.partial.pkl"):
+            if self._on_coordinator(name) and self._pull(name):
                 return self.local.load_partial(stage)
             self.local.clear_partial(stage)  # authoritative absence
             return None
@@ -428,15 +481,19 @@ class HttpArtifactEntry:
 
     def clear_partial(self, stage: str) -> None:
         """Drop the checkpoint locally and on the coordinator."""
+        name = f"{stage}.partial.pkl"
         self.local.clear_partial(stage)
+        self._written.discard(name)
         try:
-            self.remote.delete(self.config_hash, f"{stage}.partial.pkl")
+            self.remote.delete(self.config_hash, name)
+            if self._listing is not None:
+                self._listing.discard(name)
         except ArtifactTransportError as error:
-            ARTIFACT_PUSH_FAILURES.inc(name=f"{stage}.partial.pkl")
+            ARTIFACT_PUSH_FAILURES.inc(name=name)
             _log.warning(
-                "job %s: best-effort delete of %s.partial.pkl failed: %s",
+                "job %s: best-effort delete of %s failed: %s",
                 self.config_hash,
-                stage,
+                name,
                 error,
             )
 

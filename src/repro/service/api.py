@@ -30,13 +30,15 @@ authoritative for lease expiry::
 
     POST   /v1/claim                   lease the next runnable job
     POST   /v1/jobs/<id>/lease         leased -> running (ownership-checked)
-    POST   /v1/jobs/<id>/heartbeat     extend the lease; returns cancel flag
-    POST   /v1/jobs/<id>/events        append one progress event
+    POST   /v1/jobs/<id>/heartbeat     extend the lease
+    POST   /v1/jobs/<id>/events        append a batch of progress events;
+                                       answers the cancel flag (the poll)
     POST   /v1/jobs/<id>/outcome       record done / failed / cancelled
-    GET    /v1/jobs/<id>/flags         lightweight state + cancel flag poll
     POST   /v1/requeue-expired         requeue every expired lease
+    GET    /v1/artifacts/<hash>        the names stored under one hash
     GET    /v1/artifacts/<hash>/<name> download one artifact (raw bytes)
-    PUT    /v1/artifacts/<hash>/<name> upload (atomic replace; idempotent)
+    PUT    /v1/artifacts/<hash>/<name> upload (atomic replace; idempotent);
+                                       answers the hash's names, like GET
     DELETE /v1/artifacts/<hash>/<name> drop (mid-stage partials on completion)
 
 Every error answers the uniform envelope ``{"error": {"code":
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import re
 from pathlib import Path
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
@@ -131,9 +134,8 @@ JSON_ROUTES: Tuple[Tuple[str, str, str], ...] = (
     ("POST", "/requeue-expired", "requeue_expired"),
     ("POST", "/jobs/{job_id}/lease", "lease"),
     ("POST", "/jobs/{job_id}/heartbeat", "heartbeat"),
-    ("POST", "/jobs/{job_id}/events", "record_event"),
+    ("POST", "/jobs/{job_id}/events", "append_events"),
     ("POST", "/jobs/{job_id}/outcome", "outcome"),
-    ("GET", "/jobs/{job_id}/flags", "flags"),
 )
 
 #: config hashes are lowercase hex (the scenario hash is 16 chars today;
@@ -467,30 +469,41 @@ class ExperimentService:
         return 200, {"ok": self.store.start(job_id, worker)}
 
     def heartbeat(self, job_id: str, body: Optional[Dict[str, Any]]) -> ServiceResponse:
-        """Extend a lease; piggybacks the cancel flag so one round trip
-        serves both the lease renewal and the cancellation poll."""
+        """Extend a lease.  The cancel flag travels on the worker's
+        events exchange (:meth:`append_events`), not here."""
         worker = self._worker_name(body)
         if worker is None:
             return _error(400, "malformed_body", "body must carry a 'worker' name")
-        ok = self.store.heartbeat(job_id, worker)
-        return 200, {"ok": ok, "cancel_requested": self.store.cancel_requested(job_id)}
+        return 200, {"ok": self.store.heartbeat(job_id, worker)}
 
-    def record_event(self, job_id: str, body: Optional[Dict[str, Any]]) -> ServiceResponse:
-        """Append one progress event on behalf of a remote worker."""
-        body = body or {}
-        stage, status = body.get("stage"), body.get("status")
-        if not (isinstance(stage, str) and stage and isinstance(status, str) and status):
-            return _error(400, "malformed_body", "body must carry 'stage' and 'status'")
-        payload = body.get("payload")
-        if payload is not None and not isinstance(payload, dict):
-            return _error(400, "malformed_body", "'payload' must be an object")
+    def append_events(self, job_id: str, body: Optional[Dict[str, Any]]) -> ServiceResponse:
+        """Append a remote worker's buffered progress events, in order, and
+        answer the job's cancel flag: the worker's cancel poll.
+
+        Body ``{"events": [{"stage", "status", "worker"?, "payload"?}, ...]}``
+        (an empty list is the bare poll); answers ``{"seqs": [...],
+        "cancel_requested": bool}``.
+        """
+        events = (body or {}).get("events")
+        if not isinstance(events, list):
+            return _error(400, "malformed_body", "body must carry an 'events' list")
+        batch = []
+        for event in events:
+            stage = event.get("stage") if isinstance(event, dict) else None
+            status = event.get("status") if isinstance(event, dict) else None
+            if not (isinstance(stage, str) and stage and isinstance(status, str) and status):
+                return _error(400, "malformed_body", "every event needs 'stage' and 'status'")
+            payload, worker = event.get("payload"), event.get("worker")
+            if payload is not None and not isinstance(payload, dict):
+                return _error(400, "malformed_body", "'payload' must be an object")
+            if worker is not None and not isinstance(worker, str):
+                return _error(400, "malformed_body", "'worker' must be a string")
+            batch.append({"stage": stage, "status": status, "worker": worker, "payload": payload})
         try:
-            seq = self.store.record_event(
-                job_id, stage, status, worker=body.get("worker"), payload=payload
-            )
+            seqs, cancel_requested = self.store.append_events(job_id, batch)
         except KeyError:
             return _error(404, "unknown_job", f"unknown job {job_id!r}")
-        return 201, {"seq": seq}
+        return 200, {"seqs": seqs, "cancel_requested": cancel_requested}
 
     def outcome(self, job_id: str, body: Optional[Dict[str, Any]]) -> ServiceResponse:
         """Record a terminal outcome (ownership-checked by the store)."""
@@ -517,13 +530,6 @@ class ExperimentService:
         if ok:
             WORKER_OUTCOMES.inc(outcome=outcome)
         return 200, {"ok": ok}
-
-    def flags(self, job_id: str) -> ServiceResponse:
-        """The cheap poll: current state plus the cancel flag."""
-        job = self.store.get(job_id)
-        if job is None:
-            return _error(404, "unknown_job", f"unknown job {job_id!r}")
-        return 200, {"state": job.state, "cancel_requested": job.cancel_requested}
 
     def requeue_expired(self) -> ServiceResponse:
         """Requeue every expired lease (maintenance; claim also does this)."""
@@ -576,12 +582,10 @@ class ExperimentService:
             return self.lease(params["job_id"], body)
         if endpoint == "heartbeat":
             return self.heartbeat(params["job_id"], body)
-        if endpoint == "record_event":
-            return self.record_event(params["job_id"], body)
+        if endpoint == "append_events":
+            return self.append_events(params["job_id"], body)
         if endpoint == "outcome":
             return self.outcome(params["job_id"], body)
-        if endpoint == "flags":
-            return self.flags(params["job_id"])
         if endpoint == "requeue_expired":
             return self.requeue_expired()
         raise ValueError(f"unknown endpoint {endpoint!r}")  # pragma: no cover
@@ -606,6 +610,7 @@ class AsyncServiceServer(AsyncHTTPServer):
             router.add(method, f"/v1{pattern}", self._json_handler(endpoint))
         router.add("GET", "/v1/jobs/{job_id}/events", self._events_handler())
         router.add("GET", "/v1/metrics", self._metrics_handler())
+        router.add("GET", "/v1/artifacts/{config_hash}", self._artifact_listing_handler())
         for method in ("GET", "PUT", "DELETE"):
             router.add(
                 method,
@@ -666,7 +671,9 @@ class AsyncServiceServer(AsyncHTTPServer):
         these routes, and the byte-identity comparison between the two
         is a plain file compare.  PUT replaces atomically (temp file +
         rename), which makes duplicated or retried uploads of the same
-        content-addressed artifact harmless.
+        content-addressed artifact harmless, and answers the hash's
+        listing (as ``GET /v1/artifacts/<hash>`` does), so a writer learns
+        what the coordinator holds without asking separately.
         """
 
         async def handle(request: Request) -> Response:
@@ -685,12 +692,38 @@ class AsyncServiceServer(AsyncHTTPServer):
                     )
                 return Response(200, payload, content_type="application/octet-stream")
             if method == "PUT":
-                await self.call(self._write_file, path, request.body)
-                return Response(204)
+                names = await self.call(self._write_file, path, request.body)
+                return Response.json(200, {"config_hash": config_hash, "names": names})
             await self.call(self._delete_file, path)
             return Response(204)
 
         return handle
+
+    def _artifact_listing_handler(self):
+        """The artifact names stored under one config hash, sorted.
+
+        One answer to every "is it there?" question a remote worker has
+        about the hash: an unknown hash lists no names (200), it is not
+        an error.
+        """
+
+        async def handle(request: Request) -> Response:
+            config_hash = request.params["config_hash"]
+            if not _HASH_RE.match(config_hash):
+                return error_response(
+                    404, "unknown_artifact", f"no such artifact hash: {config_hash}"
+                )
+            names = await self.call(self._list_names, self.service.cache_dir / config_hash)
+            return Response.json(200, {"config_hash": config_hash, "names": names})
+
+        return handle
+
+    @staticmethod
+    def _list_names(directory: Path) -> List[str]:
+        try:
+            return sorted(name for name in os.listdir(directory) if ARTIFACT_NAME_RE.match(name))
+        except (FileNotFoundError, NotADirectoryError):
+            return []
 
     @staticmethod
     def _read_file(path: Path) -> Optional[bytes]:
@@ -699,10 +732,11 @@ class AsyncServiceServer(AsyncHTTPServer):
         except (FileNotFoundError, IsADirectoryError):
             return None
 
-    @staticmethod
-    def _write_file(path: Path, payload: bytes) -> None:
+    @classmethod
+    def _write_file(cls, path: Path, payload: bytes) -> List[str]:
         path.parent.mkdir(parents=True, exist_ok=True)
         CacheEntry._atomic_write(path, payload)
+        return cls._list_names(path.parent)
 
     @staticmethod
     def _delete_file(path: Path) -> None:

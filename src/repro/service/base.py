@@ -24,14 +24,16 @@ The contract every backend must honour:
 * Terminal updates are ownership-checked (job id *and* worker name), so
   a worker that lost its lease cannot record an outcome.
 * Per-job event sequences are gapless and strictly monotonic -- the
-  ``Last-Event-ID`` SSE resumption contract.
+  ``Last-Event-ID`` SSE resumption contract.  ``append_events`` appends
+  a whole batch in one transaction and answers the job's cancel flag in
+  the same call: it is the worker's only progress-and-cancel exchange.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ScenarioConfig
 
@@ -182,16 +184,27 @@ class JobStore(abc.ABC):
         """Request cancellation; ``KeyError`` unknown, ``ValueError`` terminal."""
 
     @abc.abstractmethod
-    def cancel_requested(self, job_id: str) -> bool:
-        """Whether cancellation was requested for this job."""
-
-    @abc.abstractmethod
     def mark_cancelled(self, job_id: str, worker: str) -> bool:
         """Park a job after observing its cancel flag (ownership-checked)."""
 
     # -- progress events -----------------------------------------------------------------
 
     @abc.abstractmethod
+    def append_events(
+        self, job_id: str, events: Sequence[Dict[str, Any]]
+    ) -> Tuple[List[int], bool]:
+        """Append a batch of progress events, in order, atomically.
+
+        Each event is ``{"stage", "status", "worker", "payload"}``
+        (``worker`` and ``payload`` may be ``None``).  Returns the
+        per-job sequence numbers the batch received (consecutive, in
+        batch order) and the job's ``cancel_requested`` flag, so one
+        exchange serves both a worker's progress report and its cancel
+        poll; an empty batch appends nothing and only answers the flag.
+
+        Raises ``KeyError`` for an unknown job (no orphan events).
+        """
+
     def record_event(
         self,
         job_id: str,
@@ -200,10 +213,10 @@ class JobStore(abc.ABC):
         worker: Optional[str] = None,
         payload: Optional[Dict[str, Any]] = None,
     ) -> int:
-        """Append one progress event; returns its per-job sequence number.
-
-        Raises ``KeyError`` for an unknown job (no orphan events).
-        """
+        """Append one progress event; returns its per-job sequence number."""
+        event = {"stage": stage, "status": status, "worker": worker, "payload": payload}
+        seqs, _ = self.append_events(job_id, [event])
+        return seqs[0]
 
     @abc.abstractmethod
     def events_since(self, job_id: str, after_seq: int = 0) -> List[Dict[str, Any]]:

@@ -16,7 +16,8 @@ protocol operations are safe under retry (and under network-level
 duplication):
 
 * ``heartbeat`` extends the same lease again,
-* ``record_event`` at worst duplicates an advisory progress event,
+* ``append_events`` at worst duplicates a batch of advisory progress
+  events (and answers the cancel flag again),
 * terminal outcomes reconcile: when a retried ``outcome`` call answers
   ``ok: false`` because the first (response-lost) attempt already
   landed, the store confirms the job reached the intended terminal
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.artifacts import ArtifactTransportError, HttpTransport
 from repro.experiments.config import ScenarioConfig
@@ -249,36 +250,21 @@ class RemoteJobStore(base.JobStore):
             raise
         return Job.from_dict(data)
 
-    def cancel_requested(self, job_id: str) -> bool:
-        try:
-            data = self._json("GET", f"/v1/jobs/{job_id}/flags")
-        except RemoteStoreError as error:
-            if error.status == 404:
-                return False
-            raise
-        return bool(data.get("cancel_requested"))
-
     # -- progress events -----------------------------------------------------------------
 
-    def record_event(
-        self,
-        job_id: str,
-        stage: str,
-        status: str,
-        worker: Optional[str] = None,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> int:
+    def append_events(
+        self, job_id: str, events: Sequence[Dict[str, Any]]
+    ) -> Tuple[List[int], bool]:
         try:
             data = self._json(
-                "POST",
-                f"/v1/jobs/{job_id}/events",
-                {"stage": stage, "status": status, "worker": worker, "payload": payload},
+                "POST", f"/v1/jobs/{job_id}/events", {"events": list(events)}
             )
         except RemoteStoreError as error:
             if error.status == 404:
                 raise KeyError(f"unknown job {job_id!r}") from error
             raise
-        return int(data.get("seq") or 0)
+        seqs = [int(seq) for seq in data.get("seqs") or []]
+        return seqs, bool(data.get("cancel_requested"))
 
     def events_since(self, job_id: str, after_seq: int = 0) -> List[Dict[str, Any]]:
         try:

@@ -56,7 +56,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ScenarioConfig
 from repro.obs import metrics as obs_metrics
@@ -356,13 +356,14 @@ class SqliteJobStore(base.JobStore):
             return cursor.rowcount == 1
 
     def fail(self, job_id: str, worker: str, error: str) -> bool:
-        """Record a failed run (exception text, truncated)."""
+        """Record a failed run (exception text, truncated to its last
+        4000 characters: a traceback ends with the exception itself)."""
         with self._session() as connection:
             cursor = connection.execute(
                 "UPDATE jobs SET state='failed', finished_at=?, error=?,"
                 " lease_expires=NULL, cancel_requested=0 WHERE id=? AND worker=?"
                 " AND state IN ('leased', 'running')",
-                (time.time(), error[:4000], job_id, worker),
+                (time.time(), error[-4000:], job_id, worker),
             )
             return cursor.rowcount == 1
 
@@ -445,19 +446,6 @@ class SqliteJobStore(base.JobStore):
             self._append_event(connection, job_id, "cancel", "requested")
             return self._get(connection, job_id)
 
-    def cancel_requested(self, job_id: str) -> bool:
-        """Whether cancellation was requested for this job.
-
-        The poll workers issue (through their
-        :class:`~repro.cancel.CancelToken`) at checkpoint boundaries --
-        one indexed single-row read.
-        """
-        with self._session() as connection:
-            row = connection.execute(
-                "SELECT cancel_requested FROM jobs WHERE id = ?", (job_id,)
-            ).fetchone()
-        return bool(row and row["cancel_requested"])
-
     def mark_cancelled(self, job_id: str, worker: str) -> bool:
         """Park a job this worker observed a cancel request for.
 
@@ -511,26 +499,35 @@ class SqliteJobStore(base.JobStore):
         )
         return int(row["seq"])
 
-    def record_event(
-        self,
-        job_id: str,
-        stage: str,
-        status: str,
-        worker: Optional[str] = None,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> int:
-        """Append one progress event (e.g. a completed flow stage or one
-        NSGA-II generation); returns its per-job sequence number.
+    def append_events(
+        self, job_id: str, events: Sequence[Dict[str, Any]]
+    ) -> Tuple[List[int], bool]:
+        """Append a batch of progress events (completed flow stages,
+        NSGA-II generations, yield batches) in one transaction; returns
+        their sequence numbers and the job's cancel flag.
 
+        The worker's one progress-and-cancel exchange: an empty batch is
+        the bare cancel poll (one indexed single-row read, no write lock).
         Raises ``KeyError`` for an unknown job -- matching the API's 404
         so both backends honour the same contract (no orphan events)."""
-        with self._session(exclusive=True) as connection:
+        with self._session(exclusive=bool(events)) as connection:
             row = connection.execute(
-                "SELECT 1 FROM jobs WHERE id = ?", (job_id,)
+                "SELECT cancel_requested FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
             if row is None:
                 raise KeyError(f"unknown job {job_id!r}")
-            return self._append_event(connection, job_id, stage, status, worker, payload)
+            seqs = [
+                self._append_event(
+                    connection,
+                    job_id,
+                    event["stage"],
+                    event["status"],
+                    event.get("worker"),
+                    event.get("payload"),
+                )
+                for event in events
+            ]
+            return seqs, bool(row["cancel_requested"])
 
     @staticmethod
     def _row_to_event(row: sqlite3.Row) -> Dict[str, Any]:

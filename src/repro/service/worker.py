@@ -3,10 +3,11 @@
 Each worker is one OS process running :func:`worker_loop`: claim a job
 from the :class:`~repro.service.base.JobStore` (preferring its own shard
 of the config-hash space), execute it through the resumable
-:class:`~repro.experiments.runner.ExperimentRunner`, and record one
-progress event per completed flow stage through the runner's
-``stage_hook`` seam.  A daemon heartbeat thread extends the job's lease
-while the flow computes, so only *dead* workers lose their lease -- and a
+:class:`~repro.experiments.runner.ExperimentRunner`, and report progress
+events (one per completed flow stage through the runner's ``stage_hook``
+seam, one per mid-stage checkpoint through its ``progress_hook``).  A
+daemon heartbeat thread extends the job's lease while the flow
+computes, so only *dead* workers lose their lease -- and a
 reclaimed job resumes from the per-stage cache (plus the circuit stage's
 per-generation and the yield stage's per-batch partials), which is what
 makes crash recovery cheap and bit-identical.
@@ -15,7 +16,9 @@ Workers also carry a :class:`~repro.cancel.CancelToken` polling the job's
 ``cancel_requested`` flag: a ``DELETE /v1/jobs/<id>`` raised mid-run is
 observed at the next checkpoint boundary, the mid-stage partial stays
 persisted, and the job parks in ``cancelled`` -- resubmitting resumes it
-bit-identically.
+bit-identically.  The poll and the progress events share one exchange
+(:class:`_JobEvents`): buffered events ride the poll, so a job asks the
+store nothing it could answer itself.
 
 Two supervisors sit on top, both used by ``repro serve``
 (``multiprocessing`` with the ``spawn`` start method, so workers are
@@ -43,7 +46,7 @@ import threading
 import time
 import traceback
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cancel import CancelToken, JobCancelled
 from repro.core.flow import summarise_stage
@@ -131,6 +134,60 @@ def _persist_trace(
         _log.warning("job %s: could not persist trace: %s", job_id, error)
 
 
+class _JobEvents:
+    """A job's progress events, delivered in order on its cancel poll.
+
+    Mid-stage progress events (NSGA-II generations, Monte Carlo points,
+    yield batches) are buffered, and :meth:`poll` -- the job's
+    :class:`~repro.cancel.CancelToken` source -- appends the whole buffer
+    and answers the cancel flag in one
+    :meth:`~repro.service.base.JobStore.append_events` exchange.  So a
+    progress event is stored by the first cancel poll after it (at most
+    one poll interval plus one checkpoint boundary later).  A
+    stage-completion event, and whatever precedes it, is stored at once
+    (:meth:`stage_completed`), and :meth:`flush` stores the rest before
+    a terminal outcome: the SSE stream, which drains a job's events once
+    it sees a terminal state, never misses one.
+
+    Events are advisory (they feed the SSE stream): a failed exchange
+    keeps the buffer for the next one and never aborts the computation.
+    """
+
+    def __init__(self, store: base.JobStore, job_id: str, worker: str) -> None:
+        self.store = store
+        self.job_id = job_id
+        self.worker = worker
+        self.pending: List[Dict[str, Any]] = []
+
+    def add(self, stage: str, status: str, payload: Optional[Dict[str, Any]] = None) -> None:
+        self.pending.append(
+            {"stage": stage, "status": status, "worker": self.worker, "payload": payload}
+        )
+
+    def poll(self) -> bool:
+        """Append the buffer (possibly empty); the job's cancel flag."""
+        try:
+            _, cancel_requested = self.store.append_events(self.job_id, self.pending)
+        except Exception:  # noqa: BLE001 - progress must never break a run
+            # Can't reach the store: assume not cancelled and keep
+            # computing -- if the partition persists, lease expiry (the
+            # coordinator's authority) parks or requeues the job anyway.
+            return False
+        self.pending = []
+        return cancel_requested
+
+    def stage_completed(self, stage: str, artefact: Any) -> bool:
+        """Store a stage's completion event, and all before it, now;
+        returns the cancel flag the exchange answered."""
+        self.add(stage, "completed", summarise_stage(stage, artefact))
+        return self.poll()
+
+    def flush(self) -> None:
+        """Store any buffered events (before a terminal outcome)."""
+        if self.pending:
+            self.poll()
+
+
 def _yield_batch_for(n_samples: int) -> int:
     """Yield Monte Carlo batch size for a service-executed job.
 
@@ -168,25 +225,19 @@ def execute_job(
     :class:`~repro.experiments.artifacts.HttpArtifactStore`, so its
     checkpoints read through from (and publish to) the coordinator.
 
-    ``cancel_poll_interval`` throttles the job-store ``cancel_requested``
-    poll the runner's :class:`~repro.cancel.CancelToken` issues at each
-    checkpoint boundary (default: a sixth of the lease TTL, capped at one
-    second).
+    ``cancel_poll_interval`` throttles the cancel poll the runner's
+    :class:`~repro.cancel.CancelToken` issues at checkpoint boundaries
+    (default: a sixth of the lease TTL, capped at one second).  The poll
+    is the job's one events exchange (:class:`_JobEvents`): it carries
+    the buffered progress events and answers the ``cancel_requested``
+    flag.
     """
     artifacts = (
         cache_dir
         if isinstance(cache_dir, ArtifactStore)
         else LocalArtifactStore(cache_dir)
     )
-
-    def record_event(stage: str, status: str, payload=None) -> None:
-        # Events are advisory (they feed the SSE stream); a transient
-        # SQLITE_BUSY or a network blip on the remote store must not
-        # abort the computation itself.
-        try:
-            store.record_event(job.id, stage, status, worker, payload)
-        except Exception:  # noqa: BLE001 - progress must never break a run
-            pass
+    events = _JobEvents(store, job.id, worker)
 
     try:
         if not store.start(job.id, worker):
@@ -196,7 +247,8 @@ def execute_job(
     try:
         scenario = job.resolve_scenario()
     except (KeyError, TypeError, ValueError) as error:
-        record_event("submit", "rejected", {"error": str(error)})
+        events.add("submit", "rejected", {"error": str(error)})
+        events.flush()
         store.fail(job.id, worker, f"unresolvable scenario: {error}")
         return False
 
@@ -208,23 +260,17 @@ def execute_job(
         daemon=True,
     )
     beat.start()
-    def should_cancel() -> bool:
-        try:
-            return store.cancel_requested(job.id)
-        except TRANSIENT_STORE_ERRORS:
-            # Can't reach the store: assume not cancelled and keep
-            # computing -- if the partition persists, lease expiry (the
-            # coordinator's authority) parks or requeues the job anyway.
-            return False
-
     cancel = CancelToken(
-        should_cancel=should_cancel,
+        should_cancel=events.poll,
         poll_interval=(
             cancel_poll_interval
             if cancel_poll_interval is not None
             else min(1.0, store.lease_ttl / 6.0)
         ),
     )
+    # The claim just answered the flag: the first poll is due one
+    # interval from now, not at the first checkpoint boundary.
+    cancel.observe(job.cancel_requested)
     try:
         runner = ExperimentRunner(
             scenario,
@@ -246,11 +292,13 @@ def execute_job(
                     "worker.execute_job", job_id=job.id, worker=worker
                 ):
                     result = runner.run(
-                        stage_hook=lambda stage, artefact: record_event(
-                            stage, "completed", summarise_stage(stage, artefact)
+                        # The stage-completion exchange answers the
+                        # cancel flag too, so it counts as a poll.
+                        stage_hook=lambda stage, artefact: cancel.observe(
+                            events.stage_completed(stage, artefact)
                         ),
                         cancel=cancel,
-                        progress_hook=lambda stage, payload: record_event(
+                        progress_hook=lambda stage, payload: events.add(
                             stage, "progress", payload
                         ),
                     )
@@ -259,6 +307,7 @@ def execute_job(
         # The terminal updates are ownership-checked: False means the
         # lease expired mid-run and a peer reclaimed (and will finish)
         # the job -- this worker's result must not count as an execution.
+        events.flush()
         try:
             return True if store.complete(job.id, worker, result.summary()) else None
         except TRANSIENT_STORE_ERRORS:
@@ -269,7 +318,8 @@ def execute_job(
     except JobCancelled:
         # The cancel surfaced at a checkpoint boundary: the mid-stage
         # partial is already persisted, so a resubmission resumes from it.
-        record_event("cancel", "observed")
+        events.add("cancel", "observed")
+        events.flush()
         try:
             return False if store.mark_cancelled(job.id, worker) else None
         except TRANSIENT_STORE_ERRORS:
@@ -280,6 +330,7 @@ def execute_job(
         return None
     except Exception:
         error_text = traceback.format_exc()
+        events.flush()
         try:
             return False if store.fail(job.id, worker, error_text) else None
         except TRANSIENT_STORE_ERRORS:

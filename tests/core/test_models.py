@@ -15,7 +15,10 @@ from repro.circuits.ring_vco import VcoDesign
 from repro.core.codegen import generate_listing1, generate_listing2, write_verilog_a
 from repro.core.datafile import read_model_directory, write_model_directory
 from repro.core.performance_model import PerformanceModel
-from repro.core.variation_model import VariationModel
+from repro.core.flow import HierarchicalFlow
+from repro.core.variation_model import VariationModel, VariationModelError
+from repro.experiments.registry import get_scenario
+from repro.tablemodel.spline import InterpolationError
 
 
 # -- performance model -------------------------------------------------------------------
@@ -128,6 +131,25 @@ def test_variation_model_validation():
         VariationModel(np.zeros((0, 5)), np.zeros((0, 5)))
     with pytest.raises(ValueError):
         VariationModel(np.zeros((2, 5)), np.zeros((2, 5)), performance_names=["a"])
+
+
+def test_variation_model_names_the_degenerate_performance_and_front_size():
+    nominal = np.array([[2.0, 1.0, 3.0, 4.0, 5.0], [2.0, 2.0, 4.0, 5.0, 6.0]])
+    with pytest.raises(VariationModelError, match=r"'kvco' spread over a Pareto front of 2 point"):
+        VariationModel(nominal=nominal, spreads_percent=np.ones_like(nominal))
+    assert issubclass(VariationModelError, InterpolationError)
+
+
+@pytest.mark.parametrize("seed", [10169, 10393, 10589])
+def test_degenerate_fast_smoke_fronts_raise_the_typed_model_build_error(seed):
+    """These fast-smoke seeds end NSGA-II on a front whose points share one
+    nominal KVCO; the model build says so instead of a bare spline error."""
+    flow = HierarchicalFlow.from_scenario(get_scenario("fast-smoke").with_overrides(seed=seed))
+    with pytest.raises(
+        VariationModelError,
+        match=r"cannot tabulate the '\w+' spread over a Pareto front of \d+ point",
+    ):
+        flow.circuit_stage()
 
 
 def test_variation_model_as_variation_tables(combined_model):

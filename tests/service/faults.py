@@ -17,7 +17,8 @@ Two wrappers around the PR's injection seams:
 
 Both keep a ``log`` of what they did to each call, so tests can assert
 that faults actually fired (a fault test that never faulted is green
-noise).
+noise).  :class:`CountingTransport` injects nothing: it only logs each
+exchange, for tests that pin a worker's wire traffic.
 """
 
 import random
@@ -26,7 +27,23 @@ import time
 
 from repro.experiments.artifacts import ArtifactTransportError
 
-__all__ = ["FlakyStore", "FlakyTransport", "Partition"]
+__all__ = ["CountingTransport", "FlakyStore", "FlakyTransport", "Partition"]
+
+
+class CountingTransport:
+    """Passes every exchange through, logging ``"METHOD path"``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = []
+
+    @property
+    def base_url(self):
+        return self.inner.base_url
+
+    def request(self, method, path, body=None, headers=None):
+        self.log.append(f"{method} {path}")
+        return self.inner.request(method, path, body, headers)
 
 
 class Partition:
@@ -174,8 +191,7 @@ class FlakyStore:
         "complete",
         "fail",
         "mark_cancelled",
-        "cancel_requested",
-        "record_event",
+        "append_events",
         "pending_count",
     )
 

@@ -2,6 +2,7 @@
 wire, partial-download safety (truncation regression), and idempotence
 under duplicated PUTs."""
 
+import json
 import socket
 import threading
 import time
@@ -9,7 +10,7 @@ import time
 import pytest
 
 from conftest import tiny_scenario
-from faults import FlakyTransport
+from faults import CountingTransport, FlakyTransport
 from repro.experiments.artifacts import (
     ARTIFACT_NAME_RE,
     ArtifactTransportError,
@@ -109,6 +110,49 @@ def test_partials_are_coordinator_first_with_local_fallback(coordinator, tmp_pat
     worker_a.entry_for(TINY).clear_partial("circuit")
     assert worker_a.entry_for(TINY).load_partial("circuit") is None
     assert worker_b.entry_for(TINY).load_partial("circuit") is None
+
+
+def test_listing_route_and_put_answer_name_what_the_hash_holds(coordinator, tmp_path):
+    store = HttpArtifactStore(coordinator.url, tmp_path / "w")
+    assert store.names("cafe0123deadbeef") == set()  # an unknown hash lists nothing
+    assert store.push("cafe0123deadbeef", "system.pkl", b"s") == {"system.pkl"}
+    assert store.push("cafe0123deadbeef", "circuit.pkl", b"c") == {"circuit.pkl", "system.pkl"}
+    # A stray file in the tree that is not an artifact name is not listed.
+    (coordinator.cache_dir / "cafe0123deadbeef" / "notes.txt").write_text("x")
+    status, body = HttpTransport(coordinator.url).request("GET", "/v1/artifacts/cafe0123deadbeef")
+    assert status == 200
+    assert json.loads(body)["names"] == ["circuit.pkl", "system.pkl"]
+    status, _ = HttpTransport(coordinator.url).request("GET", "/v1/artifacts/not-hex")
+    assert status == 404
+
+
+def test_entry_answers_misses_from_one_listing_and_its_own_writes(coordinator, tmp_path):
+    """A fresh entry asks what the coordinator holds once; ``has`` and
+    ``load_partial`` misses never probe name by name, and a partial the
+    entry wrote itself is read back from its local copy."""
+    transport = CountingTransport(HttpTransport(coordinator.url))
+    entry = HttpArtifactStore(coordinator.url, tmp_path / "w", transport=transport).entry_for(
+        TINY
+    )
+    h = TINY.config_hash()
+    assert not entry.has("circuit")
+    assert entry.load_partial("circuit") is None
+    assert entry.stages_present() == []
+    assert transport.log == [f"GET /v1/artifacts/{h}"]
+
+    entry.store_partial("circuit", {"generation": 3})
+    assert entry.load_partial("circuit") == {"generation": 3}
+    entry.clear_partial("circuit")
+    assert entry.load_partial("circuit") is None
+    assert not [line for line in transport.log if line.startswith(f"GET /v1/artifacts/{h}/")]
+
+    # A fresh entry whose first exchange is a push learns the listing
+    # from the PUT's answer and never sends the listing GET.
+    transport.log.clear()
+    fresh = HttpArtifactStore(coordinator.url, tmp_path / "x", transport=transport).entry_for(TINY)
+    fresh.write_scenario(TINY)
+    assert not fresh.has("circuit") and fresh.load_partial("yield") is None
+    assert transport.log == [f"PUT /v1/artifacts/{h}/scenario.json"]
 
 
 def test_server_rejects_malformed_artifact_paths(coordinator, tmp_path):

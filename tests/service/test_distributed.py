@@ -16,7 +16,7 @@ import time
 import pytest
 
 from conftest import assert_artefacts_byte_identical, tiny_scenario
-from faults import FlakyStore, FlakyTransport, Partition
+from faults import CountingTransport, FlakyStore, FlakyTransport, Partition
 from repro.experiments.artifacts import HttpArtifactStore, HttpTransport
 from repro.experiments.cache import ArtefactCache
 from repro.experiments.registry import get_scenario
@@ -77,32 +77,21 @@ def test_remote_worker_executes_bit_identically(coordinator, tmp_path):
     )
 
 
-class CountingTransport:
-    """Passes every exchange through, logging ``"METHOD path"``."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.log = []
-
-    @property
-    def base_url(self):
-        return self.inner.base_url
-
-    def request(self, method, path, body=None, headers=None):
-        self.log.append(f"{method} {path}")
-        return self.inner.request(method, path, body, headers)
-
-
 def test_remote_fast_smoke_job_pins_its_wire_traffic(coordinator, tmp_path):
-    """One remote ``fast-smoke`` job downloads the circuit partial at most
-    twice (the NSGA-II resume probe and the model build's, not once per
-    Monte Carlo point) and still lands artefacts byte-identical to a
+    """One remote ``fast-smoke`` job asks the coordinator only what it
+    cannot know: no per-name artefact probe on a fresh job (absence comes
+    from the listing its pushes are answered with), no separate cancel
+    poll (the flag rides the events exchange), progress events batched
+    into the stage-completion and cancel-poll exchanges -- at most 30
+    exchanges from claim to outcome -- and artefacts byte-identical to a
     direct run."""
     scenario = get_scenario("fast-smoke").with_overrides(seed=10007)
     transport = CountingTransport(HttpTransport(coordinator.url))
     store = RemoteJobStore(coordinator.url, transport=transport)
     job, _ = store.submit(scenario)
+    submitted = len(transport.log)
     worker_cache = tmp_path / "worker-cache"
+    started = time.monotonic()
     executed = remote_worker_loop(
         coordinator.url,
         worker_cache,
@@ -111,10 +100,28 @@ def test_remote_fast_smoke_job_pins_its_wire_traffic(coordinator, tmp_path):
         store=store,
         artifacts=HttpArtifactStore(coordinator.url, worker_cache, transport=transport),
     )
+    elapsed = time.monotonic() - started
     assert executed == 1 and coordinator.store.get(job.id).state == "done"
     partial = f"/v1/artifacts/{job.id}/circuit.partial.pkl"
     assert transport.log.count(f"PUT {partial}") >= 2  # the Monte Carlo points were checkpointed
     assert transport.log.count(f"GET {partial}") <= 2
+
+    job_log = [
+        line for line in transport.log[submitted:] if not line.endswith("/heartbeat")
+    ]
+    assert not [line for line in job_log if line.endswith("/flags")]
+    assert not [line for line in job_log if line.startswith(f"GET /v1/artifacts/{job.id}/")]
+    stages = [
+        event["stage"]
+        for event in coordinator.store.events(job.id)
+        if event["status"] == "completed"
+    ]
+    assert stages == ["circuit", "system", "yield"]
+    # The cancel poll runs once per interval (min(1 s, ttl/6) = 1 s here)
+    # at most; every other events exchange carries a stage completion.
+    cancel_polls = int(elapsed / min(1.0, coordinator.store.lease_ttl / 6.0))
+    assert job_log.count(f"POST /v1/jobs/{job.id}/events") <= len(stages) + cancel_polls
+    assert len(job_log) <= 30, job_log
 
     direct_cache = tmp_path / "direct"
     ExperimentRunner(scenario, cache_dir=direct_cache).run()
@@ -183,7 +190,7 @@ def test_worker_survives_dropped_progress_events(tmp_path):
     scenario = tiny_scenario("distributed-flaky-events", seed=210)
     sqlite = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     sqlite.submit(scenario)
-    flaky = FlakyStore(sqlite, seed=11, drop=0.7, methods=("record_event",))
+    flaky = FlakyStore(sqlite, seed=11, drop=0.7, methods=("append_events",))
 
     executed = run_worker(
         flaky, tmp_path / "cache", "w-flaky", max_jobs=1, poll_interval=0.01

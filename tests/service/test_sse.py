@@ -20,7 +20,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.service.api import make_async_server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import SqliteJobStore
-from repro.service.worker import worker_loop
+from repro.service.worker import run_worker, worker_loop
 
 TINY = ScenarioConfig(
     name="sse-tiny",
@@ -250,3 +250,54 @@ def test_streamed_job_executed_by_a_worker_end_to_end(live):
     ]
     # The streamed log is exactly the persisted log.
     assert events == store.events(job["id"])
+
+
+class TerminalSnapshotStore:
+    """Delegates to a job store, snapshotting the job's persisted events
+    the moment the worker records its terminal outcome."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.at_terminal = None
+
+    def __getattr__(self, name):
+        value = getattr(self.inner, name)
+        if name not in ("complete", "fail", "mark_cancelled"):
+            return value
+
+        def terminal(job_id, *args, **kwargs):
+            self.at_terminal = self.inner.events(job_id)
+            return value(job_id, *args, **kwargs)
+
+        return terminal
+
+
+@pytest.mark.parametrize("seed, state", [(53, "done"), (10169, "failed")])
+def test_job_events_are_stored_before_its_state_turns_terminal(live, seed, state):
+    """The worker buffers progress events between cancel polls; every one
+    is stored before the terminal outcome, so the stream -- which drains
+    once after it sees a terminal state -- ends with the job's full log.
+    Seed 10169 fails in the model build with circuit progress still
+    buffered (no stage completed to flush it)."""
+    client, store, cache = live
+    overrides = {} if state == "failed" else {
+        "circuit_population": 8,
+        "circuit_generations": 2,
+        "mc_samples_per_point": 4,
+        "yield_samples": 10,
+        "max_model_points": 6,
+    }
+    job = client.submit("fast-smoke", dict(overrides, seed=seed))
+    received = []
+    thread = threading.Thread(target=lambda: received.append(collect(client, job["id"])))
+    thread.start()
+    proxy = TerminalSnapshotStore(store)
+    assert run_worker(proxy, cache, "w-sse", max_jobs=1, poll_interval=0.01) == 1
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+
+    events, end = received[0]
+    assert end["state"] == state == store.get(job["id"]).state
+    assert proxy.at_terminal == store.events(job["id"]) == events
+    assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
+    assert ("circuit", "progress") in [(e["stage"], e["status"]) for e in events]

@@ -2,7 +2,7 @@
 
 For a seeded random sequence of JobStore operations (submit / claim /
 start / heartbeat / complete / fail / cancel / mark_cancelled /
-record_event / requeue_expired / resubmit), the SQLite backend and the
+record_event / append_events / requeue_expired / resubmit), the SQLite backend and the
 RemoteJobStore-over-loopback backend must produce **identical**
 observation streams and reach identical terminal states.  Any divergence
 -- a state the API maps differently, an error the remote store
@@ -33,7 +33,7 @@ OP_POOL = (
     + ["complete"] * 2
     + ["fail"]
     + ["cancel"] * 2
-    + ["cancel_requested"]
+    + ["append_events"]
     + ["mark_cancelled"]
     + ["record_event"] * 2
     + ["requeue_expired"]
@@ -50,7 +50,14 @@ def generate_trace(seed, length=80):
         op = rng.choice(OP_POOL)
         scenario = rng.randrange(len(SCENARIOS))
         worker = rng.choice(WORKERS)
-        if op == "record_event":
+        if op == "append_events":
+            # The worker's progress-and-cancel exchange: an empty batch is
+            # the bare cancel poll.
+            batch = tuple(
+                rng.choice(("circuit", "system", "yield")) for _ in range(rng.randrange(3))
+            )
+            trace.append((op, scenario, worker, batch))
+        elif op == "record_event":
             trace.append(
                 (
                     op,
@@ -95,8 +102,12 @@ def apply_trace(store, trace):
             elif op == "cancel":
                 job = store.cancel(job_id)
                 observations.append((op, job_id, job.state, job.cancel_requested))
-            elif op == "cancel_requested":
-                observations.append((op, job_id, store.cancel_requested(job_id)))
+            elif op == "append_events":
+                batch = [
+                    {"stage": stage, "status": "progress", "worker": worker, "payload": None}
+                    for stage in step[3]
+                ]
+                observations.append((op, job_id, store.append_events(job_id, batch)))
             elif op == "mark_cancelled":
                 observations.append((op, job_id, store.mark_cancelled(job_id, worker)))
             elif op == "record_event":

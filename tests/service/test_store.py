@@ -246,7 +246,7 @@ def test_cancel_running_job_flags_then_worker_parks_it(store):
     flagged = store.cancel(job.id)
     assert flagged.state == "running"  # still the worker's until it observes
     assert flagged.cancel_requested
-    assert store.cancel_requested(job.id)
+    assert store.append_events(job.id, []) == ([], True)  # the worker's poll
     # The worker observes the flag at a checkpoint boundary and parks it.
     assert store.mark_cancelled(job.id, "w1")
     parked = store.get(job.id)
@@ -399,6 +399,49 @@ def test_record_event_returns_the_assigned_seq(store):
     job, _ = store.submit(TINY)
     assert store.record_event(job.id, "circuit", "progress", "w1", None) == 1
     assert store.record_event(job.id, "circuit", "completed", "w1", None) == 2
+
+
+def _progress(stage, worker="w1", **payload):
+    return {"stage": stage, "status": "progress", "worker": worker, "payload": payload or None}
+
+
+def test_append_events_gives_one_batch_consecutive_ordered_seqs(store):
+    job, _ = store.submit(TINY)
+    assert store.record_event(job.id, "circuit", "progress", "w1", None) == 1
+    batch = [_progress("circuit", generation=g) for g in range(3)] + [
+        {"stage": "circuit", "status": "completed", "worker": "w1", "payload": None}
+    ]
+    seqs, cancel_requested = store.append_events(job.id, batch)
+    assert seqs == [2, 3, 4, 5]
+    assert cancel_requested is False
+    events = store.events(job.id)
+    assert [e["seq"] for e in events] == [1, 2, 3, 4, 5]
+    assert [(e["stage"], e["status"]) for e in events[1:]] == [
+        ("circuit", "progress")
+    ] * 3 + [("circuit", "completed")]
+    assert [e["payload"]["generation"] for e in events[1:4]] == [0, 1, 2]
+    assert {e["worker"] for e in events} == {"w1"}
+
+
+def test_empty_append_appends_nothing_but_answers_the_cancel_flag(store):
+    job, _ = store.submit(TINY)
+    store.claim("w1")
+    store.start(job.id, "w1")
+    assert store.append_events(job.id, []) == ([], False)
+    store.cancel(job.id)
+    before = store.events(job.id)
+    assert store.append_events(job.id, []) == ([], True)
+    assert store.events(job.id) == before  # the poll wrote nothing
+
+
+def test_append_events_to_an_unknown_job_raises_key_error(store):
+    """No orphan events: SQLite raises KeyError, the coordinator answers
+    404, which the remote store maps back to KeyError."""
+    with pytest.raises(KeyError):
+        store.append_events("0123456789abcdef", [_progress("circuit")])
+    with pytest.raises(KeyError):
+        store.append_events("0123456789abcdef", [])
+    assert store.events_since("0123456789abcdef") == []
 
 
 def test_cancel_records_its_event_atomically(store):

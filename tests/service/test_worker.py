@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.registry import get_scenario
 from repro.service.store import SqliteJobStore
 from repro.service.worker import Autoscaler, worker_loop
 
@@ -456,6 +457,22 @@ def test_execute_job_records_per_generation_progress(tmp_path):
 
     completed = [e["stage"] for e in events if e["status"] == "completed"]
     assert completed == ["circuit", "system", "yield"]
+
+
+def test_degenerate_front_job_fails_with_the_typed_model_build_error(tmp_path):
+    """A fast-smoke seed whose Pareto front degenerates ends ``failed``
+    with the model build's typed error, naming the performance and the
+    front size -- and its buffered circuit progress is still stored."""
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
+    job, _ = store.submit(get_scenario("fast-smoke").with_overrides(seed=10169))
+    assert worker_loop(store.path, tmp_path / "cache", lease_ttl=30.0, max_jobs=1) == 1
+    failed = store.get(job.id)
+    assert failed.state == "failed"
+    assert (
+        "VariationModelError: cannot tabulate the 'kvco' spread over a Pareto"
+        " front of 2 point(s)" in failed.error
+    )
+    assert ("circuit", "progress") in [(e["stage"], e["status"]) for e in store.events(job.id)]
 
 
 def test_worker_pool_publishes_size_to_meta(tmp_path):
