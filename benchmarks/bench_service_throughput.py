@@ -36,7 +36,7 @@ from repro.service.api import make_async_server
 from repro.service.client import ServiceClient
 from repro.service.remote import RemoteJobStore
 from repro.service.store import SqliteJobStore
-from repro.service.worker import WorkerPool, remote_worker_loop
+from repro.service.worker import Autoscaler, remote_worker_loop
 
 #: Client threads hammering the API in the dedup benchmark.
 N_CLIENTS = 8
@@ -92,7 +92,9 @@ def test_service_throughput_with_dedup(benchmark, tmp_path):
                 submissions.append(job)
 
     try:
-        with WorkerPool(db, cache, n_workers=N_WORKERS, lease_ttl=30.0):
+        with Autoscaler(
+            db, cache, min_workers=N_WORKERS, max_workers=N_WORKERS, lease_ttl=30.0
+        ):
             started = time.perf_counter()
             threads = [threading.Thread(target=client_session) for _ in range(N_CLIENTS)]
             for thread in threads:
@@ -175,8 +177,6 @@ def test_remote_worker_throughput(benchmark, tmp_path):
                 target=remote_worker_loop,
                 args=(url, tmp_path / f"worker-cache-{index}"),
                 kwargs={
-                    "shard_index": index,
-                    "shard_count": N_WORKERS,
                     "poll_interval": 0.05,
                     "max_jobs": len(JOB_MIX),
                     "worker_name": f"bench-remote-{index}",

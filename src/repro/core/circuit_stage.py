@@ -298,9 +298,13 @@ class _ModelBuildCheckpoint:
     the optimisation nor the Monte Carlo points already evaluated.
 
     The job's holder is the only writer of the slot, so the state is read
-    once and then kept: each ``store``/``clear`` writes the kept state
-    with its ``"mc"`` key replaced or dropped, without reading the slot
-    back (over HTTP, a download of the whole partial per point).
+    once and then kept: each ``store`` writes the kept state with its
+    ``"mc"`` key replaced, without reading the slot back (over HTTP, a
+    download of the whole partial per point).  ``clear`` writes nothing:
+    the runner deletes the whole slot once the stage artefact is stored,
+    and a run killed before that resumes from the kept rows, recomputing
+    only the last point (each point has its own seeded stream, so the
+    result is bit-identical).
     """
 
     def __init__(self, partial: object) -> None:
@@ -323,9 +327,4 @@ class _ModelBuildCheckpoint:
         self._state = state
 
     def clear(self) -> None:
-        state = self._base()
-        if "mc" in state:
-            state = dict(state)
-            del state["mc"]
-            self._partial.store(state)
-            self._state = state
+        pass

@@ -18,7 +18,7 @@ Service subcommands talk to the experiment service
 (:mod:`repro.service`), which shares work between many clients::
 
     repro serve --workers 4 --port 8321    # job store + worker pool + HTTP API
-    repro serve --min-workers 1 --max-workers 8   # autoscale on queue depth
+    repro serve --workers 1 --max-workers 8       # autoscale on queue depth
     repro submit fast-smoke --wait         # POST /v1/jobs, poll, print the report
     repro submit-sweep 'vco-sweep-*' --technology generic012,generic065
                                            # glob x axis product, batched submits
@@ -127,23 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "fixed worker process count; 0 runs a coordinator-only service"
-            " for remote workers (ignored when --min/--max-workers is given)"
+            "worker processes, the pool's floor (crashed workers are replaced);"
+            " 0 runs a coordinator-only service for remote workers"
         ),
-    )
-    serve.add_argument(
-        "--min-workers",
-        type=int,
-        default=None,
-        help="autoscale: minimum worker processes (enables queue-depth autoscaling)",
     )
     serve.add_argument(
         "--max-workers",
         type=int,
         default=None,
         help=(
-            "autoscale: maximum worker processes (enables queue-depth autoscaling;"
-            " default when only --min-workers is given: max(min-workers, 4))"
+            "autoscale on queue depth up to this many worker processes"
+            " (default: --workers, a fixed pool)"
         ),
     )
     serve.add_argument(
@@ -178,12 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="local read-through artefact cache root (default: .repro-cache)",
-    )
-    worker.add_argument(
-        "--shard-index", type=int, default=0, help="this worker's shard of the hash space"
-    )
-    worker.add_argument(
-        "--shard-count", type=int, default=1, help="total shards across the worker fleet"
     )
     worker.add_argument(
         "--poll-interval",
@@ -555,9 +543,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.api import make_async_server
     from repro.service.store import SqliteJobStore
-    from repro.service.worker import Autoscaler, WorkerPool
+    from repro.service.worker import Autoscaler
 
     _configure_logging(args.log_level)
+    maximum = args.max_workers if args.max_workers is not None else args.workers
+    if args.workers == 0 and args.max_workers is not None:
+        print("error: --max-workers needs a local pool (--workers >= 1)", file=sys.stderr)
+        return 2
+    if args.workers < 0 or maximum < args.workers:
+        print(
+            f"error: need 0 <= --workers ({args.workers}) <= --max-workers ({maximum})",
+            file=sys.stderr,
+        )
+        return 2
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     db_path = Path(args.db) if args.db else cache_dir / "service.db"
     store = SqliteJobStore(db_path, lease_ttl=args.lease_ttl)
@@ -570,39 +568,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except OSError as error:
         print(f"error: cannot bind {args.host}:{args.port}: {error}", file=sys.stderr)
         return 2
-    autoscale = args.min_workers is not None or args.max_workers is not None
-    try:
-        if autoscale:
-            # --workers is genuinely ignored here (as its help promises):
-            # the autoscale bounds come only from the autoscale flags.
-            minimum = args.min_workers if args.min_workers is not None else 1
-            maximum = (
-                args.max_workers if args.max_workers is not None else max(minimum, 4)
-            )
-            pool = Autoscaler(
-                db_path,
-                cache_dir,
-                min_workers=minimum,
-                max_workers=maximum,
-                lease_ttl=args.lease_ttl,
-            )
-            workers_label = f"{minimum}-{maximum} autoscaled worker(s)"
-        elif args.workers == 0:
-            # Coordinator-only: no local pool -- execution is delegated to
-            # `repro worker --coordinator` processes on this or other hosts.
-            pool = None
-            workers_label = "coordinator-only, remote workers"
-        else:
-            pool = WorkerPool(
-                db_path, cache_dir, n_workers=args.workers, lease_ttl=args.lease_ttl
-            )
-            workers_label = f"{args.workers} worker(s)"
-    except ValueError as error:
-        server.shutdown()
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if pool is not None:
+    # With --workers 0 the service is coordinator-only: execution is
+    # delegated to `repro worker --coordinator` processes on this or
+    # other hosts.
+    pool = None
+    workers_label = "coordinator-only, remote workers"
+    if args.workers:
+        pool = Autoscaler(
+            db_path,
+            cache_dir,
+            min_workers=args.workers,
+            max_workers=maximum,
+            lease_ttl=args.lease_ttl,
+        )
         pool.start()
+        workers_label = (
+            f"{args.workers} worker(s)"
+            if maximum == args.workers
+            else f"{args.workers}-{maximum} autoscaled worker(s)"
+        )
     # SIGTERM (docker stop, systemd, CI traps) must tear the worker pool
     # down like Ctrl+C does -- the default handler would kill this process
     # without running the finally block, orphaning the worker processes.
@@ -634,33 +618,19 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     _configure_logging(args.log_level)
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    # The coordinator refuses every claim with a shard count below one, and
-    # the worker would retry those refusals forever.
-    if args.shard_count < 1:
-        print(f"error: shard count {args.shard_count} must be at least 1", file=sys.stderr)
-        return 2
-    if not 0 <= args.shard_index < args.shard_count:
-        print(
-            f"error: shard index {args.shard_index} outside 0..{args.shard_count - 1}",
-            file=sys.stderr,
-        )
-        return 2
 
     def _sigterm(signum: int, frame: object) -> None:
         raise SystemExit(0)
 
     signal.signal(signal.SIGTERM, _sigterm)
     print(
-        f"repro worker polling {args.coordinator} "
-        f"(shard {args.shard_index}/{args.shard_count}, cache {cache_dir})",
+        f"repro worker polling {args.coordinator} (cache {cache_dir})",
         flush=True,
     )
     try:
         executed = remote_worker_loop(
             args.coordinator,
             cache_dir,
-            shard_index=args.shard_index,
-            shard_count=args.shard_count,
             poll_interval=args.poll_interval,
             max_jobs=args.max_jobs,
             worker_name=args.name,

@@ -248,8 +248,14 @@ class ExperimentRunner:
             )
         }
         if self.circuit_checkpoint:
+            generation = observe("circuit", summarise_generation)
             partials["circuit"] = _StagePartial(
-                entry, "circuit", observe("circuit", summarise_generation)
+                entry,
+                "circuit",
+                # Only a new NSGA-II generation is progress: the model
+                # build's Monte Carlo rows ride the same slot under "mc",
+                # beside the unchanged final generation.
+                generation and (lambda state: "mc" in state or generation(state)),
             )
         stages = _CachedStages(entry, self.force, partials, self.yield_batch_size)
         report = flow._run(

@@ -4,7 +4,7 @@ PR 3 made experiments declarative and resumable; this subsystem makes
 them *shared*.  A long-running service accepts scenario submissions from
 many clients, coalesces duplicate configurations onto one job (the job id
 is the scenario's config hash -- the same key as the artefact cache), and
-executes jobs on a sharded pool of worker processes, each running the
+executes jobs on a pool of worker processes, each running the
 resumable :class:`~repro.experiments.runner.ExperimentRunner`:
 
 * :mod:`repro.service.base` -- the abstract :class:`JobStore` seam every
@@ -22,11 +22,12 @@ resumable :class:`~repro.experiments.runner.ExperimentRunner`:
   from another machine, with artefacts travelling as exact pickle bytes
   through :class:`~repro.experiments.artifacts.HttpArtifactStore`.
 * :mod:`repro.service.worker` -- the worker pool: fixed size (``repro
-  serve --workers N``) or autoscaled on queue depth (``--min-workers /
-  --max-workers``); workers prefer their own shard of the hash space
-  and record stage-completed *and* mid-stage progress events (one per
-  NSGA-II generation, one per yield Monte Carlo batch) through the
-  runner's hook seams.
+  serve --workers N``) or autoscaled on queue depth up to
+  ``--max-workers M``, replacing crashed workers up to the floor;
+  every worker claims the oldest queued job and records
+  stage-completed *and* mid-stage progress events (one per NSGA-II
+  generation, one per yield Monte Carlo batch) through the runner's
+  hook seams.
 * :mod:`repro.service.http` -- the stdlib-asyncio HTTP/1.1 core: route
   table, keep-alive, SSE framing, and the thread-pool bridge that keeps
   the event loop clear of blocking SQLite work.
@@ -69,7 +70,6 @@ from repro.service.remote import RemoteJobStore, RemoteStoreError
 from repro.service.store import SqliteJobStore
 from repro.service.worker import (
     Autoscaler,
-    WorkerPool,
     execute_job,
     remote_worker_loop,
     run_worker,
@@ -85,7 +85,6 @@ __all__ = [
     "JOB_STATES",
     "ACTIVE_STATES",
     "TERMINAL_STATES",
-    "WorkerPool",
     "Autoscaler",
     "worker_loop",
     "remote_worker_loop",

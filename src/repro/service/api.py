@@ -28,7 +28,7 @@ these are what :class:`~repro.service.remote.RemoteJobStore` speaks, and
 the coordinator's store (and therefore the coordinator's *clock*) stays
 authoritative for lease expiry::
 
-    POST   /v1/claim                   lease the next runnable job
+    POST   /v1/claim                   lease the oldest queued job
     POST   /v1/jobs/<id>/lease         leased -> running (ownership-checked)
     POST   /v1/jobs/<id>/heartbeat     extend the lease
     POST   /v1/jobs/<id>/events        append a batch of progress events;
@@ -214,7 +214,6 @@ class ExperimentService:
             "jobs": self.store.counts(),
             "pending": self.store.pending_count(),
             "workers": int(self.store.get_meta("workers", 0)),
-            "shards": int(self.store.get_meta("shards", 0)),
             "lease_ttl": self.store.lease_ttl,
         }
 
@@ -442,18 +441,11 @@ class ExperimentService:
         return worker if isinstance(worker, str) and worker else None
 
     def claim(self, body: Optional[Dict[str, Any]]) -> ServiceResponse:
-        """Lease the next runnable job for a (remote) worker."""
+        """Lease the oldest queued job for a (remote) worker."""
         worker = self._worker_name(body)
         if worker is None:
             return _error(400, "malformed_body", "body must carry a 'worker' name")
-        try:
-            shard_index = int((body or {}).get("shard_index", 0))
-            shard_count = int((body or {}).get("shard_count", 1))
-        except (TypeError, ValueError):
-            return _error(400, "malformed_body", "shard_index/shard_count must be integers")
-        if shard_count < 1 or not (0 <= shard_index < shard_count):
-            return _error(400, "malformed_body", "need 0 <= shard_index < shard_count")
-        job = self.store.claim(worker, shard_index=shard_index, shard_count=shard_count)
+        job = self.store.claim(worker)
         if job is not None:
             WORKER_CLAIMS.inc(worker=worker)
         return 200, {

@@ -9,15 +9,15 @@ implementations, so the same worker loop can run against either:
   spoken over the coordinator's ``/v1`` HTTP API from another machine.
 
 Everything that is *policy* rather than storage lives here: the job
-lifecycle states, the dedup key (job id == config hash), the shard
-function, and the :class:`Job` value object that both backends return.
+lifecycle states, the dedup key (job id == config hash), the claim
+order, and the :class:`Job` value object that both backends return.
 
 The contract every backend must honour:
 
 * ``submit`` coalesces on the scenario's config hash -- one execution
   per unique configuration, whatever the backend.
-* ``claim`` atomically leases the next runnable job; expired leases are
-  reclaimed first.  **Lease expiry is authoritative on the
+* ``claim`` atomically leases the oldest queued job (by
+  ``submitted_at``, then ``id``); expired leases are reclaimed first.  **Lease expiry is authoritative on the
   coordinator's clock** -- a remote worker never evaluates expiry
   itself, it only learns it lost the lease when ``heartbeat`` /
   ``complete`` / ``fail`` / ``mark_cancelled`` return ``False``.
@@ -43,7 +43,6 @@ __all__ = [
     "TERMINAL_STATES",
     "Job",
     "JobStore",
-    "shard_of",
 ]
 
 #: Every job lifecycle state, in progression order.
@@ -121,13 +120,6 @@ class Job:
         )
 
 
-def shard_of(job_id: str, shard_count: int) -> int:
-    """Deterministic shard index of a job id (a hex config hash)."""
-    if shard_count < 1:
-        raise ValueError("shard_count must be at least 1")
-    return int(job_id[:8], 16) % shard_count
-
-
 class JobStore(abc.ABC):
     """Abstract persistent job queue with leases and progress events.
 
@@ -152,10 +144,8 @@ class JobStore(abc.ABC):
     # -- worker side ---------------------------------------------------------------------
 
     @abc.abstractmethod
-    def claim(
-        self, worker: str, shard_index: int = 0, shard_count: int = 1
-    ) -> Optional[Job]:
-        """Atomically lease the next runnable job, or ``None``."""
+    def claim(self, worker: str) -> Optional[Job]:
+        """Atomically lease the oldest queued job, or ``None``."""
 
     @abc.abstractmethod
     def start(self, job_id: str, worker: str) -> bool:

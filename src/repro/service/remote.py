@@ -178,14 +178,8 @@ class RemoteJobStore(base.JobStore):
 
     # -- worker side ---------------------------------------------------------------------
 
-    def claim(
-        self, worker: str, shard_index: int = 0, shard_count: int = 1
-    ) -> Optional[Job]:
-        data = self._json(
-            "POST",
-            "/v1/claim",
-            {"worker": worker, "shard_index": shard_index, "shard_count": shard_count},
-        )
+    def claim(self, worker: str) -> Optional[Job]:
+        data = self._json("POST", "/v1/claim", {"worker": worker})
         if data.get("lease_ttl"):
             self._lease_ttl = float(data["lease_ttl"])
         job = data.get("job")

@@ -66,7 +66,6 @@ from repro.service.base import (
     JOB_STATES,
     TERMINAL_STATES,
     Job,
-    shard_of,
 )
 
 __all__ = [
@@ -75,7 +74,6 @@ __all__ = [
     "JOB_STATES",
     "ACTIVE_STATES",
     "TERMINAL_STATES",
-    "shard_of",
 ]
 
 _log = logging.getLogger("repro.service.store")
@@ -263,21 +261,13 @@ class SqliteJobStore(base.JobStore):
 
     # -- worker side ---------------------------------------------------------------------
 
-    def claim(
-        self,
-        worker: str,
-        shard_index: int = 0,
-        shard_count: int = 1,
-    ) -> Optional[Job]:
-        """Atomically lease the next runnable job for one worker.
+    def claim(self, worker: str) -> Optional[Job]:
+        """Atomically lease the oldest queued job for one worker.
 
         Expired leases are reclaimed first (crashed workers' jobs return
-        to the queue).  Queued jobs whose shard
-        (:func:`shard_of` ``% shard_count``) matches ``shard_index`` are
-        preferred -- with N workers each primarily serves its own slice of
-        the hash space, spreading cache-directory churn -- but a worker
-        with an empty shard falls back to any queued job, so work never
-        starves behind a dead or slow peer.
+        to the queue), then the job with the smallest ``submitted_at``
+        (ties broken by ``id``) is leased -- one indexed query, the same
+        rule for every worker.
         """
         now = time.time()
         # Read-only probe first: idle workers poll frequently, and taking
@@ -294,14 +284,13 @@ class SqliteJobStore(base.JobStore):
             return None
         with self._session(exclusive=True) as connection:
             self._requeue_expired(connection, now)
-            rows = connection.execute(
-                "SELECT id FROM jobs WHERE state='queued' ORDER BY submitted_at, id"
-            ).fetchall()
-            if not rows:
+            row = connection.execute(
+                "SELECT id FROM jobs WHERE state='queued'"
+                " ORDER BY submitted_at, id LIMIT 1"
+            ).fetchone()
+            if row is None:
                 return None
-            candidates = [row["id"] for row in rows]
-            own = [jid for jid in candidates if shard_of(jid, shard_count) == shard_index]
-            job_id = (own or candidates)[0]
+            job_id = row["id"]
             connection.execute(
                 "UPDATE jobs SET state='leased', worker=?, lease_expires=?,"
                 " attempts=attempts+1 WHERE id=?",

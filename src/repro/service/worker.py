@@ -1,8 +1,8 @@
-"""The sharded worker pool executing queued experiment jobs.
+"""The worker processes executing queued experiment jobs.
 
-Each worker is one OS process running :func:`worker_loop`: claim a job
-from the :class:`~repro.service.base.JobStore` (preferring its own shard
-of the config-hash space), execute it through the resumable
+Each worker is one OS process running :func:`worker_loop`: claim the
+oldest queued job from the :class:`~repro.service.base.JobStore`,
+execute it through the resumable
 :class:`~repro.experiments.runner.ExperimentRunner`, and report progress
 events (one per completed flow stage through the runner's ``stage_hook``
 seam, one per mid-stage checkpoint through its ``progress_hook``).  A
@@ -20,20 +20,16 @@ bit-identically.  The poll and the progress events share one exchange
 (:class:`_JobEvents`): buffered events ride the poll, so a job asks the
 store nothing it could answer itself.
 
-Two supervisors sit on top, both used by ``repro serve``
+One supervisor sits on top, :class:`Autoscaler`, used by ``repro serve``
 (``multiprocessing`` with the ``spawn`` start method, so workers are
-independent interpreters like any production fleet; a crashed worker's
-*jobs* are reclaimed by its peers via lease expiry, which is the
-recovery model the store is built around):
-
-* :class:`WorkerPool` -- a fixed pool of ``n_workers`` processes
-  (deliberately restarts nothing).
-* :class:`Autoscaler` -- a queue-depth-driven pool between
-  ``min_workers`` and ``max_workers`` (``repro serve --min-workers
-  --max-workers``): sustained backlog spawns workers, a sustained empty
-  queue retires them (gracefully -- a retiring worker finishes its
-  current job first), and the shard count every worker consults is
-  re-published on each resize through shared memory.
+independent interpreters like any production fleet).  It keeps the pool
+between ``min_workers`` and ``max_workers`` (``repro serve --workers N
+--max-workers M``; a fixed pool is ``min_workers == max_workers``):
+sustained backlog spawns workers, a sustained empty queue retires them
+(gracefully -- a retiring worker finishes its current job first), and a
+crashed worker is replaced up to the floor while its *job* comes back to
+the queue through lease expiry, which is the recovery model the store is
+built around.
 """
 
 from __future__ import annotations
@@ -68,7 +64,6 @@ __all__ = [
     "worker_loop",
     "remote_worker_loop",
     "run_worker",
-    "WorkerPool",
     "Autoscaler",
 ]
 
@@ -82,7 +77,7 @@ DEFAULT_POLL_INTERVAL = 0.2
 TRANSIENT_STORE_ERRORS = (ArtifactTransportError, RemoteStoreError, ConnectionError)
 
 
-def _publish_pool_meta(store: base.JobStore, workers: int, shards: int) -> None:
+def _publish_pool_meta(store: base.JobStore, workers: int) -> None:
     """Record the live pool size in the store for ``GET /v1/healthz``.
 
     The API server and the workers are separate processes; the shared
@@ -91,7 +86,6 @@ def _publish_pool_meta(store: base.JobStore, workers: int, shards: int) -> None:
     """
     try:
         store.set_meta("workers", int(workers))
-        store.set_meta("shards", int(shards))
     except Exception:  # noqa: BLE001
         pass
 
@@ -344,12 +338,9 @@ def run_worker(
     store: base.JobStore,
     artifacts: Union[Path, ArtifactStore],
     worker: str,
-    shard_index: int = 0,
-    shard_count: int = 1,
     poll_interval: float = DEFAULT_POLL_INTERVAL,
     max_jobs: Optional[int] = None,
     stop_event: Optional[object] = None,
-    shard_state: Optional[object] = None,
     cancel_poll_interval: Optional[float] = None,
 ) -> int:
     """Backend-agnostic claim-and-execute loop; returns jobs executed.
@@ -372,18 +363,14 @@ def run_worker(
 
     ``stop_event`` (a ``multiprocessing.Event``) retires the worker
     gracefully: it finishes its current job, observes the event between
-    jobs, and exits.  ``shard_state`` (a shared ``multiprocessing.Value``)
-    lets a supervisor re-publish the shard count as the pool resizes --
-    the worker re-reads it before every claim, falling back to the static
-    ``shard_count`` argument when absent.
+    jobs, and exits.
     """
     executed = 0
     while max_jobs is None or executed < max_jobs:
         if stop_event is not None and stop_event.is_set():
             break
-        shards = shard_state.value if shard_state is not None else shard_count
         try:
-            job = store.claim(worker, shard_index=shard_index, shard_count=shards)
+            job = store.claim(worker)
         except TRANSIENT_STORE_ERRORS:
             job = None
         if job is None:
@@ -410,29 +397,22 @@ def run_worker(
 def worker_loop(
     db_path: Path,
     cache_dir: Path,
-    shard_index: int = 0,
-    shard_count: int = 1,
     lease_ttl: float = 60.0,
     poll_interval: float = DEFAULT_POLL_INTERVAL,
     max_jobs: Optional[int] = None,
     stop_event: Optional[object] = None,
-    shard_state: Optional[object] = None,
     cancel_poll_interval: Optional[float] = None,
 ) -> int:
     """A local worker: SQLite store + local artefact cache (see
     :func:`run_worker` for loop semantics)."""
     store = SqliteJobStore(db_path, lease_ttl=lease_ttl)
-    worker = f"worker-{shard_index}@{os.getpid()}"
     return run_worker(
         store,
         LocalArtifactStore(cache_dir),
-        worker,
-        shard_index=shard_index,
-        shard_count=shard_count,
+        f"worker@{os.getpid()}",
         poll_interval=poll_interval,
         max_jobs=max_jobs,
         stop_event=stop_event,
-        shard_state=shard_state,
         cancel_poll_interval=cancel_poll_interval,
     )
 
@@ -440,8 +420,6 @@ def worker_loop(
 def remote_worker_loop(
     coordinator_url: str,
     cache_dir: Path,
-    shard_index: int = 0,
-    shard_count: int = 1,
     poll_interval: float = 0.5,
     max_jobs: Optional[int] = None,
     stop_event: Optional[object] = None,
@@ -464,15 +442,10 @@ def remote_worker_loop(
         if artifacts is not None
         else HttpArtifactStore(coordinator_url, cache_dir)
     )
-    worker = worker_name or (
-        f"worker-{shard_index}@{socket.gethostname()}:{os.getpid()}"
-    )
     return run_worker(
         store,
         artifacts,
-        worker,
-        shard_index=shard_index,
-        shard_count=shard_count,
+        worker_name or f"worker@{socket.gethostname()}:{os.getpid()}",
         poll_interval=poll_interval,
         max_jobs=max_jobs,
         stop_event=stop_event,
@@ -484,14 +457,11 @@ def _spawn_worker(
     context: multiprocessing.context.BaseContext,
     db_path: Path,
     cache_dir: Path,
-    index: int,
-    shard_count: int,
     lease_ttl: float,
     poll_interval: float,
-    stop_event: Optional[object] = None,
-    shard_state: Optional[object] = None,
+    stop_event: object,
 ) -> multiprocessing.Process:
-    """Start one worker process (shared by both supervisors).
+    """Start one worker process.
 
     NOT daemonic: daemonic processes cannot have children, and jobs
     legitimately spawn them (the SPICE evaluator's batch process pool).
@@ -501,14 +471,13 @@ def _spawn_worker(
     """
     process = context.Process(
         target=worker_loop,
-        args=(db_path, cache_dir, index, shard_count),
+        args=(db_path, cache_dir),
         kwargs={
             "lease_ttl": lease_ttl,
             "poll_interval": poll_interval,
             "stop_event": stop_event,
-            "shard_state": shard_state,
         },
-        name=f"repro-worker-{index}",
+        name="repro-worker",
         daemon=False,
     )
     process.start()
@@ -527,73 +496,11 @@ def _stop_processes(processes: List[multiprocessing.Process], timeout: float) ->
             process.join(timeout=timeout)
 
 
-class WorkerPool:
-    """Fixed-size supervisor of ``n_workers`` worker processes."""
-
-    def __init__(
-        self,
-        db_path: Path,
-        cache_dir: Path,
-        n_workers: int = 1,
-        lease_ttl: float = 60.0,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be at least 1")
-        self.db_path = Path(db_path)
-        self.cache_dir = Path(cache_dir)
-        self.n_workers = n_workers
-        self.lease_ttl = lease_ttl
-        self.poll_interval = poll_interval
-        self._processes: List[multiprocessing.Process] = []
-
-    def start(self) -> None:
-        """Spawn the worker processes (idempotent while running)."""
-        if self._processes:
-            return
-        # Spawned (not forked) workers import the package afresh -- no
-        # inherited locks or RNG state, exactly like separate containers.
-        context = multiprocessing.get_context("spawn")
-        for index in range(self.n_workers):
-            self._processes.append(
-                _spawn_worker(
-                    context,
-                    self.db_path,
-                    self.cache_dir,
-                    index,
-                    self.n_workers,
-                    self.lease_ttl,
-                    self.poll_interval,
-                )
-            )
-        _publish_pool_meta(
-            SqliteJobStore(self.db_path, lease_ttl=self.lease_ttl),
-            self.n_workers,
-            self.n_workers,
-        )
-
-    def alive(self) -> int:
-        """How many worker processes are currently alive."""
-        return sum(1 for process in self._processes if process.is_alive())
-
-    def stop(self, timeout: float = 10.0) -> None:
-        """Terminate all workers and wait for them to exit."""
-        _stop_processes(self._processes, timeout)
-        self._processes = []
-        _publish_pool_meta(SqliteJobStore(self.db_path, lease_ttl=self.lease_ttl), 0, 0)
-
-    def __enter__(self) -> "WorkerPool":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
 class Autoscaler:
     """Queue-depth-driven worker pool between ``min_workers`` and ``max_workers``.
 
-    A supervisor thread samples the store every ``supervisor_interval``
+    ``max_workers`` defaults to ``min_workers``: a fixed pool.  A
+    supervisor thread samples the store every ``supervisor_interval``
     seconds:
 
     * **scale up** -- when the outstanding demand (queued + leased +
@@ -608,16 +515,12 @@ class Autoscaler:
       job -- if any -- observes the event between jobs and exits; the
       supervisor reaps it on a later tick.
 
-    Every resize re-publishes the shard count through a shared
-    ``multiprocessing.Value`` that workers re-read before each claim, so
-    the hash-space sharding follows the pool size.  Sharding is only a
-    *preference* (a worker with an empty shard falls back to any queued
-    job), which is what makes resizing it mid-flight safe.
-
     Crashed workers are reaped out of the pool each tick -- a corpse
     must not count toward the size the backlog is compared against --
     and replaced at least up to ``min_workers`` (their abandoned jobs
-    come back through lease expiry as usual).
+    come back through lease expiry as usual).  Every resize publishes
+    the pool size to the store's ``workers`` meta key for
+    ``GET /v1/healthz``.
     """
 
     def __init__(
@@ -625,13 +528,15 @@ class Autoscaler:
         db_path: Path,
         cache_dir: Path,
         min_workers: int = 1,
-        max_workers: int = 4,
+        max_workers: Optional[int] = None,
         lease_ttl: float = 60.0,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         supervisor_interval: float = 0.5,
         scale_up_after: int = 2,
         scale_down_after: int = 10,
     ) -> None:
+        if max_workers is None:
+            max_workers = min_workers
         if min_workers < 1:
             raise ValueError("min_workers must be at least 1")
         if max_workers < min_workers:
@@ -649,15 +554,11 @@ class Autoscaler:
         self.supervisor_interval = supervisor_interval
         self.scale_up_after = scale_up_after
         self.scale_down_after = scale_down_after
+        # Spawned (not forked) workers import the package afresh -- no
+        # inherited locks or RNG state, exactly like separate containers.
         self._context = multiprocessing.get_context("spawn")
-        #: Shard count shared with every worker ("i" = C int); re-published
-        #: under its lock on every resize.
-        self._shard_state = self._context.Value("i", min_workers)
-        #: Active workers as (process, stop_event, shard_index) records.
-        #: The shard index is tracked so a replacement spawned after a
-        #: crashed worker was reaped reuses the freed index instead of
-        #: duplicating a survivor's.
-        self._workers: List[Tuple[multiprocessing.Process, object, int]] = []
+        #: Active workers as (process, stop_event) pairs, oldest first.
+        self._workers: List[Tuple[multiprocessing.Process, object]] = []
         self._retiring: List[multiprocessing.Process] = []
         self._store = SqliteJobStore(self.db_path, lease_ttl=self.lease_ttl)
         self._stop = threading.Event()
@@ -674,7 +575,7 @@ class Autoscaler:
 
     def alive(self) -> int:
         """How many active (non-retiring) worker processes are alive."""
-        return sum(1 for process, _, _ in self._workers if process.is_alive())
+        return sum(1 for process, _ in self._workers if process.is_alive())
 
     # -- lifecycle -----------------------------------------------------------------------
 
@@ -696,14 +597,14 @@ class Autoscaler:
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None
-        for _, stop_event, _ in self._workers:
+        for _, stop_event in self._workers:
             stop_event.set()
         _stop_processes(
-            [process for process, _, _ in self._workers] + self._retiring, timeout
+            [process for process, _ in self._workers] + self._retiring, timeout
         )
         self._workers = []
         self._retiring = []
-        _publish_pool_meta(self._store, 0, 0)
+        _publish_pool_meta(self._store, 0)
 
     def __enter__(self) -> "Autoscaler":
         self.start()
@@ -715,42 +616,23 @@ class Autoscaler:
     # -- scaling internals ---------------------------------------------------------------
 
     def _grow(self) -> None:
-        # The smallest free shard index: replacements for reaped crashed
-        # workers reuse the freed slot, keeping indices 0..size-1 covered
-        # (a duplicated index would leave one shard with no preferred
-        # owner for the life of the pool).
-        used = {index for _, _, index in self._workers}
-        index = next(i for i in range(len(self._workers) + 1) if i not in used)
         stop_event = self._context.Event()
         process = _spawn_worker(
             self._context,
             self.db_path,
             self.cache_dir,
-            index,
-            len(self._workers) + 1,
             self.lease_ttl,
             self.poll_interval,
-            stop_event=stop_event,
-            shard_state=self._shard_state,
+            stop_event,
         )
-        self._workers.append((process, stop_event, index))
-        self._publish_shard_count()
+        self._workers.append((process, stop_event))
+        _publish_pool_meta(self._store, len(self._workers))
 
     def _shrink(self) -> None:
-        # Retire the highest shard index so the remaining pool keeps
-        # covering the contiguous 0..size-1 shard range.
-        position = max(
-            range(len(self._workers)), key=lambda i: self._workers[i][2]
-        )
-        process, stop_event, _ = self._workers.pop(position)
+        process, stop_event = self._workers.pop()
         stop_event.set()  # graceful: the worker finishes its current job
         self._retiring.append(process)
-        self._publish_shard_count()
-
-    def _publish_shard_count(self) -> None:
-        with self._shard_state.get_lock():
-            self._shard_state.value = max(1, len(self._workers))
-        _publish_pool_meta(self._store, len(self._workers), max(1, len(self._workers)))
+        _publish_pool_meta(self._store, len(self._workers))
 
     def _reap_retired(self) -> None:
         still_running = []
@@ -770,14 +652,14 @@ class Autoscaler:
         abandoned job waits on lease expiry.
         """
         alive = []
-        for process, stop_event, index in self._workers:
+        for process, stop_event in self._workers:
             if process.is_alive():
-                alive.append((process, stop_event, index))
+                alive.append((process, stop_event))
             else:
                 process.join(timeout=0)
         if len(alive) != len(self._workers):
             self._workers = alive
-            self._publish_shard_count()
+            _publish_pool_meta(self._store, len(self._workers))
 
     def _supervise(self) -> None:
         while not self._stop.wait(self.supervisor_interval):
@@ -794,9 +676,8 @@ class Autoscaler:
         """One supervision round (separate from the loop for testability)."""
         self._reap_retired()
         self._reap_crashed()
-        # Unlike the fixed WorkerPool (which deliberately restarts
-        # nothing), the autoscaler's contract is a pool *size*: crashed
-        # workers are replaced at least up to the floor.
+        # The contract is a pool *size*: crashed workers are replaced at
+        # least up to the floor.
         while len(self._workers) < self.min_workers:
             self._grow()
         counts = self._store.counts()

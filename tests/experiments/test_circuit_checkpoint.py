@@ -11,7 +11,7 @@ import pytest
 
 from repro.cancel import CancelToken, JobCancelled
 from repro.core.flow import HierarchicalFlow
-from repro.experiments.cache import ArtefactCache
+from repro.experiments.cache import ArtefactCache, CacheEntry
 from repro.experiments.runner import ExperimentRunner, _StagePartial
 
 from tests.experiments.test_runner import TINY, assert_bit_identical
@@ -60,6 +60,47 @@ def test_interrupted_circuit_stage_resumes_bit_identically(tmp_path):
     for stage in entry.stages_present():
         assert artefact_bytes(cold_entry, stage) == artefact_bytes(entry, stage), stage
     # The finished circuit stage owns the work: no partial left behind.
+    assert entry.load_partial("circuit") is None
+
+
+def test_kill_between_model_build_and_circuit_store_resumes_bit_identically(
+    tmp_path, monkeypatch
+):
+    """The model build's final ``clear`` writes nothing: a run killed
+    after it, before ``circuit.pkl`` is stored, keeps the partial with
+    its Monte Carlo rows, and the resumed run (recomputing only the last
+    point) matches a cold run byte for byte."""
+    from tests.experiments.test_mc_checkpoint import MCTINY
+
+    cold = ExperimentRunner(MCTINY, cache_dir=tmp_path / "a").run()
+    cold_entry = ArtefactCache(tmp_path / "a").entry_for(MCTINY)
+    points = len(cold.report.circuit_stage.model.variation.nominal)
+    assert points > 1  # otherwise the model build never checkpoints
+
+    cache_b = tmp_path / "b"
+    entry = ArtefactCache(cache_b).entry_for(MCTINY)
+    real_store = CacheEntry.store
+
+    def killed_at_the_circuit_store(self, stage, artefact):
+        if stage == "circuit":
+            raise KeyboardInterrupt("simulated kill before circuit.pkl")
+        return real_store(self, stage, artefact)
+
+    monkeypatch.setattr(CacheEntry, "store", killed_at_the_circuit_store)
+    with pytest.raises(KeyboardInterrupt):
+        ExperimentRunner(MCTINY, cache_dir=cache_b).run()
+    monkeypatch.undo()
+    state = entry.load_partial("circuit")
+    assert state["generation"] == MCTINY.circuit_generations
+    assert len(state["mc"]["nominal_rows"]) == points - 1
+    assert not entry.has("circuit")
+
+    resumed = ExperimentRunner(MCTINY, cache_dir=cache_b).run()
+    assert resumed.stage_sources["circuit"] == "computed"
+    assert_bit_identical(cold, resumed)
+    assert cold_entry.stages_present() == entry.stages_present()
+    for stage in entry.stages_present():
+        assert artefact_bytes(cold_entry, stage) == artefact_bytes(entry, stage), stage
     assert entry.load_partial("circuit") is None
 
 

@@ -129,18 +129,24 @@ def test_invalid_override_value_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("shard_count", ["0", "-1"])
-def test_worker_rejects_a_shard_count_below_one(monkeypatch, capsys, shard_count):
-    """Every claim with a shard count below one is refused by the
-    coordinator, so the worker would poll forever: reject it up front."""
-    from repro.service import worker
+@pytest.mark.parametrize(
+    "argv",
+    [["--workers", "2", "--max-workers", "1"], ["--workers", "0", "--max-workers", "2"]],
+    ids=["max-below-floor", "max-without-pool"],
+)
+def test_serve_rejects_an_impossible_pool_size(monkeypatch, capsys, argv):
+    """A ceiling below the floor, or a ceiling with no local pool, is a
+    usage error: exit 2 before binding a port or spawning a worker."""
+    from repro.service import api, worker
 
-    calls = []
-    monkeypatch.setattr(worker, "remote_worker_loop", lambda *a, **k: calls.append(a))
-    argv = ["worker", "--coordinator", "http://127.0.0.1:1", "--shard-count", shard_count]
-    assert cli.main(argv) == 2
-    assert calls == []
-    assert "shard count" in capsys.readouterr().err
+    started = []
+    monkeypatch.setattr(api, "make_async_server", lambda *a, **k: started.append(a))
+    monkeypatch.setattr(worker, "Autoscaler", lambda *a, **k: started.append(a))
+    assert cli.main(["serve", "--port", "0", *argv]) == 2
+    assert started == []
+    err = capsys.readouterr().err
+    assert "--max-workers" in err
+    assert "Traceback" not in err
 
 
 def test_submit_unknown_scenario_fails_before_contacting_server(capsys):

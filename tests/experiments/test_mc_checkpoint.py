@@ -97,13 +97,19 @@ def test_resume_does_not_reevaluate_checkpointed_points(tmp_path):
 
 
 def test_completed_model_build_clears_the_mc_subkey(tmp_path):
+    """The MC rows go with the whole partial, which the runner deletes
+    once the stage artefact is stored; the model build itself writes
+    nothing after its last checkpointed point."""
     entry = ArtefactCache(tmp_path).entry_for(MCTINY)
     flow = HierarchicalFlow.from_scenario(MCTINY)
-    flow.circuit_stage(checkpoint=_StagePartial(entry, "circuit"))
-    state = entry.load_partial("circuit")
-    # The NSGA-II state survives (the runner clears the whole partial once
-    # the stage artefact is stored); the MC sub-key must be gone.
-    assert state is not None and "mc" not in state
+    result = flow.circuit_stage(checkpoint=_StagePartial(entry, "circuit"))
+    points = len(result.model.variation.nominal)
+    # The last write is the second-to-last point's: no rewrite dropping "mc".
+    assert len(entry.load_partial("circuit")["mc"]["nominal_rows"]) == points - 1
+
+    ExperimentRunner(MCTINY, cache_dir=tmp_path).run()
+    assert entry.has("circuit")
+    assert entry.load_partial("circuit") is None
 
 
 def test_stale_mc_fingerprint_is_discarded_not_resumed(tmp_path):

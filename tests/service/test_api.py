@@ -98,6 +98,21 @@ def test_jobs_state_filter_validation(service):
 # -- live HTTP end to end -----------------------------------------------------------------
 
 
+def test_claim_body_needs_only_a_worker_name(live):
+    """``POST /v1/claim`` leases a job from ``{"worker": ...}`` alone;
+    extra keys (an older worker's shard fields) are ignored."""
+    client, store, _ = live
+    first, _ = store.submit(TINY)
+    second, _ = store.submit(TINY.with_overrides(seed=18))
+    bare = client._request("POST", "/v1/claim", {"worker": "w-bare"})["job"]
+    assert bare["worker"] == "w-bare"
+    assert store.get(bare["id"]).state == "leased"
+    legacy = {"worker": "w-old", "shard_index": 5, "shard_count": 2}
+    old = client._request("POST", "/v1/claim", legacy)["job"]
+    assert old["worker"] == "w-old"
+    assert {bare["id"], old["id"]} == {first.id, second.id}
+
+
 def test_http_routes_and_errors(live):
     client, store, _ = live
     assert client.health()["status"] == "ok"

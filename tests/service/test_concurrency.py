@@ -57,15 +57,15 @@ def test_service_workers_are_not_daemonic(tmp_path):
     """Service workers must not be daemonic: a job may open its own
     process pool (the SPICE evaluator's batch pool), which daemonic
     processes are forbidden to do."""
-    from repro.service.worker import WorkerPool
+    from repro.service.worker import Autoscaler
 
     db = tmp_path / "service.db"
     cache = tmp_path / "cache"
     store = SqliteJobStore(db, lease_ttl=30.0)
     job, _ = store.submit(tiny_scenario("spawned-tiny", seed=29, n_workers=2))
-    with WorkerPool(db, cache, n_workers=1, lease_ttl=30.0) as pool:
-        assert pool._processes
-        assert not any(process.daemon for process in pool._processes)
+    with Autoscaler(db, cache, min_workers=1, max_workers=1, lease_ttl=30.0) as pool:
+        assert pool._workers
+        assert not any(process.daemon for process, _ in pool._workers)
         deadline = time.monotonic() + 120.0
         while store.get(job.id).state not in ("done", "failed"):
             assert time.monotonic() < deadline, "job never finished"

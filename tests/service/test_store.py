@@ -1,4 +1,4 @@
-"""Job store unit tests: lifecycle, dedup, leases, sharding, events.
+"""Job store unit tests: lifecycle, dedup, leases, claim order, events.
 
 Contract tests here run against **both** backends (the ``any_store``
 fixture: SQLite directly, and RemoteJobStore over a loopback
@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.experiments.config import ScenarioConfig
-from repro.service.store import ACTIVE_STATES, JOB_STATES, SqliteJobStore, shard_of
+from repro.service.store import ACTIVE_STATES, JOB_STATES, SqliteJobStore
 
 TINY = ScenarioConfig(name="store-tiny", circuit_population=8, circuit_generations=2)
 
@@ -129,28 +129,23 @@ def test_heartbeat_extends_the_lease(tmp_path):
     assert store.get(job.id).state == "leased"
 
 
-def test_shard_preference_and_fallback(store):
-    jobs = []
-    for seed in range(20, 28):
-        job, _ = store.submit(TINY.with_overrides(seed=seed))
-        jobs.append(job)
-    shards = {job.id: shard_of(job.id, 2) for job in jobs}
-    assert set(shards.values()) == {0, 1}  # both shards populated
-
-    claimed = store.claim("w0", shard_index=0, shard_count=2)
-    assert shards[claimed.id] == 0  # own shard preferred
-    claimed = store.claim("w1", shard_index=1, shard_count=2)
-    assert shards[claimed.id] == 1
-    # Drain shard 1 completely; worker 1 then falls back to shard 0.
-    while any(
-        shards[job.id] == 1 and store.get(job.id).state == "queued" for job in jobs
-    ):
-        assert store.claim("w1", shard_index=1, shard_count=2) is not None
-    fallback = store.claim("w1", shard_index=1, shard_count=2)
-    assert fallback is not None and shards[fallback.id] == 0
-
-    with pytest.raises(ValueError):
-        shard_of("abcd1234", 0)
+def test_claims_take_the_oldest_queued_job_first(store, sqlite_store):
+    """Every worker claims with one rule: the smallest ``submitted_at``,
+    ties broken by ``id`` -- whatever order the rows were inserted in."""
+    ids = [store.submit(TINY.with_overrides(seed=seed))[0].id for seed in range(20, 26)]
+    # Out of insertion order, with two ties (sqlite_store is the authority
+    # behind both backends).
+    submitted = dict(zip(ids, (3.0, 1.0, 2.0, 1.0, 2.0, 0.5)))
+    connection = sqlite3.connect(sqlite_store.path)
+    with connection:
+        connection.executemany(
+            "UPDATE jobs SET submitted_at=? WHERE id=?",
+            [(at, job_id) for job_id, at in submitted.items()],
+        )
+    connection.close()
+    oldest_first = sorted(ids, key=lambda job_id: (submitted[job_id], job_id))
+    assert [store.claim(f"w{index}").id for index in range(len(ids))] == oldest_first
+    assert store.claim("w") is None
 
 
 def test_events_are_ordered_and_payloads_roundtrip(store):
@@ -497,14 +492,13 @@ def test_meta_roundtrip_and_cross_instance_visibility(sqlite_store, tmp_path):
     assert store.get_meta("workers") is None
     assert store.get_meta("workers", default=0) == 0
     store.set_meta("workers", 4)
-    store.set_meta("shards", 4)
     assert store.get_meta("workers") == 4
-    store.set_meta("workers", 0)  # upsert overwrites
-    assert store.get_meta("workers") == 0
+    store.set_meta("workers", 2)  # upsert overwrites
+    assert store.get_meta("workers") == 2
     # Visible from a second instance on the same path (the healthz reader
     # is a different process than the worker pool that publishes).
     twin = SqliteJobStore(tmp_path / "service.db", lease_ttl=60.0)
-    assert twin.get_meta("shards") == 4
+    assert twin.get_meta("workers") == 2
 
 
 # -- connections: one per thread, per process ---------------------------------------------

@@ -1,4 +1,4 @@
-"""Worker loop and supervisors: drain-mode reclaim regression, graceful
+"""Worker loop and the pool supervisor: drain-mode reclaim regression, graceful
 retirement, and queue-depth autoscaling."""
 
 import json
@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.registry import get_scenario
+import repro.service.worker as worker_module
 from repro.service.store import SqliteJobStore
 from repro.service.worker import Autoscaler, worker_loop
 
@@ -180,8 +181,7 @@ def test_autoscaler_tick_logic_without_processes(tmp_path, monkeypatch):
             self.was_set = True
 
     def fake_grow():
-        scaler._workers.append((FakeProcess(), FakeEvent(), len(scaler._workers)))
-        scaler._publish_shard_count()
+        scaler._workers.append((FakeProcess(), FakeEvent()))
 
     monkeypatch.setattr(scaler, "_grow", fake_grow)
     fake_grow()  # the start()-time minimum worker
@@ -194,7 +194,6 @@ def test_autoscaler_tick_logic_without_processes(tmp_path, monkeypatch):
     assert scaler.size == 1  # one pressure tick: not yet
     scaler._tick()
     assert scaler.size == 2  # sustained: grew
-    assert scaler._shard_state.value == 2
     scaler._tick()
     scaler._tick()
     assert scaler.size == 3  # capped at max_workers from here on
@@ -215,7 +214,6 @@ def test_autoscaler_tick_logic_without_processes(tmp_path, monkeypatch):
     scaler._tick()
     scaler._tick()
     assert scaler.size == 1
-    assert scaler._shard_state.value == 1
     scaler._tick()
     scaler._tick()
     assert scaler.size == 1  # never below min_workers
@@ -286,8 +284,7 @@ def test_autoscaler_reaps_crashed_workers_and_holds_the_floor(tmp_path, monkeypa
             pass
 
     def fake_grow():
-        scaler._workers.append((FakeProcess(), FakeEvent(), len(scaler._workers)))
-        scaler._publish_shard_count()
+        scaler._workers.append((FakeProcess(), FakeEvent()))
 
     monkeypatch.setattr(scaler, "_grow", fake_grow)
     fake_grow()
@@ -298,7 +295,7 @@ def test_autoscaler_reaps_crashed_workers_and_holds_the_floor(tmp_path, monkeypa
     scaler._workers[0][0].alive = False
     scaler._tick()
     assert scaler.size == 1  # corpse reaped, floor restored
-    assert all(process.is_alive() for process, _, _ in scaler._workers)
+    assert all(process.is_alive() for process, _ in scaler._workers)
 
 
 def test_supervisor_thread_survives_tick_exceptions(tmp_path, monkeypatch, caplog):
@@ -331,7 +328,7 @@ def test_supervisor_thread_survives_tick_exceptions(tmp_path, monkeypatch, caplo
     monkeypatch.setattr(
         scaler,
         "_grow",
-        lambda: scaler._workers.append((FakeProcess(), FakeEvent(), 0)),
+        lambda: scaler._workers.append((FakeProcess(), FakeEvent())),
     )
     scaler.start()
     try:
@@ -342,11 +339,12 @@ def test_supervisor_thread_survives_tick_exceptions(tmp_path, monkeypatch, caplo
     assert "supervision tick failed" in caplog.text
 
 
-def test_replacement_workers_reuse_freed_shard_indices(tmp_path, monkeypatch):
-    """After a mid-list crash is reaped, the next real _grow must reuse
-    the freed shard index, keeping indices 0..size-1 covered."""
+def test_fixed_pool_replaces_a_crashed_worker(tmp_path, monkeypatch):
+    """A fixed pool (min == max) holds its size: the next _tick reaps a
+    dead worker and spawns its replacement."""
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
     scaler = Autoscaler(
-        tmp_path / "service.db", tmp_path / "cache", min_workers=1, max_workers=3
+        tmp_path / "service.db", tmp_path / "cache", min_workers=2, max_workers=2
     )
 
     class FakeProcess:
@@ -361,25 +359,19 @@ def test_replacement_workers_reuse_freed_shard_indices(tmp_path, monkeypatch):
 
     spawned = []
 
-    def fake_spawn(context, db, cache, index, shard_count, *args, **kwargs):
-        spawned.append(index)
-        return FakeProcess()
-
-    import repro.service.worker as worker_module
+    def fake_spawn(*args, **kwargs):
+        spawned.append(FakeProcess())
+        return spawned[-1]
 
     monkeypatch.setattr(worker_module, "_spawn_worker", fake_spawn)
     monkeypatch.setattr(scaler._context, "Event", lambda: object(), raising=False)
     scaler._grow()
     scaler._grow()
-    scaler._grow()
-    assert spawned == [0, 1, 2]
-    # Worker 1 crashes and is reaped; the replacement reuses index 1.
-    scaler._workers[1][0].alive = False
-    scaler._reap_crashed()
-    assert [index for _, _, index in scaler._workers] == [0, 2]
-    scaler._grow()
-    assert spawned == [0, 1, 2, 1]
-    assert sorted(index for _, _, index in scaler._workers) == [0, 1, 2]
+    spawned[0].alive = False  # the oldest worker crashes
+    scaler._tick()
+    assert len(spawned) == 3
+    assert [process for process, _ in scaler._workers] == spawned[1:]
+    assert store.get_meta("workers") == 2
 
 
 def test_scale_up_counts_in_flight_jobs_as_demand(tmp_path, monkeypatch):
@@ -403,8 +395,7 @@ def test_scale_up_counts_in_flight_jobs_as_demand(tmp_path, monkeypatch):
             pass
 
     def fake_grow():
-        scaler._workers.append((FakeProcess(), object(), len(scaler._workers)))
-        scaler._publish_shard_count()
+        scaler._workers.append((FakeProcess(), object()))
 
     monkeypatch.setattr(scaler, "_grow", fake_grow)
     fake_grow()
@@ -459,6 +450,24 @@ def test_execute_job_records_per_generation_progress(tmp_path):
     assert completed == ["circuit", "system", "yield"]
 
 
+def test_worker_job_records_one_circuit_event_per_generation(tmp_path):
+    """The model build's Monte Carlo checkpoints share the circuit
+    partial but are no new generation: a fast-smoke job whose front has
+    several model points logs exactly one circuit progress event per
+    NSGA-II generation (initial population included)."""
+    scenario = get_scenario("fast-smoke").with_overrides(seed=10007)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
+    job, _ = store.submit(scenario)
+    assert worker_loop(store.path, tmp_path / "cache", lease_ttl=30.0, max_jobs=1) == 1
+    assert store.get(job.id).state == "done"
+    generations = [
+        event["payload"]["generation"]
+        for event in store.events(job.id)
+        if event["stage"] == "circuit" and event["status"] == "progress"
+    ]
+    assert generations == list(range(scenario.circuit_generations + 1))
+
+
 def test_degenerate_front_job_fails_with_the_typed_model_build_error(tmp_path):
     """A fast-smoke seed whose Pareto front degenerates ends ``failed``
     with the model build's typed error, naming the performance and the
@@ -476,13 +485,12 @@ def test_degenerate_front_job_fails_with_the_typed_model_build_error(tmp_path):
 
 
 def test_worker_pool_publishes_size_to_meta(tmp_path):
-    """healthz reads worker/shard counts from the store's meta table; the
-    pool publishes on start and zeroes on stop."""
-    from repro.service.worker import WorkerPool
-
+    """healthz reads the worker count from the store's meta table; a
+    fixed pool publishes it on start and zeroes it on stop."""
     store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
-    with WorkerPool(store.path, tmp_path / "cache", n_workers=2, lease_ttl=30.0):
+    with Autoscaler(
+        store.path, tmp_path / "cache", min_workers=2, max_workers=2, lease_ttl=30.0
+    ):
         assert store.get_meta("workers") == 2
-        assert store.get_meta("shards") == 2
     assert store.get_meta("workers") == 0
-    assert store.get_meta("shards") == 0
+    assert store.get_meta("shards") is None  # the pool size is the only key
