@@ -179,11 +179,13 @@ class VariationModel:
             nominal_rows.append([float(nominal[name]) for name in _PERFORMANCE_NAMES])
             spread_rows.append([spreads[name].spread_percent for name in _PERFORMANCE_NAMES])
             if checkpoint is not None and len(nominal_rows) < total:
+                # Snapshots: a store may keep the state it was handed,
+                # and must not see the rows of later points.
                 checkpoint.store(
                     {
                         "fingerprint": fingerprint,
-                        "nominal_rows": nominal_rows,
-                        "spread_rows": spread_rows,
+                        "nominal_rows": list(nominal_rows),
+                        "spread_rows": list(spread_rows),
                     }
                 )
             if progress is not None:

@@ -11,8 +11,18 @@ against either backend:
   over ``GET/PUT /v1/artifacts/<config_hash>/<name>``, with the local
   disk cache as a read-through cache.  Stage pickles are immutable once
   written (content-addressed by config hash), so a local copy never
-  goes stale; mid-stage ``*.partial.pkl`` checkpoints are mutable and
-  therefore fetched remote-first.
+  goes stale, and each is pushed as it is stored; mid-stage
+  ``*.partial.pkl`` checkpoints are mutable and therefore fetched
+  remote-first.
+
+A partial is only ever read by a worker reclaiming the job, which has
+waited at least one lease TTL, so a remote worker does not push it on
+every store: the store keeps the name *unpublished* and
+:meth:`HttpArtifactStore.publish` -- called by the job's heartbeat after
+each beat the coordinator answers alive, and before its terminal
+outcome -- pushes the newest local bytes.  A crash therefore loses at
+most one heartbeat interval of mid-stage progress, and the resume stays
+bit-identical.
 
 Byte identity across the seam: artefacts travel as the exact pickle
 bytes the runner produced -- the store never re-serialises -- so a stage
@@ -119,6 +129,10 @@ class ArtifactStore(abc.ABC):
     def entry_for(self, scenario: ScenarioConfig):
         """The entry addressed by ``scenario.config_hash()``."""
         return self.entry(scenario.config_hash())
+
+    def publish(self, config_hash: str) -> None:
+        """Publish the hash's checkpoints kept back from the coordinator
+        (a local store has no coordinator: nothing to do)."""
 
 
 class LocalArtifactStore(ArtefactCache, ArtifactStore):
@@ -252,6 +266,16 @@ class HttpArtifactStore(ArtifactStore):
         self.transport = transport or HttpTransport(base_url)
         self.retries = max(1, int(retries))
         self.retry_delay = float(retry_delay)
+        # Partial checkpoints per config hash, shared by every entry of
+        # the hash (the runner and the trace writer each make their own):
+        # names stored locally but not yet pushed, and names this store
+        # pushed.  ``_lock`` guards the two maps and is never held over
+        # the wire; ``_wire`` serialises partial PUTs and DELETEs, so a
+        # DELETE waits out a PUT of the name already in flight.
+        self._unpublished: Dict[str, Set[str]] = {}
+        self._published: Dict[str, Set[str]] = {}
+        self._lock = threading.Lock()
+        self._wire = threading.Lock()
 
     def entry(self, config_hash: str) -> "HttpArtifactEntry":
         if not config_hash:
@@ -322,6 +346,74 @@ class HttpArtifactStore(ArtifactStore):
                 f"DELETE /v1/artifacts/{config_hash}/{name} -> HTTP {status}"
             )
 
+    # -- partial checkpoints, published on the heartbeat ---------------------------------
+
+    def _mark_unpublished(self, config_hash: str, name: str) -> None:
+        with self._lock:
+            self._unpublished.setdefault(config_hash, set()).add(name)
+
+    def publish(self, config_hash: str) -> None:
+        """Push the newest local bytes of each unpublished partial.
+
+        Best effort: a failed push is counted and logged, and the name
+        stays unpublished for the next call.  A partial cleared since it
+        was stored has no local file and is skipped.
+        """
+        with self._wire:
+            with self._lock:
+                names = sorted(self._unpublished.pop(config_hash, ()))
+            directory = self.local.entry(config_hash).directory
+            for name in names:
+                try:
+                    payload = (directory / name).read_bytes()
+                except FileNotFoundError:
+                    continue
+                try:
+                    self.push(config_hash, name, payload)
+                except OSError as error:
+                    self._mark_unpublished(config_hash, name)
+                    _report_failure(config_hash, name, "publish", error)
+                    continue
+                with self._lock:
+                    self._published.setdefault(config_hash, set()).add(name)
+
+    def withdraw(self, config_hash: str, name: str, listed: bool) -> None:
+        """Drop a cleared partial from publication and from the coordinator.
+
+        The DELETE is sent only when the coordinator holds the name: this
+        store published it, or the caller's listing shows it (``listed``).
+        It runs after any PUT of the name already in flight.
+        """
+        with self._wire:
+            with self._lock:
+                _discard(self._unpublished, config_hash, name)
+                held = listed or name in self._published.get(config_hash, ())
+            if not held:
+                return
+            try:
+                self.delete(config_hash, name)
+            except ArtifactTransportError as error:
+                _report_failure(config_hash, name, "delete", error)
+                return
+            with self._lock:
+                _discard(self._published, config_hash, name)
+
+
+def _discard(names: Dict[str, Set[str]], config_hash: str, name: str) -> None:
+    """Remove one name of a hash, dropping the hash once it has none."""
+    held = names.get(config_hash)
+    if held is not None:
+        held.discard(name)
+        if not held:
+            del names[config_hash]
+
+
+def _report_failure(config_hash: str, name: str, action: str, error: Exception) -> None:
+    """Count and log a best-effort upload or delete that failed: a flaky
+    coordinator link shows up in metrics instead of vanishing."""
+    ARTIFACT_PUSH_FAILURES.inc(name=name)
+    _log.warning("job %s: best-effort %s of %s failed: %s", config_hash, action, name, error)
+
 
 def _listing(status: int, payload: bytes) -> Optional[Set[str]]:
     """The ``names`` of a listing answer, or ``None`` if it is not one."""
@@ -346,8 +438,14 @@ class HttpArtifactEntry:
     /v1/artifacts/<hash>``), and answers ``has`` / ``load_partial``
     misses from it instead of probing name by name.  The entry belongs
     to the job's lease holder, the hash's only writer, so the listing
-    only changes through this entry's own pushes and deletes; a name the
-    entry wrote itself is served from its local copy.
+    only changes through this worker's own writes; a name the entry
+    wrote itself is served from its local copy.
+
+    Stage pickles and the metadata files are pushed as they are
+    written.  Partials are not: ``store_partial`` writes the local copy
+    and leaves its publication to :meth:`HttpArtifactStore.publish`,
+    and ``clear_partial`` deletes the coordinator's copy only where
+    there is one.
     """
 
     def __init__(
@@ -400,23 +498,16 @@ class HttpArtifactEntry:
             self._listing = listing
 
     def _push_best_effort(self, name: str) -> None:
-        """Upload where failure only costs a recompute on reclaim.
+        """Upload where failure only costs visibility or a recompute.
 
         Never silent: every swallowed transport failure is counted
         (``repro_artifact_push_failures_total``) and logged with the
-        job id so a flaky coordinator link shows up in metrics instead
-        of vanishing.
+        job id.
         """
         try:
             self._push_file(name)
         except ArtifactTransportError as error:
-            ARTIFACT_PUSH_FAILURES.inc(name=name)
-            _log.warning(
-                "job %s: best-effort push of %s failed: %s",
-                self.config_hash,
-                name,
-                error,
-            )
+            _report_failure(self.config_hash, name, "push", error)
 
     # -- artefacts -----------------------------------------------------------------------
 
@@ -473,29 +564,30 @@ class HttpArtifactEntry:
             return self.local.load_partial(stage)
 
     def store_partial(self, stage: str, state: Any) -> Path:
-        """Checkpoint locally, then publish (best effort -- a partial
-        that fails to upload only costs recomputation on reclaim)."""
+        """Checkpoint locally and mark the partial unpublished.
+
+        No exchange: :meth:`HttpArtifactStore.publish` pushes the newest
+        local bytes on the job's next live heartbeat or before its
+        terminal outcome.  A crash in between costs a reclaimer at most
+        one heartbeat interval of recomputation, bit-identically.
+        """
+        name = f"{stage}.partial.pkl"
         path = self.local.store_partial(stage, state)
-        self._push_best_effort(f"{stage}.partial.pkl")
+        self._written.add(name)
+        self.remote._mark_unpublished(self.config_hash, name)
         return path
 
     def clear_partial(self, stage: str) -> None:
-        """Drop the checkpoint locally and on the coordinator."""
+        """Drop the checkpoint locally, and on the coordinator if it
+        holds the name (best effort, counted and logged on failure)."""
         name = f"{stage}.partial.pkl"
         self.local.clear_partial(stage)
         self._written.discard(name)
-        try:
-            self.remote.delete(self.config_hash, name)
-            if self._listing is not None:
-                self._listing.discard(name)
-        except ArtifactTransportError as error:
-            ARTIFACT_PUSH_FAILURES.inc(name=name)
-            _log.warning(
-                "job %s: best-effort delete of %s failed: %s",
-                self.config_hash,
-                name,
-                error,
-            )
+        # An entry that never listed the hash cannot rule the name out.
+        listed = self._listing is None or name in self._listing
+        self.remote.withdraw(self.config_hash, name, listed)
+        if self._listing is not None:
+            self._listing.discard(name)
 
     # -- metadata ------------------------------------------------------------------------
 

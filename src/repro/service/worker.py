@@ -10,7 +10,9 @@ daemon heartbeat thread extends the job's lease while the flow
 computes, so only *dead* workers lose their lease -- and a
 reclaimed job resumes from the per-stage cache (plus the circuit stage's
 per-generation and the yield stage's per-batch partials), which is what
-makes crash recovery cheap and bit-identical.
+makes crash recovery cheap and bit-identical.  For a remote worker the
+same thread publishes those partials to the coordinator after each live
+beat.
 
 Workers also carry a :class:`~repro.cancel.CancelToken` polling the job's
 ``cancel_requested`` flag: a ``DELETE /v1/jobs/<id>`` raised mid-run is
@@ -42,7 +44,7 @@ import threading
 import time
 import traceback
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cancel import CancelToken, JobCancelled
 from repro.core.flow import summarise_stage
@@ -91,8 +93,18 @@ def _publish_pool_meta(store: base.JobStore, workers: int) -> None:
 
 
 def _heartbeat(
-    store: base.JobStore, job_id: str, worker: str, stop: threading.Event, interval: float
+    store: base.JobStore,
+    job_id: str,
+    worker: str,
+    stop: threading.Event,
+    interval: float,
+    publish: Callable[[], None],
+    lost: threading.Event,
 ) -> None:
+    """Extend the lease every ``interval`` and, after each beat the
+    coordinator answers alive, ``publish`` the job's newest mid-stage
+    checkpoints.  A lost lease sets ``lost`` and ends the thread, so the
+    worker publishes nothing more."""
     while not stop.wait(interval):
         try:
             alive = store.heartbeat(job_id, worker)
@@ -107,7 +119,9 @@ def _heartbeat(
             # Lease lost (expiry, operator intervention): stop beating;
             # the terminal complete()/fail() update is ownership-checked, so
             # a reclaimed job cannot be double-finished.
+            lost.set()
             return
+        publish()
 
 
 def _persist_trace(
@@ -218,6 +232,12 @@ def execute_job(
     worker passes an
     :class:`~repro.experiments.artifacts.HttpArtifactStore`, so its
     checkpoints read through from (and publish to) the coordinator.
+    Stage artefacts are pushed as they are stored; the mid-stage
+    partials are published by the heartbeat thread after every beat the
+    coordinator answers alive, and once more before each terminal
+    outcome (``done``, ``failed``, ``cancelled``), unless a beat already
+    answered that the lease is lost.  A crash loses at most one
+    heartbeat interval of mid-stage progress.
 
     ``cancel_poll_interval`` throttles the cancel poll the runner's
     :class:`~repro.cancel.CancelToken` issues at checkpoint boundaries
@@ -248,9 +268,18 @@ def execute_job(
 
     interval = heartbeat_interval if heartbeat_interval is not None else store.lease_ttl / 3.0
     stop = threading.Event()
+    lost = threading.Event()
+    config_hash = scenario.config_hash()
+
+    def publish() -> None:
+        # A worker that learnt its lease is lost publishes nothing more:
+        # the job's checkpoints belong to whoever reclaims it.
+        if not lost.is_set():
+            artifacts.publish(config_hash)
+
     beat = threading.Thread(
         target=_heartbeat,
-        args=(store, job.id, worker, stop, max(0.05, interval)),
+        args=(store, job.id, worker, stop, max(0.05, interval), publish, lost),
         daemon=True,
     )
     beat.start()
@@ -301,6 +330,7 @@ def execute_job(
         # The terminal updates are ownership-checked: False means the
         # lease expired mid-run and a peer reclaimed (and will finish)
         # the job -- this worker's result must not count as an execution.
+        publish()
         events.flush()
         try:
             return True if store.complete(job.id, worker, result.summary()) else None
@@ -311,7 +341,9 @@ def execute_job(
             return None
     except JobCancelled:
         # The cancel surfaced at a checkpoint boundary: the mid-stage
-        # partial is already persisted, so a resubmission resumes from it.
+        # partial is already persisted, and published here, so a
+        # resubmission resumes from it.
+        publish()
         events.add("cancel", "observed")
         events.flush()
         try:
@@ -324,6 +356,7 @@ def execute_job(
         return None
     except Exception:
         error_text = traceback.format_exc()
+        publish()
         events.flush()
         try:
             return False if store.fail(job.id, worker, error_text) else None

@@ -96,6 +96,30 @@ def test_resume_does_not_reevaluate_checkpointed_points(tmp_path):
     assert seen[0] == rows_at_crash + 1
 
 
+def test_kept_stored_states_do_not_grow_with_later_points(tmp_path):
+    """Each MC store hands over snapshots of the rows: a state a
+    checkpoint keeps still holds the points it was stored with after the
+    loop has appended later ones (and matches what reached the disk)."""
+    entry = ArtefactCache(tmp_path).entry_for(MCTINY)
+    kept = []
+
+    class KeepingPartial(_StagePartial):
+        def store(self, partial_state):
+            super().store(partial_state)
+            if isinstance(partial_state, dict) and "mc" in partial_state:
+                rows = len(partial_state["mc"]["nominal_rows"])
+                kept.append((rows, partial_state, entry.load_partial("circuit")["mc"]))
+
+    flow = HierarchicalFlow.from_scenario(MCTINY)
+    result = flow.circuit_stage(checkpoint=KeepingPartial(entry, "circuit"))
+    assert len(kept) == len(result.model.variation.nominal) - 1 >= 2
+    for index, (rows, state, on_disk) in enumerate(kept):
+        assert rows == index + 1
+        assert len(state["mc"]["nominal_rows"]) == rows
+        assert len(state["mc"]["spread_rows"]) == rows
+        assert state["mc"]["nominal_rows"] == on_disk["nominal_rows"]
+
+
 def test_completed_model_build_clears_the_mc_subkey(tmp_path):
     """The MC rows go with the whole partial, which the runner deletes
     once the stage artefact is stored; the model build itself writes

@@ -13,6 +13,7 @@ from conftest import tiny_scenario
 from faults import CountingTransport, FlakyTransport
 from repro.experiments.artifacts import (
     ARTIFACT_NAME_RE,
+    ARTIFACT_PUSH_FAILURES,
     ArtifactTransportError,
     HttpArtifactStore,
     HttpTransport,
@@ -93,6 +94,7 @@ def test_entry_store_publishes_and_read_through_fills_the_local_cache(
 def test_partials_are_coordinator_first_with_local_fallback(coordinator, tmp_path):
     worker_a = HttpArtifactStore(coordinator.url, tmp_path / "a")
     worker_a.entry_for(TINY).store_partial("circuit", {"generation": 7})
+    worker_a.publish(TINY.config_hash())  # the job's heartbeat publishes it
 
     # The reclaiming worker has no local partial: it resumes from the
     # coordinator's copy.
@@ -153,6 +155,126 @@ def test_entry_answers_misses_from_one_listing_and_its_own_writes(coordinator, t
     fresh.write_scenario(TINY)
     assert not fresh.has("circuit") and fresh.load_partial("yield") is None
     assert transport.log == [f"PUT /v1/artifacts/{h}/scenario.json"]
+
+
+# -- partials: published on demand, deleted only where held -------------------------------
+
+
+def test_partials_travel_only_when_published(coordinator, tmp_path):
+    """``store_partial`` costs no exchange; ``publish`` pushes the newest
+    local bytes once; a clear deletes only a name the coordinator holds."""
+    transport = CountingTransport(HttpTransport(coordinator.url))
+    store = HttpArtifactStore(coordinator.url, tmp_path / "w", transport=transport)
+    entry = store.entry_for(TINY)
+    h = TINY.config_hash()
+    entry.write_scenario(TINY)  # the PUT's answer is the hash's listing
+    name = f"/v1/artifacts/{h}/circuit.partial.pkl"
+
+    entry.store_partial("circuit", {"generation": 1})
+    entry.store_partial("circuit", {"generation": 2})
+    assert transport.log == [f"PUT /v1/artifacts/{h}/scenario.json"]
+    store.publish(h)
+    store.publish(h)  # nothing new since the last publication
+    assert transport.log[1:] == [f"PUT {name}"]
+    assert (coordinator.cache_dir / h / "circuit.partial.pkl").read_bytes() == (
+        tmp_path / "w" / h / "circuit.partial.pkl"
+    ).read_bytes()
+    # Another entry of the hash (the trace writer's, say) shares the state.
+    store.entry_for(TINY).clear_partial("circuit")
+    assert transport.log[2:] == [f"DELETE {name}"]
+    assert not (coordinator.cache_dir / h / "circuit.partial.pkl").exists()
+
+    # Stored and cleared between two publications: no exchange at all.
+    transport.log.clear()
+    entry.store_partial("yield", {"batch": 1})
+    entry.clear_partial("yield")
+    store.publish(h)
+    assert transport.log == []
+
+
+class BlockingTransport:
+    """Holds every partial PUT until ``release`` is set."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def request(self, method, path, body=None, headers=None):
+        if method == "PUT" and path.endswith(".partial.pkl"):
+            self.entered.set()
+            assert self.release.wait(10.0)
+        self.log.append(f"{method} {path}")
+        return self.inner.request(method, path, body, headers)
+
+
+def test_clear_partial_waits_out_a_publish_in_flight(coordinator, tmp_path):
+    """A ``clear_partial`` racing a publication of the same name sends
+    its DELETE after the PUT lands: no partial is left behind."""
+    transport = BlockingTransport(HttpTransport(coordinator.url))
+    store = HttpArtifactStore(coordinator.url, tmp_path / "w", transport=transport)
+    entry = store.entry_for(TINY)
+    h = TINY.config_hash()
+    assert not entry.has("circuit")  # the listing: no partial on the coordinator
+    entry.store_partial("circuit", {"generation": 4})
+
+    publisher = threading.Thread(target=store.publish, args=(h,))
+    publisher.start()
+    assert transport.entered.wait(10.0)  # the PUT is in flight
+    clearer = threading.Thread(target=entry.clear_partial, args=("circuit",))
+    clearer.start()
+    time.sleep(0.1)
+    assert clearer.is_alive(), "the DELETE overtook the PUT in flight"
+    transport.release.set()
+    publisher.join(10.0)
+    clearer.join(10.0)
+
+    name = f"/v1/artifacts/{h}/circuit.partial.pkl"
+    assert transport.log[-2:] == [f"PUT {name}", f"DELETE {name}"]
+    assert not (coordinator.cache_dir / h / "circuit.partial.pkl").exists()
+    assert not (tmp_path / "w" / h / "circuit.partial.pkl").exists()
+
+
+def test_failed_publish_and_delete_are_counted_logged_and_retried(
+    coordinator, tmp_path, caplog
+):
+    """A publication or delete the wire drops is counted in
+    ``repro_artifact_push_failures_total{name}`` and logged with the job
+    id; a failed publication stays pending for the next one."""
+    h = TINY.config_hash()
+    name = "circuit.partial.pkl"
+    flaky = FlakyTransport(
+        HttpTransport(coordinator.url), seed=1, drop=1.0, match=r"^(PUT|DELETE) .*partial"
+    )
+    store = HttpArtifactStore(
+        coordinator.url, tmp_path / "w", transport=flaky, retries=1, retry_delay=0.0
+    )
+    entry = store.entry_for(TINY)
+    entry.write_scenario(TINY)
+    before = ARTIFACT_PUSH_FAILURES.value(name=name)
+
+    entry.store_partial("circuit", {"generation": 5})
+    with caplog.at_level("WARNING", logger="repro.service.artifacts"):
+        store.publish(h)
+    assert flaky.faults_fired("drop") == 1
+    assert ARTIFACT_PUSH_FAILURES.value(name=name) == before + 1
+    messages = [record.getMessage() for record in caplog.records]
+    assert any(h in message and name in message for message in messages)
+    assert not (coordinator.cache_dir / h / name).exists()
+
+    flaky.drop = 0.0  # the link heals: the next publication delivers it
+    store.publish(h)
+    assert (coordinator.cache_dir / h / name).is_file()
+
+    flaky.drop = 1.0
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="repro.service.artifacts"):
+        entry.clear_partial("circuit")
+    assert flaky.faults_fired("drop") == 2
+    assert ARTIFACT_PUSH_FAILURES.value(name=name) == before + 2
+    messages = [record.getMessage() for record in caplog.records]
+    assert any("delete" in message and h in message for message in messages)
 
 
 def test_server_rejects_malformed_artifact_paths(coordinator, tmp_path):
@@ -382,6 +504,7 @@ def test_duplicated_puts_are_idempotent(coordinator, tmp_path):
     entry = store.entry_for(TINY)
     entry.store("circuit", {"generation": 2})
     entry.store_partial("system", {"generation": 1})
+    store.publish(TINY.config_hash())
     assert flaky.faults_fired("duplicate") >= 2  # the faults really fired
 
     h = TINY.config_hash()

@@ -9,6 +9,7 @@ transport, a switchable :class:`~faults.Partition`, and the store-level
 actually fired, so a silently-healthy harness cannot go green.
 """
 
+import contextlib
 import multiprocessing
 import threading
 import time
@@ -36,6 +37,29 @@ def wait_for_partial_generation(entry, generation, timeout=60.0):
             return state
         assert time.monotonic() < deadline, "worker never reached the target generation"
         time.sleep(0.002)
+
+
+@contextlib.contextmanager
+def serving(tmp_path, lease_ttl):
+    """A loopback coordinator with its own lease TTL: ``(authority, url)``."""
+    authority = SqliteJobStore(tmp_path / "coordinator.db", lease_ttl=lease_ttl)
+    server = make_async_server("127.0.0.1", 0, authority, tmp_path / "coordinator-cache")
+    host, port = server.start()
+    try:
+        yield authority, f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+
+
+def first_resumed_generation(authority, job_id, worker):
+    """The generation of ``worker``'s first circuit progress event."""
+    return next(
+        event["payload"]["generation"]
+        for event in authority.events(job_id)
+        if event["worker"] == worker
+        and event["stage"] == "circuit"
+        and event["status"] == "progress"
+    )
 
 
 # -- the healthy path ------------------------------------------------------------------
@@ -82,9 +106,10 @@ def test_remote_fast_smoke_job_pins_its_wire_traffic(coordinator, tmp_path):
     cannot know: no per-name artefact probe on a fresh job (absence comes
     from the listing its pushes are answered with), no separate cancel
     poll (the flag rides the events exchange), progress events batched
-    into the stage-completion and cancel-poll exchanges -- at most 30
-    exchanges from claim to outcome -- and artefacts byte-identical to a
-    direct run."""
+    into the stage-completion and cancel-poll exchanges, and no partial
+    checkpoint on the wire for a job that ends within one heartbeat
+    interval -- at most 12 exchanges from claim to outcome -- and
+    artefacts byte-identical to a direct run."""
     scenario = get_scenario("fast-smoke").with_overrides(seed=10007)
     transport = CountingTransport(HttpTransport(coordinator.url))
     store = RemoteJobStore(coordinator.url, transport=transport)
@@ -102,9 +127,10 @@ def test_remote_fast_smoke_job_pins_its_wire_traffic(coordinator, tmp_path):
     )
     elapsed = time.monotonic() - started
     assert executed == 1 and coordinator.store.get(job.id).state == "done"
-    partial = f"/v1/artifacts/{job.id}/circuit.partial.pkl"
-    assert transport.log.count(f"PUT {partial}") >= 2  # the Monte Carlo points were checkpointed
-    assert transport.log.count(f"GET {partial}") <= 2
+    # Partials are published on the heartbeat (every ttl/3 = 10 s here):
+    # a job this short puts none on the wire, so it deletes none either.
+    assert elapsed < coordinator.store.lease_ttl / 3.0
+    assert not [line for line in transport.log if ".partial.pkl" in line], transport.log
 
     job_log = [
         line for line in transport.log[submitted:] if not line.endswith("/heartbeat")
@@ -121,7 +147,7 @@ def test_remote_fast_smoke_job_pins_its_wire_traffic(coordinator, tmp_path):
     # at most; every other events exchange carries a stage completion.
     cancel_polls = int(elapsed / min(1.0, coordinator.store.lease_ttl / 6.0))
     assert job_log.count(f"POST /v1/jobs/{job.id}/events") <= len(stages) + cancel_polls
-    assert len(job_log) <= 30, job_log
+    assert len(job_log) <= 12 + cancel_polls, job_log
 
     direct_cache = tmp_path / "direct"
     ExperimentRunner(scenario, cache_dir=direct_cache).run()
@@ -130,6 +156,134 @@ def test_remote_fast_smoke_job_pins_its_wire_traffic(coordinator, tmp_path):
         direct, ArtefactCache(coordinator.cache_dir).entry_for(scenario)
     )
     assert_artefacts_byte_identical(direct, ArtefactCache(worker_cache).entry_for(scenario))
+
+
+# -- mid-stage partials, published on the heartbeat -----------------------------------
+
+
+def test_long_job_has_its_latest_partial_on_the_coordinator_within_one_beat(tmp_path):
+    """A partial stored locally reaches the coordinator with the first
+    live heartbeat after it, so the coordinator is never more than one
+    heartbeat interval (ttl/3) behind the worker."""
+    scenario = tiny_scenario(
+        "publish-on-beat", seed=91, circuit_population=40, circuit_generations=200
+    )
+    lease_ttl = 1.2
+    interval = lease_ttl / 3.0
+    with serving(tmp_path, lease_ttl) as (authority, url):
+        authority.submit(scenario)
+        local = ArtefactCache(tmp_path / "cache-a").entry_for(scenario)
+        coordinator_entry = ArtefactCache(tmp_path / "coordinator-cache").entry_for(scenario)
+        worker = threading.Thread(
+            target=remote_worker_loop,
+            args=(url, tmp_path / "cache-a"),
+            kwargs={"max_jobs": 1, "poll_interval": 0.05},
+            daemon=True,
+        )
+        worker.start()
+        stored = wait_for_partial_generation(local, 20)["generation"]
+        stored_at = time.monotonic()
+        published = wait_for_partial_generation(coordinator_entry, stored)
+        # One interval until the next beat, plus that beat's exchange
+        # and the PUT on a busy loopback.
+        assert time.monotonic() - stored_at < interval + 0.4
+        assert published["generation"] < scenario.circuit_generations
+        worker.join(timeout=60.0)
+        assert not worker.is_alive()
+        assert authority.jobs()[0].state == "done"
+    # The stage's end deleted the published partial.
+    assert coordinator_entry.load_partial("circuit") is None
+
+
+def partial_puts(log):
+    """Indices of the partial-checkpoint PUTs in a transport log."""
+    return [
+        index
+        for index, line in enumerate(log)
+        if line.startswith("PUT ") and line.endswith(".partial.pkl")
+    ]
+
+
+class LeaseLosingStore(RemoteJobStore):
+    """A remote store whose heartbeats answer "lost" once a partial was
+    published, noting where the artifact log stood at that answer."""
+
+    def __init__(self, url, artifact_log):
+        super().__init__(url)
+        self.artifact_log = artifact_log
+        self.lost_at = None
+
+    def heartbeat(self, job_id, worker):
+        alive = super().heartbeat(job_id, worker) and self.lost_at is None
+        if alive and partial_puts(self.artifact_log):
+            self.lost_at = len(self.artifact_log)
+            alive = False
+        return alive
+
+
+def test_nothing_is_published_after_a_beat_answers_lost(tmp_path):
+    """A worker told its lease is lost publishes no partial any more,
+    neither on a later beat nor before its terminal outcome."""
+    scenario = tiny_scenario(
+        "publish-lost", seed=92, circuit_population=40, circuit_generations=200
+    )
+    with serving(tmp_path, lease_ttl=1.2) as (authority, url):
+        authority.submit(scenario)
+        transport = CountingTransport(HttpTransport(url))
+        store = LeaseLosingStore(url, transport.log)
+        remote_worker_loop(
+            url,
+            tmp_path / "cache-a",
+            max_jobs=1,
+            poll_interval=0.05,
+            store=store,
+            artifacts=HttpArtifactStore(url, tmp_path / "cache-a", transport=transport),
+        )
+    assert store.lost_at is not None, "no beat answered lost while the job ran"
+    assert partial_puts(transport.log)  # a live beat published
+    assert all(index < store.lost_at for index in partial_puts(transport.log)), transport.log
+
+
+def test_remote_cancel_publishes_the_last_local_partial_before_cancelled(
+    coordinator, tmp_path
+):
+    """A cancel observed mid-NSGA-II publishes the worker's newest local
+    partial before the ``cancelled`` outcome, so a resubmission on any
+    host resumes from it (no beat publishes anything at this TTL)."""
+    scenario = tiny_scenario(
+        "publish-cancel", seed=93, circuit_population=40, circuit_generations=200
+    )
+    job, _ = coordinator.store.submit(scenario)
+    transport = CountingTransport(HttpTransport(coordinator.url))
+    worker_cache = tmp_path / "worker-cache"
+    worker = threading.Thread(
+        target=remote_worker_loop,
+        args=(coordinator.url, worker_cache),
+        kwargs={
+            "max_jobs": 1,
+            "poll_interval": 0.05,
+            "cancel_poll_interval": 0.05,
+            "store": RemoteJobStore(coordinator.url, transport=transport),
+            "artifacts": HttpArtifactStore(coordinator.url, worker_cache, transport=transport),
+        },
+        daemon=True,
+    )
+    worker.start()
+    wait_for_partial_generation(ArtefactCache(worker_cache).entry_for(scenario), 3)
+    coordinator.store.cancel(job.id)
+    worker.join(timeout=60.0)
+    assert not worker.is_alive()
+    assert coordinator.store.get(job.id).state == "cancelled"
+
+    name = "circuit.partial.pkl"
+    on_coordinator = coordinator.cache_dir / job.id / name
+    local = worker_cache / job.id / name
+    assert on_coordinator.read_bytes() == local.read_bytes()
+    state = ArtefactCache(coordinator.cache_dir).entry(job.id).load_partial("circuit")
+    assert 3 <= state["generation"] < scenario.circuit_generations
+    put = transport.log.index(f"PUT /v1/artifacts/{job.id}/{name}")
+    assert put < transport.log.index(f"POST /v1/jobs/{job.id}/outcome")
+    assert transport.log.count(f"PUT /v1/artifacts/{job.id}/{name}") == 1
 
 
 def test_remote_worker_trace_lands_on_coordinator_under_job_trace_id(
@@ -238,9 +392,17 @@ def test_sigkill_remote_worker_reclaims_bit_identically_under_faults(tmp_path):
     mid-NSGA-II is reclaimed after coordinator-side lease expiry by a
     second remote worker running over a *faulty* wire (dropped
     heartbeats/events, duplicated artifact PUTs), and the final
-    artefacts are byte-identical to an uninterrupted ``repro run``."""
+    artefacts are byte-identical to an uninterrupted ``repro run``.
+
+    Worker A publishes its partial on each live heartbeat (every ttl/3),
+    so it dies a beat or so into the NSGA-II run; the job is sized so
+    that B still has at least 50 of its 200 generations to compute, and
+    B polls at every generation boundary: at least 50 events exchanges,
+    well past the 7th matching exchange on which the seeded drop
+    schedule (seed 5, p = 0.3) fires its first drop."""
+    generations = 200
     scenario = tiny_scenario(
-        "distributed-kill", seed=88, circuit_population=40, circuit_generations=60
+        "distributed-kill", seed=88, circuit_population=40, circuit_generations=generations
     )
     lease_ttl = 1.0
     authority = SqliteJobStore(tmp_path / "coordinator.db", lease_ttl=lease_ttl)
@@ -260,12 +422,14 @@ def test_sigkill_remote_worker_reclaims_bit_identically_under_faults(tmp_path):
             daemon=True,
         )
         worker_a.start()
-        # The worker pushes its per-generation circuit partials to the
-        # coordinator; once generation 3 is visible there, kill it.
+        # The worker publishes its circuit partial on each live beat;
+        # once generation 3 or later is visible there, kill it.
         wait_for_partial_generation(coordinator_entry, 3)
         worker_a.kill()
         worker_a.join(timeout=10.0)
         assert not coordinator_entry.has("circuit"), "worker A finished the stage"
+        published = coordinator_entry.load_partial("circuit")["generation"]
+        assert 3 <= published <= generations - 50, published
         killed = authority.get(job.id)
         assert killed.state in ("leased", "running")
 
@@ -283,6 +447,7 @@ def test_sigkill_remote_worker_reclaims_bit_identically_under_faults(tmp_path):
             tmp_path / "cache-b",
             max_jobs=1,
             poll_interval=0.05,
+            cancel_poll_interval=0.0,
             worker_name="worker-b",
             store=RemoteJobStore(url, transport=store_transport, retry_delay=0.01),
             artifacts=HttpArtifactStore(
@@ -294,6 +459,8 @@ def test_sigkill_remote_worker_reclaims_bit_identically_under_faults(tmp_path):
         assert finished.state == "done"
         assert finished.attempts == 2
         assert finished.worker == "worker-b" != killed.worker
+        # B resumed from A's last publication.
+        assert first_resumed_generation(authority, job.id, "worker-b") == published + 1
         # The harness genuinely injected faults.
         assert store_transport.faults_fired("drop") >= 1
         assert artifact_transport.faults_fired("duplicate") >= 4
@@ -314,9 +481,14 @@ def test_partitioned_worker_loses_lease_and_peer_resumes_from_partial(tmp_path):
     """A network partition mid-circuit-stage: the cut worker keeps
     computing but cannot heartbeat, the coordinator expires its lease on
     its own clock, and a healthy peer resumes from the last partial the
-    coordinator received -- bit-identically."""
+    coordinator received -- bit-identically.
+
+    The cut worker's last publication came with its last live heartbeat;
+    the job is sized so that the peer still has at least 50 of its 200
+    generations to compute from it."""
+    generations = 200
     scenario = tiny_scenario(
-        "distributed-partition", seed=55, circuit_population=40, circuit_generations=60
+        "distributed-partition", seed=55, circuit_population=40, circuit_generations=generations
     )
     lease_ttl = 1.0
     authority = SqliteJobStore(tmp_path / "coordinator.db", lease_ttl=lease_ttl)
@@ -371,7 +543,9 @@ def test_partitioned_worker_loses_lease_and_peer_resumes_from_partial(tmp_path):
         assert artifact_transport.faults_fired("partition") >= 1
         assert not coordinator_entry.has("circuit")
         checkpoint = coordinator_entry.load_partial("circuit")
-        assert checkpoint is not None and checkpoint["generation"] >= 3
+        assert checkpoint is not None
+        published = checkpoint["generation"]
+        assert 3 <= published <= generations - 50, published
 
         # Coordinator-clock lease expiry is the recovery trigger.
         deadline = time.monotonic() + 10.0
@@ -392,6 +566,7 @@ def test_partitioned_worker_loses_lease_and_peer_resumes_from_partial(tmp_path):
         finished = authority.get(job.id)
         assert finished.state == "done"
         assert finished.attempts == 2 and finished.worker == "worker-b"
+        assert first_resumed_generation(authority, job.id, "worker-b") == published + 1
     finally:
         server.shutdown()
 
