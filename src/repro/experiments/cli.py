@@ -675,20 +675,9 @@ def _print_job(job: dict) -> None:
         print(f"worker       : {job['worker']}")
     if job.get("error"):
         print(f"error        : {job['error'].strip().splitlines()[-1]}")
-    # Mid-stage progress events (one per NSGA-II generation / MC batch)
-    # would flood the status view; show only the newest one per stage,
-    # in sequence order, alongside every non-progress event.
-    events = list(job.get("events", ()))
-    last_progress = {}
-    for event in events:
-        if event.get("status") == "progress":
-            last_progress[event["stage"]] = event.get("seq")
-    for event in events:
-        if (
-            event.get("status") == "progress"
-            and last_progress.get(event["stage"]) != event.get("seq")
-        ):
-            continue
+    # The service answers a status with every non-progress event plus the
+    # newest progress event per stage.
+    for event in job.get("events", ()):
         payload = event.get("payload") or {}
         if "front" in payload:  # the Pareto points are chart data, not text
             payload = {key: value for key, value in payload.items() if key != "front"}

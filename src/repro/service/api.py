@@ -15,8 +15,10 @@ router's 404 ``unknown_route`` envelope::
     GET    /v1/jobs?state=&limit=&offset=
                                        paginated job listing, newest first
     POST   /v1/jobs                    submit {"scenario": ..., "overrides": ...}
-    GET    /v1/jobs/<id>               job status + all progress events
-    GET    /v1/jobs/<id>/events       live SSE stream
+    GET    /v1/jobs/<id>               job status + its status events (below)
+    GET    /v1/jobs/<id>/events       live SSE stream (the full event log);
+                                       with Accept: application/json, the
+                                       persisted events as one JSON body
     GET    /v1/jobs/<id>/report       the cached JSON report
     GET    /v1/jobs/<id>/trace        the job's span trace (timing profile)
     DELETE /v1/jobs/<id>               cancel (200 parked / 202 flagged / 409)
@@ -45,7 +47,10 @@ Every error answers the uniform envelope ``{"error": {"code":
 "<machine_code>", "message": "<human text>"}}`` (plus occasional
 top-level context fields such as the job ``state`` on a 409).
 
-The SSE stream replays the job's persisted events (monotonic per-job
+A status answer carries every non-progress event plus the newest
+progress event of each stage, so a client polling a job does not pay
+for its whole log on every poll.  The full log is on the events route:
+the SSE stream replays the job's persisted events (monotonic per-job
 ``seq`` as the SSE ``id:``) and then tails new ones -- per-NSGA-II-
 generation Pareto fronts and per-Monte-Carlo-batch yield estimates --
 until the job reaches a terminal state, which it announces as an
@@ -185,6 +190,17 @@ _STATIC_TYPES = {
     ".png": "image/png",
     ".ico": "image/x-icon",
 }
+
+
+def _status_events(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Every non-progress event plus the newest progress event per stage,
+    in sequence order: the event view of a status answer."""
+    newest = {event["stage"]: event["seq"] for event in events if event["status"] == "progress"}
+    return [
+        event
+        for event in events
+        if event["status"] != "progress" or newest[event["stage"]] == event["seq"]
+    ]
 
 
 def _error(status: int, code: str, message: str, **extra: Any) -> ServiceResponse:
@@ -342,7 +358,7 @@ class ExperimentService:
         job = self.store.get(job_id)
         if job is None:
             return _error(404, "unknown_job", f"unknown job {job_id!r}")
-        return 200, dict(job.as_dict(), events=self.store.events(job_id))
+        return 200, dict(job.as_dict(), events=_status_events(self.store.events(job_id)))
 
     def cancel(self, job_id: str) -> ServiceResponse:
         try:
@@ -752,6 +768,10 @@ class AsyncServiceServer(AsyncHTTPServer):
                 return error_response(
                     400, "invalid_last_event_id", f"not an event sequence: {raw!r}"
                 )
+            if "application/json" in request.headers.get("accept", ""):
+                # The persisted log past ``after``, without tailing.
+                events = await self.call(self.service.store.events_since, job_id, after)
+                return Response.json(200, {"events": events})
             return Response.event_stream(self._event_stream(job_id, after))
 
         return handle

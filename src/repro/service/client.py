@@ -158,7 +158,9 @@ class ServiceClient:
         return self._request("GET", f"/v1/portfolios/{name}/report")
 
     def job(self, job_id: str) -> Dict[str, Any]:
-        """Job status plus its per-stage progress events."""
+        """Job status plus its status events: every non-progress event and
+        the newest progress event of each stage.  The full event log is
+        :meth:`events` (the SSE replay) or the job's report."""
         return self._request("GET", f"/v1/jobs/{job_id}")
 
     def jobs(

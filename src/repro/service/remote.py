@@ -148,7 +148,10 @@ class RemoteJobStore(base.JobStore):
             for attempt in range(self.retries):
                 try:
                     status, raw = self.transport.request(
-                        method, path, payload, {"Content-Type": "application/json"}
+                        method,
+                        path,
+                        payload,
+                        {"Content-Type": "application/json", "Accept": "application/json"},
                     )
                     break
                 except ArtifactTransportError as error:
@@ -261,14 +264,15 @@ class RemoteJobStore(base.JobStore):
         return seqs, bool(data.get("cancel_requested"))
 
     def events_since(self, job_id: str, after_seq: int = 0) -> List[Dict[str, Any]]:
+        # The events route answers the full log as JSON to this store's
+        # Accept header; a status answer carries only its status view.
         try:
-            data = self._json("GET", f"/v1/jobs/{job_id}")
+            data = self._json("GET", f"/v1/jobs/{job_id}/events?after={int(after_seq)}")
         except RemoteStoreError as error:
             if error.status == 404:
                 return []  # contract parity: unknown job -> no events
             raise
-        events = data.get("events") or []
-        return [event for event in events if event.get("seq", 0) > after_seq]
+        return data.get("events") or []
 
     # -- queries -------------------------------------------------------------------------
 

@@ -7,12 +7,13 @@ execute it through the resumable
 events (one per completed flow stage through the runner's ``stage_hook``
 seam, one per mid-stage checkpoint through its ``progress_hook``).  A
 daemon heartbeat thread extends the job's lease while the flow
-computes, so only *dead* workers lose their lease -- and a
-reclaimed job resumes from the per-stage cache (plus the circuit stage's
-per-generation and the yield stage's per-batch partials), which is what
-makes crash recovery cheap and bit-identical.  For a remote worker the
-same thread publishes those partials to the coordinator after each live
-beat.
+computes, so only dead or cut-off workers lose their lease (a worker
+whose beats go unacknowledged for a lease TTL stops at its next
+checkpoint boundary) -- and a reclaimed job resumes from the per-stage
+cache (plus the circuit stage's per-generation and the yield stage's
+per-batch partials), which is what makes crash recovery cheap and
+bit-identical.  For a remote worker the same thread publishes those
+partials to the coordinator after each live beat.
 
 Workers also carry a :class:`~repro.cancel.CancelToken` polling the job's
 ``cancel_requested`` flag: a ``DELETE /v1/jobs/<id>`` raised mid-run is
@@ -99,28 +100,35 @@ def _heartbeat(
     stop: threading.Event,
     interval: float,
     publish: Callable[[], None],
-    lost: threading.Event,
+    lose: Callable[[], None],
 ) -> None:
     """Extend the lease every ``interval`` and, after each beat the
     coordinator answers alive, ``publish`` the job's newest mid-stage
-    checkpoints.  A lost lease sets ``lost`` and ends the thread, so the
-    worker publishes nothing more."""
+    checkpoints.
+
+    The lease is lost when a beat answers so, or when no beat has been
+    acknowledged for a full ``store.lease_ttl`` on this worker's own
+    monotonic clock: the coordinator set the lease's expiry before it
+    answered the last acknowledged beat (or the start), so by then the
+    lease has expired on the coordinator's clock too, and no timestamps
+    from two hosts are compared.  Either way ``lose()`` is called once and
+    the thread ends."""
+    lease_ttl = store.lease_ttl
+    acknowledged = time.monotonic()
     while not stop.wait(interval):
         try:
             alive = store.heartbeat(job_id, worker)
         except Exception:  # noqa: BLE001 - a dropped beat must not kill the thread
             # Transient turbulence (SQLITE_BUSY past the timeout, a
-            # network partition on the remote store): keep beating.  If
-            # the partition outlives the TTL the *coordinator* expires
-            # the lease -- expiry authority is server-side -- and the
-            # next successful beat answers False.
-            continue
+            # network partition on the remote store): keep beating
+            # until the lease has surely expired.
+            if time.monotonic() - acknowledged < lease_ttl:
+                continue
+            alive = False
         if not alive:
-            # Lease lost (expiry, operator intervention): stop beating;
-            # the terminal complete()/fail() update is ownership-checked, so
-            # a reclaimed job cannot be double-finished.
-            lost.set()
+            lose()
             return
+        acknowledged = time.monotonic()
         publish()
 
 
@@ -159,12 +167,17 @@ class _JobEvents:
 
     Events are advisory (they feed the SSE stream): a failed exchange
     keeps the buffer for the next one and never aborts the computation.
+    Once ``lost`` is set the job belongs to whoever reclaims it: the poll
+    exchanges nothing more and answers "cancelled".
     """
 
-    def __init__(self, store: base.JobStore, job_id: str, worker: str) -> None:
+    def __init__(
+        self, store: base.JobStore, job_id: str, worker: str, lost: threading.Event
+    ) -> None:
         self.store = store
         self.job_id = job_id
         self.worker = worker
+        self.lost = lost
         self.pending: List[Dict[str, Any]] = []
 
     def add(self, stage: str, status: str, payload: Optional[Dict[str, Any]] = None) -> None:
@@ -174,12 +187,14 @@ class _JobEvents:
 
     def poll(self) -> bool:
         """Append the buffer (possibly empty); the job's cancel flag."""
+        if self.lost.is_set():
+            return True
         try:
             _, cancel_requested = self.store.append_events(self.job_id, self.pending)
         except Exception:  # noqa: BLE001 - progress must never break a run
             # Can't reach the store: assume not cancelled and keep
-            # computing -- if the partition persists, lease expiry (the
-            # coordinator's authority) parks or requeues the job anyway.
+            # computing -- if the partition outlives the lease, the
+            # heartbeat declares it lost and the run stops.
             return False
         self.pending = []
         return cancel_requested
@@ -219,12 +234,18 @@ def execute_job(
     """Run one claimed job to a terminal state through the runner.
 
     Returns ``True`` for ``done``, ``False`` for ``failed``/``cancelled``,
-    and ``None`` when it never started -- the lease was lost between claim
-    and start, so another worker owns it and it must not count as
-    executed.  The scenario executes exactly like ``repro run``: same
-    runner, same content-addressed cache -- so service artefacts are
-    bit-identical to CLI artefacts, and two jobs differing only in
-    execution fields share cache entries.
+    and ``None`` when this worker no longer owns the job, so it must not
+    count as executed: the lease was lost between claim and start, or
+    mid-run (a beat answered "lost", or no beat was acknowledged for a
+    full lease TTL -- see :func:`_heartbeat`).  A lease lost mid-run
+    cancels the run at its next checkpoint boundary, and the worker then
+    tells the store nothing more: no event, no publication, no outcome.
+    So a crashed or partitioned worker stops computing within one lease
+    TTL, plus one heartbeat interval, plus one checkpoint boundary of its
+    last acknowledged beat.  The scenario executes exactly like
+    ``repro run``: same runner, same content-addressed cache -- so
+    service artefacts are bit-identical to CLI artefacts, and two jobs
+    differing only in execution fields share cache entries.
 
     ``cache_dir`` may be a plain path (wrapped in a
     :class:`~repro.experiments.artifacts.LocalArtifactStore`) or any
@@ -235,9 +256,9 @@ def execute_job(
     Stage artefacts are pushed as they are stored; the mid-stage
     partials are published by the heartbeat thread after every beat the
     coordinator answers alive, and once more before each terminal
-    outcome (``done``, ``failed``, ``cancelled``), unless a beat already
-    answered that the lease is lost.  A crash loses at most one
-    heartbeat interval of mid-stage progress.
+    outcome (``done``, ``failed``, ``cancelled``) while the lease is
+    held.  A crash loses at most one heartbeat interval of mid-stage
+    progress.
 
     ``cancel_poll_interval`` throttles the cancel poll the runner's
     :class:`~repro.cancel.CancelToken` issues at checkpoint boundaries
@@ -251,7 +272,8 @@ def execute_job(
         if isinstance(cache_dir, ArtifactStore)
         else LocalArtifactStore(cache_dir)
     )
-    events = _JobEvents(store, job.id, worker)
+    lost = threading.Event()
+    events = _JobEvents(store, job.id, worker, lost)
 
     try:
         if not store.start(job.id, worker):
@@ -268,21 +290,7 @@ def execute_job(
 
     interval = heartbeat_interval if heartbeat_interval is not None else store.lease_ttl / 3.0
     stop = threading.Event()
-    lost = threading.Event()
     config_hash = scenario.config_hash()
-
-    def publish() -> None:
-        # A worker that learnt its lease is lost publishes nothing more:
-        # the job's checkpoints belong to whoever reclaims it.
-        if not lost.is_set():
-            artifacts.publish(config_hash)
-
-    beat = threading.Thread(
-        target=_heartbeat,
-        args=(store, job.id, worker, stop, max(0.05, interval), publish, lost),
-        daemon=True,
-    )
-    beat.start()
     cancel = CancelToken(
         should_cancel=events.poll,
         poll_interval=(
@@ -294,6 +302,42 @@ def execute_job(
     # The claim just answered the flag: the first poll is due one
     # interval from now, not at the first checkpoint boundary.
     cancel.observe(job.cancel_requested)
+
+    def lose() -> None:
+        # The job's checkpoints and outcome now belong to whoever
+        # reclaims it: stop at the next checkpoint boundary.
+        lost.set()
+        cancel.cancel()
+
+    def settle(outcome: Callable[[], bool], executed: bool) -> Optional[bool]:
+        """Publish, flush and deliver a terminal outcome while the lease
+        is held; ``executed`` if the ownership-checked outcome landed."""
+        if lost.is_set():
+            return None
+        artifacts.publish(config_hash)
+        events.flush()
+        try:
+            return executed if outcome() else None
+        except TRANSIENT_STORE_ERRORS:
+            # The outcome could not be delivered: the artefacts are
+            # persisted, the lease will expire, and whoever reclaims the
+            # job resumes (or completes it instantly) from the cache.
+            return None
+
+    beat = threading.Thread(
+        target=_heartbeat,
+        args=(
+            store,
+            job.id,
+            worker,
+            stop,
+            max(0.05, interval),
+            lambda: artifacts.publish(config_hash),
+            lose,
+        ),
+        daemon=True,
+    )
+    beat.start()
     try:
         runner = ExperimentRunner(
             scenario,
@@ -330,38 +374,20 @@ def execute_job(
         # The terminal updates are ownership-checked: False means the
         # lease expired mid-run and a peer reclaimed (and will finish)
         # the job -- this worker's result must not count as an execution.
-        publish()
-        events.flush()
-        try:
-            return True if store.complete(job.id, worker, result.summary()) else None
-        except TRANSIENT_STORE_ERRORS:
-            # The outcome could not be delivered: the artefacts are
-            # persisted, the lease will expire, and whoever reclaims the
-            # job completes it instantly from the cache.
-            return None
+        return settle(lambda: store.complete(job.id, worker, result.summary()), True)
     except JobCancelled:
         # The cancel surfaced at a checkpoint boundary: the mid-stage
         # partial is already persisted, and published here, so a
-        # resubmission resumes from it.
-        publish()
+        # resubmission resumes from it.  A lost lease surfaces here too.
         events.add("cancel", "observed")
-        events.flush()
-        try:
-            return False if store.mark_cancelled(job.id, worker) else None
-        except TRANSIENT_STORE_ERRORS:
-            return None
+        return settle(lambda: store.mark_cancelled(job.id, worker), False)
     except TRANSIENT_STORE_ERRORS:
         # The store vanished mid-run (not a computation error): leave the
         # job to lease expiry rather than recording a phantom failure.
         return None
     except Exception:
         error_text = traceback.format_exc()
-        publish()
-        events.flush()
-        try:
-            return False if store.fail(job.id, worker, error_text) else None
-        except TRANSIENT_STORE_ERRORS:
-            return None
+        return settle(lambda: store.fail(job.id, worker, error_text), False)
     finally:
         stop.set()
         beat.join(timeout=5.0)

@@ -2,12 +2,13 @@
 
 This subpackage replaces the Cadence SpectreRF engine used by the paper
 with a from-scratch modified-nodal-analysis (MNA) simulator that is good
-enough to size and verify the 5-stage ring-oscillator VCO at transistor
-level:
+enough to size and verify the current-starved ring and pseudo-differential
+VCOs at transistor level.  Its element set is exactly what those netlists
+build: MOSFETs, capacitors and constant voltage sources.
 
 * :mod:`repro.spice.netlist` -- circuit and node data model,
-* :mod:`repro.spice.elements` -- passive elements, independent and
-  controlled sources, diode,
+* :mod:`repro.spice.elements` -- the capacitor and the constant voltage
+  source,
 * :mod:`repro.spice.mosfet` -- a level-1/level-3-style MOSFET with body
   effect, channel-length modulation and Meyer-style capacitances,
 * :mod:`repro.spice.plan` -- the stamp plan of the lane engine, which
@@ -27,16 +28,7 @@ obtained with the calibrated analytical evaluator in
 lives with the tests (``tests/spice/reference_engine.py``).
 """
 
-from repro.spice.elements import (
-    Capacitor,
-    CurrentSource,
-    Diode,
-    Inductor,
-    Resistor,
-    VCCS,
-    VCVS,
-    VoltageSource,
-)
+from repro.spice.elements import Capacitor, VoltageSource
 from repro.spice.exceptions import AnalysisError, NetlistError
 from repro.spice.mosfet import MOSFET, MOSFETModel, NMOS_DEFAULT, PMOS_DEFAULT
 from repro.spice.netlist import Circuit, GROUND
@@ -47,14 +39,8 @@ from repro.spice.waveform import Waveform
 __all__ = [
     "Circuit",
     "GROUND",
-    "Resistor",
     "Capacitor",
-    "Inductor",
     "VoltageSource",
-    "CurrentSource",
-    "VCVS",
-    "VCCS",
-    "Diode",
     "MOSFET",
     "MOSFETModel",
     "NMOS_DEFAULT",

@@ -5,8 +5,8 @@ connected between named nodes.  The node name ``"0"`` (alias ``"gnd"``)
 is the global reference and is never assigned an unknown.
 
 An element is a name, its nodes and its parameters; ``n_branches`` is
-the number of extra MNA branch-current unknowns it needs (voltage
-sources, inductors and VCVS need one).  The lane engine's
+the number of extra MNA branch-current unknowns it needs (a voltage
+source needs one).  The lane engine's
 :class:`~repro.spice.plan.CircuitPlan` turns the elements into stamps.
 """
 
@@ -81,15 +81,6 @@ class Circuit:
         for element in elements:
             self.add(element)
 
-    def remove(self, name: str) -> None:
-        """Remove the element called ``name``."""
-        key = name.lower()
-        element = self._element_index.pop(key, None)
-        if element is None:
-            raise NetlistError(f"no element named {name!r}")
-        self._elements.remove(element)
-        self._topology = None
-
     # -- lookup -----------------------------------------------------------------
 
     def __iter__(self) -> Iterator[Element]:
@@ -121,7 +112,7 @@ class Circuit:
 
     def _topology_maps(self) -> Tuple[List[str], Dict[str, int], Dict[str, int], int]:
         """Node list and index maps, built once and cached until the circuit
-        changes (``add`` / ``remove`` invalidate)."""
+        changes (``add`` invalidates)."""
         if self._topology is None:
             seen: Dict[str, None] = {}
             for element in self._elements:
@@ -200,20 +191,3 @@ class Circuit:
             raise NetlistError(
                 "floating node(s) with a single connection: " + ", ".join(dangling)
             )
-
-    # -- convenience ---------------------------------------------------------------
-
-    def copy(self, title: Optional[str] = None) -> "Circuit":
-        """Shallow copy (elements are shared; the container is new)."""
-        duplicate = Circuit(self.title if title is None else title)
-        for element in self._elements:
-            duplicate.add(element)
-        return duplicate
-
-    def summary(self) -> str:
-        """Human-readable one-line-per-element description."""
-        lines = [f"* {self.title or 'untitled circuit'}"]
-        lines.append(f"* {len(self._elements)} elements, {self.n_nodes} nodes")
-        for element in self._elements:
-            lines.append(f"{element.name} " + " ".join(element.nodes))
-        return "\n".join(lines)

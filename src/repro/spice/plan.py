@@ -11,7 +11,7 @@ of vectorised scatter-adds whose flat indices are built once:
   circuit is a one-lane plan.
 * :class:`LaneSystem` holds the per-step ``(n_lanes, n, n)`` linear
   matrix and ``(n_lanes, n)`` constant vector and assembles all lanes at
-  once; MOSFET and diode model equations are evaluated array-wise over
+  once; the MOSFET model equations are evaluated array-wise over
   every (lane, device) pair via :class:`~repro.spice.mosfet.MOSFETArrays`
   (one stacked device call per assembly), and each target's stamps land
   in one ``np.bincount`` scatter.
@@ -26,7 +26,7 @@ iteration, lives in ``tests/spice/reference_engine.py``.  The two agree
 to well below the solver tolerances, not to the bit, and differ on
 purpose in two ways:
 
-* the oracle adds the tiny 1e-12 conditioning shunt of diodes and
+* the oracle adds the tiny 1e-12 drain-source conditioning shunt of
   MOSFETs to the Jacobian only; the plan folds it into the static
   matrix, so it also contributes ``1e-12 * v`` to the residual — an
   effect at the solver tolerance floor;
@@ -42,17 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.spice.elements import (
-    Capacitor,
-    CurrentSource,
-    DCWaveform,
-    Diode,
-    Inductor,
-    Resistor,
-    VCCS,
-    VCVS,
-    VoltageSource,
-)
+from repro.spice.elements import Capacitor, VoltageSource
 from repro.spice.exceptions import NetlistError
 from repro.spice.mosfet import MOSFET, MOSFETArrays
 from repro.spice.netlist import Circuit, GROUND
@@ -76,36 +66,6 @@ class NewtonOptions:
     damping: float = 1.0
     gmin: float = 1e-12
     source_scale: float = 1.0
-
-
-class _SourceTable:
-    """Waveform values of one source group, for all lanes at per-lane times.
-
-    When every lane of every source is a plain :class:`DCWaveform` (the
-    ring-VCO hot path) the values are precomputed once; otherwise the
-    Python waveforms are evaluated per lane and per source.
-    """
-
-    def __init__(self, waveforms_by_lane: Sequence[Sequence[object]]) -> None:
-        self._waveforms = [list(lane) for lane in waveforms_by_lane]
-        self.dc_values = np.array(
-            [[waveform.dc for waveform in lane] for lane in self._waveforms], dtype=float
-        )
-        self._static = all(
-            isinstance(waveform, DCWaveform) for lane in self._waveforms for waveform in lane
-        )
-
-    def values(self, times: np.ndarray) -> np.ndarray:
-        """Source values at each lane's own simulation time, shape (L, K)."""
-        if self._static:
-            return self.dc_values
-        return np.array(
-            [
-                [waveform.value(float(t)) for waveform in lane]
-                for t, lane in zip(times, self._waveforms)
-            ],
-            dtype=float,
-        )
 
 
 class CircuitPlan:
@@ -153,19 +113,8 @@ class CircuitPlan:
         cap_a: List[int] = []
         cap_b: List[int] = []
         cap_c: List[List[float]] = []
-        ind_a: List[int] = []
-        ind_b: List[int] = []
-        ind_k: List[int] = []
-        ind_l: List[List[float]] = []
         vs_k: List[int] = []
-        vs_waveforms: List[List[object]] = []
-        is_a: List[int] = []
-        is_b: List[int] = []
-        is_waveforms: List[List[object]] = []
-        d_a: List[int] = []
-        d_b: List[int] = []
-        d_isat: List[List[float]] = []
-        d_nvt: List[List[float]] = []
+        vs_values: List[List[float]] = []
         mos_nodes: List[Tuple[int, int, int, int]] = []
         mos_devices: List[List[MOSFET]] = []
 
@@ -179,29 +128,12 @@ class CircuitPlan:
 
         for column in columns:
             element = column[0]
-            if isinstance(element, Resistor):
-                stamp_conductance(
-                    idx(element.nodes[0]),
-                    idx(element.nodes[1]),
-                    np.array([column[lane].conductance for lane in lanes]),
-                )
-            elif isinstance(element, Capacitor):
+            if isinstance(element, Capacitor):
                 add_capacitor(
                     element.nodes[0],
                     element.nodes[1],
                     [column[lane].capacitance for lane in lanes],
                 )
-            elif isinstance(element, Inductor):
-                a, b = idx(element.nodes[0]), idx(element.nodes[1])
-                k = branch_index[element.name]
-                a_static[:, a, k] += 1.0
-                a_static[:, b, k] -= 1.0
-                a_static[:, k, a] += 1.0
-                a_static[:, k, b] -= 1.0
-                ind_a.append(a)
-                ind_b.append(b)
-                ind_k.append(k)
-                ind_l.append([column[lane].inductance for lane in lanes])
             elif isinstance(element, VoltageSource):
                 a, b = idx(element.nodes[0]), idx(element.nodes[1])
                 k = branch_index[element.name]
@@ -210,40 +142,7 @@ class CircuitPlan:
                 a_static[:, k, a] += 1.0
                 a_static[:, k, b] -= 1.0
                 vs_k.append(k)
-                vs_waveforms.append([column[lane].waveform for lane in lanes])
-            elif isinstance(element, CurrentSource):
-                is_a.append(idx(element.nodes[0]))
-                is_b.append(idx(element.nodes[1]))
-                is_waveforms.append([column[lane].waveform for lane in lanes])
-            elif isinstance(element, VCVS):
-                op, on, cp, cn = (idx(n) for n in element.nodes)
-                k = branch_index[element.name]
-                a_static[:, op, k] += 1.0
-                a_static[:, on, k] -= 1.0
-                a_static[:, k, op] += 1.0
-                a_static[:, k, on] -= 1.0
-                gain = np.array([column[lane].gain for lane in lanes])
-                a_static[:, k, cp] -= gain
-                a_static[:, k, cn] += gain
-            elif isinstance(element, VCCS):
-                op, on, cp, cn = (idx(n) for n in element.nodes)
-                gm = np.array([column[lane].transconductance for lane in lanes])
-                a_static[:, op, cp] += gm
-                a_static[:, op, cn] -= gm
-                a_static[:, on, cp] -= gm
-                a_static[:, on, cn] += gm
-            elif isinstance(element, Diode):
-                a, b = idx(element.nodes[0]), idx(element.nodes[1])
-                stamp_conductance(a, b, np.full(self.n_lanes, 1e-12))
-                d_a.append(a)
-                d_b.append(b)
-                d_isat.append([column[lane].saturation_current for lane in lanes])
-                d_nvt.append(
-                    [
-                        column[lane].emission_coefficient * column[lane].thermal_voltage
-                        for lane in lanes
-                    ]
-                )
+                vs_values.append([column[lane].value for lane in lanes])
             elif isinstance(element, MOSFET):
                 nd, ng, ns, nb = (idx(n) for n in element.nodes)
                 stamp_conductance(nd, ns, np.full(self.n_lanes, 1e-12))
@@ -283,32 +182,10 @@ class CircuitPlan:
         self.cap_jac_idx = np.stack([a * P + a, b * P + b, a * P + b, b * P + a])
         self.cap_res_rows = np.stack([a, b])
 
-        # Inductors.
-        self.ind_a = as_index(ind_a)
-        self.ind_b = as_index(ind_b)
-        self.ind_k = as_index(ind_k)
-        self.ind_l = as_params(ind_l)
-        self.n_inductors = self.ind_k.size
-
-        # Independent sources.
+        # Voltage sources: branch rows and per-lane values, (n_lanes, n_vsources).
         self.vs_k = as_index(vs_k)
-        self.vs_table = _SourceTable(list(map(list, zip(*vs_waveforms))) or [[]] * self.n_lanes)
+        self.vs_values = as_params(vs_values)
         self.n_vsources = self.vs_k.size
-        self.is_a = as_index(is_a)
-        self.is_b = as_index(is_b)
-        self.is_table = _SourceTable(list(map(list, zip(*is_waveforms))) or [[]] * self.n_lanes)
-        self.is_res_rows = np.stack([self.is_a, self.is_b])
-        self.n_isources = self.is_a.size
-
-        # Diodes.
-        self.d_a = as_index(d_a)
-        self.d_b = as_index(d_b)
-        self.d_isat = as_params(d_isat)
-        self.d_nvt = as_params(d_nvt)
-        self.n_diodes = self.d_a.size
-        a, b = self.d_a, self.d_b
-        self.d_jac_idx = np.stack([a * P + a, b * P + b, a * P + b, b * P + a])
-        self.d_res_rows = np.stack([a, b])
 
         # MOSFETs.
         self.n_mosfets = len(mos_nodes)
@@ -391,9 +268,9 @@ class LaneSystem:
 
     The nonlinear residual decomposes as ``res = A_step x + b_step + n(x)``
     where ``A_step`` collects every linear stamp of the current analysis
-    step (static stamps, capacitor/inductor companion conductances, gmin)
-    and ``n(x)`` holds only the diode and MOSFET channel contributions that
-    must be re-evaluated each Newton iteration.
+    step (static stamps, capacitor companion conductances, gmin) and
+    ``n(x)`` holds only the MOSFET channel currents that must be
+    re-evaluated each Newton iteration.
     """
 
     def __init__(self, plan: CircuitPlan) -> None:
@@ -403,13 +280,10 @@ class LaneSystem:
         self.b_step = np.zeros((L, P))
         self.identity = np.eye(plan.n_unknowns)
         self._node_diag = np.arange(plan.n_nodes)
-        self.analysis = "dc"
         self._cap_jac = _Scatter(L, P * P, plan.cap_jac_idx)
         self._cap_res = _Scatter(L, P, plan.cap_res_rows)
-        self._is_res = _Scatter(L, P, plan.is_res_rows)
-        # In every cell, diode stamps are summed before MOSFET stamps.
-        self._device_jac = _Scatter(L, P * P, [*plan.d_jac_idx, *plan.mos_jac_idx])
-        self._device_res = _Scatter(L, P, [*plan.d_res_rows, *plan.mos_res_rows])
+        self._device_jac = _Scatter(L, P * P, plan.mos_jac_idx)
+        self._device_res = _Scatter(L, P, plan.mos_res_rows)
         # Flat indices of every MOSFET terminal voltage in ``x``, shaped
         # (terminal, lane, device) for one gather per assembly.
         self._mos_terminals = np.arange(L)[:, None] * P + np.stack(
@@ -427,17 +301,12 @@ class LaneSystem:
     def begin_dc(self, gmin: float, source_scale: float = 1.0) -> None:
         """Prepare the linear part of a DC solve (all lanes)."""
         plan = self.plan
-        self.analysis = "dc"
         self._begin(gmin)
         if plan.n_vsources:
-            self.b_step[:, plan.vs_k] -= source_scale * plan.vs_table.dc_values
-        if plan.n_isources:
-            values = source_scale * plan.is_table.dc_values
-            self.b_step = self._is_res(self.b_step, values, -values)
+            self.b_step[:, plan.vs_k] -= source_scale * plan.vs_values
 
     def begin_tran(
         self,
-        time: np.ndarray,
         dt: np.ndarray,
         x_prev: np.ndarray,
         integrator: str,
@@ -447,12 +316,11 @@ class LaneSystem:
     ) -> None:
         """Prepare the linear part of one transient Newton solve.
 
-        ``time`` and ``dt`` are per-lane arrays so lanes may refine their
-        time steps independently; ``x_prev`` is the padded solution at each
+        ``dt`` is a per-lane array so lanes may refine their time steps
+        independently; ``x_prev`` is the padded solution at each
         lane's previous accepted time point.
         """
         plan = self.plan
-        self.analysis = "tran"
         self._begin(gmin)
         dt_col = dt[:, None]
         if plan.n_caps:
@@ -464,15 +332,8 @@ class LaneSystem:
             if integrator == "trap" and cap_i_prev is not None:
                 const = const - cap_i_prev
             self.b_step = self._cap_res(self.b_step, const, -const)
-        if plan.n_inductors:
-            req = plan.ind_l / dt_col
-            self.a_step[:, plan.ind_k, plan.ind_k] -= req
-            self.b_step[:, plan.ind_k] += req * x_prev[:, plan.ind_k]
         if plan.n_vsources:
-            self.b_step[:, plan.vs_k] -= source_scale * plan.vs_table.values(time)
-        if plan.n_isources:
-            values = source_scale * plan.is_table.values(time)
-            self.b_step = self._is_res(self.b_step, values, -values)
+            self.b_step[:, plan.vs_k] -= source_scale * plan.vs_values
 
     # -- assembly -----------------------------------------------------------------------
 
@@ -486,24 +347,12 @@ class LaneSystem:
         res += self.b_step
         res_stamps: List[np.ndarray] = []
         jac_stamps: List[np.ndarray] = []
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            if plan.n_diodes:
-                v = x[:, plan.d_a] - x[:, plan.d_b]
-                n_vt = plan.d_nvt
-                v_limited = np.minimum(v, 40.0 * n_vt)
-                exp_term = np.exp(v_limited / n_vt)
-                current = plan.d_isat * (exp_term - 1.0)
-                conductance = plan.d_isat * exp_term / n_vt
-                current = np.where(
-                    v > v_limited, current + conductance * (v - v_limited), current
-                )
-                res_stamps += [current, -current]
-                jac_stamps += [conductance, conductance, -conductance, -conductance]
-            if plan.n_mosfets:
+        if plan.n_mosfets:
+            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
                 terminals = x.take(self._mos_terminals)
                 ids, derivatives = plan.mos_arrays.currents_and_derivatives(terminals)
-                res_stamps += [ids, -ids]
-                jac_stamps += [derivatives, -derivatives]
+            res_stamps += [ids, -ids]
+            jac_stamps += [derivatives, -derivatives]
         return self._device_res(res, *res_stamps), self._device_jac(self.a_step, *jac_stamps)
 
     def cap_currents(

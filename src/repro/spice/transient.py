@@ -2,15 +2,14 @@
 
 A fixed-step (optionally refined) time-marching loop over many
 same-topology circuits at once: at every time point the nonlinear system
-with capacitor/inductor companion models is solved by the lane Newton
+with capacitor companion models is solved by the lane Newton
 solver of :mod:`repro.spice.plan`, starting from the previous solution.
 One circuit is a one-lane run.  Backward Euler is used by default because
 of its robustness on switching circuits; trapezoidal integration is
 available for higher accuracy on smooth waveforms.
 
-The result object exposes every node voltage as a
-:class:`~repro.spice.waveform.Waveform`, plus supply-current waveforms
-computed from the voltage-source branch currents.
+The result object exposes every node voltage and every voltage-source
+current as a :class:`~repro.spice.waveform.Waveform`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.spice.elements import VoltageSource
 from repro.spice.exceptions import AnalysisError
 from repro.spice.netlist import Circuit, GROUND
 from repro.spice.plan import CircuitPlan, LaneSystem, NewtonOptions, lane_dc_solve, lane_newton
@@ -53,21 +51,6 @@ class TransientResult:
         """Current delivered by a voltage source over time."""
         branch = self.branch_current(source_name)
         return Waveform(branch.time, -branch.values, f"i({source_name})")
-
-    def supply_current(self) -> Waveform:
-        """Sum of the absolute currents of all voltage sources."""
-        sources = self.circuit.elements_of_type(VoltageSource)
-        if not sources:
-            raise AnalysisError("circuit has no voltage sources to meter")
-        branch_index = self.circuit.branch_index()
-        columns = [branch_index[source.name] for source in sources]
-        total = np.abs(self.solution[:, columns]).sum(axis=1)
-        return Waveform(self.time, total, "i(supply)")
-
-    @property
-    def nodes(self) -> Dict[str, Waveform]:
-        """All node-voltage waveforms keyed by node name."""
-        return {node: self.voltage(node) for node in self.circuit.nodes}
 
 
 class LaneTransientAnalysis:
@@ -193,7 +176,6 @@ class LaneTransientAnalysis:
             # them a harmless step so geq = C/dt stays finite.
             step = np.where(marching, attempt, self.dt)
             system.begin_tran(
-                time=t + step,
                 dt=step,
                 x_prev=x,
                 integrator=self.integrator,

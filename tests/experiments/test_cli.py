@@ -238,6 +238,38 @@ def test_submit_wait_prints_summary(live_service, capsys):
     assert "yield_percent" in out
 
 
+def test_status_shows_the_newest_progress_event_per_stage(live_service, capsys):
+    """A multi-generation job's status answer holds at most one progress
+    event per stage, and `repro status` prints what it printed when it
+    filtered the full log itself: every non-progress event plus the
+    newest progress event per stage, in sequence order."""
+    from repro.experiments.registry import get_scenario
+    from repro.service.client import ServiceClient
+    from repro.service.remote import RemoteJobStore
+    from repro.service.worker import worker_loop
+
+    url, store, cache = live_service
+    job, _ = store.submit(get_scenario("fast-smoke").with_overrides(seed=10007))
+    assert worker_loop(store.path, cache, max_jobs=1) == 1
+    status = ServiceClient(url).job(job.id)
+    progress = [e["stage"] for e in status["events"] if e["status"] == "progress"]
+    assert progress and len(progress) == len(set(progress))
+
+    # The full log in its wire form, from the events route.
+    full = RemoteJobStore(url).events(job.id)
+    assert full == store.events(job.id)
+    assert sum(e["status"] == "progress" for e in full) > len(progress)
+    newest = {e["stage"]: e["seq"] for e in full if e["status"] == "progress"}
+    shown = [e for e in full if e["status"] != "progress" or newest[e["stage"]] == e["seq"]]
+    assert status["events"] == shown
+
+    assert cli.main(["status", job.id, "--url", url]) == 0
+    printed = capsys.readouterr().out
+    cli._print_job(dict(status, events=shown))
+    assert printed == capsys.readouterr().out
+    assert printed.count("progress") == len(progress)
+
+
 def test_status_unknown_job_id(live_service, capsys):
     url, _, _ = live_service
     assert cli.main(["status", "deadbeef", "--url", url]) == 2

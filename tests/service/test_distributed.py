@@ -478,10 +478,12 @@ def test_sigkill_remote_worker_reclaims_bit_identically_under_faults(tmp_path):
 
 @pytest.mark.slow
 def test_partitioned_worker_loses_lease_and_peer_resumes_from_partial(tmp_path):
-    """A network partition mid-circuit-stage: the cut worker keeps
-    computing but cannot heartbeat, the coordinator expires its lease on
-    its own clock, and a healthy peer resumes from the last partial the
-    coordinator received -- bit-identically.
+    """A network partition mid-circuit-stage: the cut worker cannot
+    heartbeat, so once no beat has been acknowledged for a lease TTL it
+    declares the lease lost and stops at its next generation; the
+    coordinator expires the lease on its own clock, and a healthy peer
+    resumes from the last partial the coordinator received --
+    bit-identically.
 
     The cut worker's last publication came with its last live heartbeat;
     the job is sized so that the peer still has at least 50 of its 200
@@ -491,6 +493,7 @@ def test_partitioned_worker_loses_lease_and_peer_resumes_from_partial(tmp_path):
         "distributed-partition", seed=55, circuit_population=40, circuit_generations=generations
     )
     lease_ttl = 1.0
+    interval = lease_ttl / 3.0
     authority = SqliteJobStore(tmp_path / "coordinator.db", lease_ttl=lease_ttl)
     coordinator_cache = tmp_path / "coordinator-cache"
     server = make_async_server("127.0.0.1", 0, authority, coordinator_cache)
@@ -532,12 +535,27 @@ def test_partitioned_worker_loses_lease_and_peer_resumes_from_partial(tmp_path):
         )
         worker_a.start()
         wait_for_partial_generation(coordinator_entry, 3)
+        # One generation's duration, timed on worker A's local partials.
+        local_a = ArtefactCache(tmp_path / "cache-a").entry_for(scenario)
+        first = wait_for_partial_generation(local_a, 0)["generation"]
+        timed_from = time.monotonic()
+        later = wait_for_partial_generation(local_a, first + 5)["generation"]
+        generation_s = (time.monotonic() - timed_from) / (later - first)
         partition.cut()
+        cut_at = time.monotonic()
         stop.set()
         worker_a.join(timeout=30.0)
+        returned_s = time.monotonic() - cut_at
         assert not worker_a.is_alive()
-        # The partitioned worker finished its computation locally, but
-        # none of it reached the coordinator: no execution is credited.
+        # Its last acknowledged beat came before the cut, the first beat a
+        # full TTL after it declares the lease lost, and the run stops at
+        # the next generation boundary (plus scheduling slack).
+        bound_s = lease_ttl + interval + generation_s
+        assert returned_s < bound_s + 0.5, (returned_s, bound_s)
+        assert not local_a.has("circuit")
+        assert local_a.load_partial("circuit")["generation"] < generations - 50
+        # None of worker A's work after the cut reached the coordinator:
+        # no execution is credited.
         assert result["executed"] == 0
         assert store_transport.faults_fired("partition") >= 1
         assert artifact_transport.faults_fired("partition") >= 1

@@ -8,11 +8,12 @@ import time
 
 import pytest
 
+from repro.experiments.cache import ArtefactCache
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.registry import get_scenario
 import repro.service.worker as worker_module
 from repro.service.store import SqliteJobStore
-from repro.service.worker import Autoscaler, worker_loop
+from repro.service.worker import Autoscaler, execute_job, worker_loop
 
 TINY = ScenarioConfig(
     name="worker-tiny",
@@ -482,6 +483,78 @@ def test_degenerate_front_job_fails_with_the_typed_model_build_error(tmp_path):
         " front of 2 point(s)" in failed.error
     )
     assert ("circuit", "progress") in [(e["stage"], e["status"]) for e in store.events(job.id)]
+
+
+# -- a lost lease -------------------------------------------------------------------------
+
+
+class LeaseLosingStore(SqliteJobStore):
+    """Answers "lost" to the first heartbeat once the job's circuit
+    partial reached ``lose_after`` generations, and records every store
+    exchange the worker makes after that answer."""
+
+    def __init__(self, path, entry, lose_after):
+        super().__init__(path, lease_ttl=30.0)
+        self.entry = entry
+        self.lose_after = lose_after
+        self.lost_at_generation = None
+        self.after_lost = []
+
+    def _exchange(self, name):
+        if self.lost_at_generation is not None:
+            self.after_lost.append(name)
+
+    def heartbeat(self, job_id, worker):
+        self._exchange("heartbeat")
+        partial = self.entry.load_partial("circuit")
+        if (
+            self.lost_at_generation is None
+            and partial is not None
+            and partial["generation"] >= self.lose_after
+        ):
+            self.lost_at_generation = partial["generation"]
+            return False
+        return super().heartbeat(job_id, worker)
+
+    def append_events(self, job_id, events):
+        self._exchange("append_events")
+        return super().append_events(job_id, events)
+
+    def complete(self, job_id, worker, summary):
+        self._exchange("complete")
+        return super().complete(job_id, worker, summary)
+
+    def fail(self, job_id, worker, error):
+        self._exchange("fail")
+        return super().fail(job_id, worker, error)
+
+    def mark_cancelled(self, job_id, worker):
+        self._exchange("mark_cancelled")
+        return super().mark_cancelled(job_id, worker)
+
+
+def test_a_beat_answered_lost_ends_the_job_at_the_next_boundary(tmp_path):
+    """A worker whose beat answers "lost" stops its run at the next
+    checkpoint boundary and tells the store nothing more: no event, no
+    outcome; the job is left to whoever reclaims it."""
+    scenario = TINY.with_overrides(
+        name="worker-lost-lease", circuit_population=40, circuit_generations=200
+    )
+    entry = ArtefactCache(tmp_path / "cache").entry_for(scenario)
+    store = LeaseLosingStore(tmp_path / "service.db", entry, lose_after=5)
+    store.submit(scenario)
+    job = store.claim("w1")
+    executed = execute_job(store, job, tmp_path / "cache", "w1", heartbeat_interval=0.05)
+    assert executed is None
+    assert store.lost_at_generation is not None
+    assert store.after_lost == []
+    # The generation running when the beat answered ended the run.
+    assert not entry.has("circuit")
+    assert entry.load_partial("circuit")["generation"] <= store.lost_at_generation + 2
+    assert store.get(job.id).state == "running"
+    assert ("cancel", "observed") not in [
+        (event["stage"], event["status"]) for event in store.events(job.id)
+    ]
 
 
 def test_worker_pool_publishes_size_to_meta(tmp_path):

@@ -27,7 +27,6 @@ it is the element's branch (voltage) equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -35,16 +34,7 @@ import numpy as np
 
 from repro.circuits.evaluators import RingVcoSpiceEvaluator
 from repro.circuits.testbench import VcoTestbench
-from repro.spice.elements import (
-    Capacitor,
-    CurrentSource,
-    Diode,
-    Inductor,
-    Resistor,
-    VCCS,
-    VCVS,
-    VoltageSource,
-)
+from repro.spice.elements import Capacitor, VoltageSource
 from repro.spice.exceptions import AnalysisError
 from repro.spice.mosfet import MOSFET
 from repro.spice.netlist import Circuit, GROUND
@@ -70,8 +60,8 @@ class StampContext:
 
     ``x`` is the present estimate of the unknowns (node voltages followed
     by branch currents); ``analysis`` is ``"dc"`` or ``"tran"``.  The
-    transient-only arguments are the present ``time`` and step ``dt``,
-    the unknowns ``x_prev`` at the previous accepted time point, the
+    transient-only arguments are the step ``dt``, the unknowns
+    ``x_prev`` at the previous accepted time point, the
     ``integrator`` (``"be"`` or ``"trap"``) and ``state``, a per-element
     dictionary that persists across time points (trapezoidal capacitor
     currents).
@@ -82,7 +72,6 @@ class StampContext:
         circuit: Circuit,
         x: np.ndarray,
         analysis: str = "dc",
-        time: float = 0.0,
         dt: float = 0.0,
         x_prev: Optional[np.ndarray] = None,
         integrator: str = "be",
@@ -92,7 +81,6 @@ class StampContext:
     ) -> None:
         self.circuit = circuit
         self.analysis = analysis
-        self.time = time
         self.dt = dt
         self.integrator = integrator
         self.state = state if state is not None else {}
@@ -136,12 +124,6 @@ class StampContext:
     def i_branch(self, element_name: str) -> float:
         """Present estimate of an element's branch current."""
         return float(self.x[self.branch(element_name)])
-
-    def i_branch_prev(self, element_name: str) -> float:
-        """Branch current at the previous accepted time point."""
-        if self.x_prev is None:
-            return self.i_branch(element_name)
-        return float(self.x_prev[self.branch(element_name)])
 
     def element_state(self, element_name: str) -> Dict[str, float]:
         """Persistent per-element state dictionary (transient integrators)."""
@@ -218,24 +200,6 @@ class StampContext:
 # -- one stamp function per element type ---------------------------------------------
 
 
-def _source_value(source, ctx: StampContext) -> float:
-    """Instantaneous source value scaled by any homotopy factor."""
-    if ctx.analysis == "tran":
-        raw = source.waveform.value(ctx.time)
-    else:
-        raw = source.waveform.dc
-    return ctx.source_scale * raw
-
-
-def _stamp_resistor(element: Resistor, ctx: StampContext) -> None:
-    a = ctx.node(element.nodes[0])
-    b = ctx.node(element.nodes[1])
-    g = element.conductance
-    current = g * (ctx.v(element.nodes[0]) - ctx.v(element.nodes[1]))
-    ctx.stamp_current(a, b, current)
-    ctx.stamp_conductance(a, b, g)
-
-
 def _stamp_capacitor(element: Capacitor, ctx: StampContext) -> None:
     # Open circuit in DC.
     if not ctx.transient or element.capacitance == 0.0:
@@ -244,71 +208,12 @@ def _stamp_capacitor(element: Capacitor, ctx: StampContext) -> None:
     ctx.stamp_companion(state, "current", *element.nodes, element.capacitance)
 
 
-def _stamp_inductor(element: Inductor, ctx: StampContext) -> None:
-    a = ctx.node(element.nodes[0])
-    b = ctx.node(element.nodes[1])
-    k = ctx.stamp_branch(element, a, b)
-    v_now = ctx.v(element.nodes[0]) - ctx.v(element.nodes[1])
-    if ctx.transient:
-        # Backward Euler branch equation: v - L (i - i_prev)/dt = 0.
-        req = element.inductance / ctx.dt
-        current = ctx.i_branch(element.name)
-        ctx.add_residual(k, v_now - req * (current - ctx.i_branch_prev(element.name)))
-        ctx.add_jacobian(k, k, -req)
-    else:
-        # DC: the inductor is a short; enforce v = 0.
-        ctx.add_residual(k, v_now)
-
-
 def _stamp_voltage_source(element: VoltageSource, ctx: StampContext) -> None:
     a = ctx.node(element.nodes[0])
     b = ctx.node(element.nodes[1])
     k = ctx.stamp_branch(element, a, b)
     v_now = ctx.v(element.nodes[0]) - ctx.v(element.nodes[1])
-    ctx.add_residual(k, v_now - _source_value(element, ctx))
-
-
-def _stamp_current_source(element: CurrentSource, ctx: StampContext) -> None:
-    a = ctx.node(element.nodes[0])
-    b = ctx.node(element.nodes[1])
-    ctx.stamp_current(a, b, _source_value(element, ctx))
-
-
-def _stamp_vcvs(element: VCVS, ctx: StampContext) -> None:
-    op, on, cp, cn = (ctx.node(n) for n in element.nodes)
-    k = ctx.stamp_branch(element, op, on)
-    v_out = ctx.v(element.nodes[0]) - ctx.v(element.nodes[1])
-    v_ctrl = ctx.v(element.nodes[2]) - ctx.v(element.nodes[3])
-    ctx.add_residual(k, v_out - element.gain * v_ctrl)
-    ctx.add_jacobian(k, cp, -element.gain)
-    ctx.add_jacobian(k, cn, element.gain)
-
-
-def _stamp_vccs(element: VCCS, ctx: StampContext) -> None:
-    op, on, cp, cn = (ctx.node(n) for n in element.nodes)
-    gm = element.transconductance
-    ctx.stamp_current(op, on, gm * (ctx.v(element.nodes[2]) - ctx.v(element.nodes[3])))
-    ctx.add_jacobian(op, cp, gm)
-    ctx.add_jacobian(op, cn, -gm)
-    ctx.add_jacobian(on, cp, -gm)
-    ctx.add_jacobian(on, cn, gm)
-
-
-def _stamp_diode(element: Diode, ctx: StampContext) -> None:
-    a = ctx.node(element.nodes[0])
-    b = ctx.node(element.nodes[1])
-    n_vt = element.emission_coefficient * element.thermal_voltage
-    v = ctx.v(element.nodes[0]) - ctx.v(element.nodes[1])
-    # Junction-voltage limiting keeps the exponential finite.
-    v_limited = min(v, 40.0 * n_vt)
-    exp_term = math.exp(v_limited / n_vt)
-    current = element.saturation_current * (exp_term - 1.0)
-    conductance = element.saturation_current * exp_term / n_vt
-    if v > v_limited:
-        # Linear continuation beyond the limiting voltage.
-        current += conductance * (v - v_limited)
-    ctx.stamp_current(a, b, current)
-    ctx.stamp_conductance(a, b, conductance + 1e-12)
+    ctx.add_residual(k, v_now - ctx.source_scale * element.value)
 
 
 def _stamp_mosfet(element: MOSFET, ctx: StampContext) -> None:
@@ -338,14 +243,8 @@ def _stamp_mosfet(element: MOSFET, ctx: StampContext) -> None:
 
 #: Stamp function of every element type the oracle supports.
 STAMPS = {
-    Resistor: _stamp_resistor,
     Capacitor: _stamp_capacitor,
-    Inductor: _stamp_inductor,
     VoltageSource: _stamp_voltage_source,
-    CurrentSource: _stamp_current_source,
-    VCVS: _stamp_vcvs,
-    VCCS: _stamp_vccs,
-    Diode: _stamp_diode,
     MOSFET: _stamp_mosfet,
 }
 
@@ -468,7 +367,7 @@ class DCResult:
         return {node: self.voltage(node) for node in self.circuit.nodes}
 
     def branch_current(self, element_name: str) -> float:
-        """Branch current of a voltage source / inductor / VCVS."""
+        """Branch current of a voltage source."""
         return float(self.x[self.circuit.branch_index()[element_name]])
 
     def source_current(self, source_name: str) -> float:
@@ -610,7 +509,6 @@ class TransientAnalysis:
                     result = solver.solve(
                         x,
                         analysis="tran",
-                        time=t + step,
                         dt=step,
                         x_prev=x,
                         integrator=self.integrator,

@@ -13,13 +13,19 @@ from repro.spice import (
     Circuit,
     MOSFET,
     NMOS_DEFAULT,
-    Resistor,
+    PMOS_DEFAULT,
     VoltageSource,
     Waveform,
 )
 from repro.spice.exceptions import AnalysisError, NetlistError
 
-from tests.spice.one_lane import dc_operating_point, transient
+from tests.spice.one_lane import (
+    HARD_START_OPTIONS,
+    dc_operating_point,
+    hard_start_circuit,
+    plain_newton_converges,
+    transient,
+)
 from tests.spice.reference_engine import NewtonSolver
 
 
@@ -35,40 +41,40 @@ def test_newton_solver_requires_valid_circuit():
 def test_newton_bad_initial_guess_size():
     circuit = Circuit()
     circuit.add(VoltageSource("v1", "a", "0", 1.0))
-    circuit.add(Resistor("r1", "a", "0", 1.0))
+    circuit.add(MOSFET("m1", "a", "a", "0", "0", NMOS_DEFAULT, 10e-6, 0.24e-6))
     solver = NewtonSolver(circuit)
     with pytest.raises(ValueError):
         solver.solve(np.zeros(10))
 
 
 def test_dc_ladder_network():
-    # Five-stage R ladder; closed-form voltages are easy to verify.
+    # Five stacked 0.2 V sources, each rung loaded by a capacitor (open in
+    # DC): closed-form rung voltages, and only the 1e-12 S gmin shunts
+    # draw current.
     circuit = Circuit()
-    circuit.add(VoltageSource("v1", "n0", "0", 1.0))
     for i in range(5):
-        circuit.add(Resistor(f"r{i}", f"n{i}", f"n{i + 1}", 1e3))
-    circuit.add(Resistor("rend", "n5", "0", 1e3))
+        below = "0" if i == 0 else f"n{i}"
+        circuit.add(VoltageSource(f"v{i}", f"n{i + 1}", below, 0.2))
+        circuit.add(Capacitor(f"c{i}", f"n{i + 1}", "0", 1e-12))
     result = dc_operating_point(circuit)
-    assert result.voltage("n5") == pytest.approx(1.0 / 6.0, rel=1e-6)
-    assert result.voltage("n3") == pytest.approx(3.0 / 6.0, rel=1e-6)
+    assert result.voltage("n5") == pytest.approx(1.0, rel=1e-9)
+    assert result.voltage("n3") == pytest.approx(0.6, rel=1e-9)
+    assert result.supply_current() == pytest.approx(0.0, abs=1e-10)
 
 
 def test_dc_gmin_stepping_handles_hard_start():
-    # A stiff circuit: stacked diode-connected MOSFETs from supply.
-    circuit = Circuit()
-    circuit.add(VoltageSource("vdd", "vdd", "0", 1.2))
-    circuit.add(MOSFET("m1", "vdd", "vdd", "mid", "0", NMOS_DEFAULT, 20e-6, 0.24e-6))
-    circuit.add(MOSFET("m2", "mid", "mid", "0", "0", NMOS_DEFAULT, 20e-6, 0.24e-6))
-    circuit.add(Resistor("rleak", "mid", "0", 1e9))
-    result = dc_operating_point(circuit)
-    assert 0.0 < result.voltage("mid") < 1.2
+    # The plain solve fails on this circuit; the gmin ladder alone (no
+    # source stepping) must reach the operating point.
+    assert not plain_newton_converges(hard_start_circuit(), HARD_START_OPTIONS)
+    result = dc_operating_point(hard_start_circuit(), HARD_START_OPTIONS, source_steps=0)
+    assert 0.0 < result.voltage("n3") < result.voltage("n1") < 1.2
 
 
 def test_dc_result_voltages_dictionary():
     circuit = Circuit()
     circuit.add(VoltageSource("v1", "a", "0", 2.0))
-    circuit.add(Resistor("r1", "a", "b", 1e3))
-    circuit.add(Resistor("r2", "b", "0", 1e3))
+    circuit.add(VoltageSource("v2", "b", "a", -1.0))
+    circuit.add(Capacitor("c1", "b", "0", 1e-12))
     voltages = dc_operating_point(circuit).voltages
     assert set(voltages) == {"a", "b"}
     assert voltages["b"] == pytest.approx(1.0, rel=1e-6)
@@ -78,9 +84,12 @@ def test_dc_result_voltages_dictionary():
 
 
 def _rc():
+    # A CMOS inverter driven high, discharging its load capacitor.
     circuit = Circuit()
-    circuit.add(VoltageSource("v1", "in", "0", 1.0))
-    circuit.add(Resistor("r1", "in", "out", 1e3))
+    circuit.add(VoltageSource("vdd", "vdd", "0", 1.2))
+    circuit.add(VoltageSource("v1", "in", "0", 1.2))
+    circuit.add(MOSFET("mn", "out", "in", "0", "0", NMOS_DEFAULT, 10e-6, 0.24e-6))
+    circuit.add(MOSFET("mp", "out", "in", "vdd", "vdd", PMOS_DEFAULT, 20e-6, 0.24e-6))
     circuit.add(Capacitor("c1", "out", "0", 1e-9))
     return circuit
 
@@ -104,17 +113,9 @@ def test_transient_records_after_start_time():
     assert result.time[0] >= 1e-6
 
 
-def test_transient_supply_current_waveform():
-    result = transient(_rc(), t_stop=1e-6, dt=1e-8, use_dc_start=False)
-    supply = result.supply_current()
-    # Charging current is largest right after the step and decays away.
-    assert supply.maximum() > 0.0
-    assert supply.values[-1] < supply.maximum()
-
-
-def test_transient_nodes_dictionary():
-    result = transient(_rc(), t_stop=1e-7, dt=1e-9)
-    assert set(result.nodes) == {"in", "out"}
+def test_transient_ground_voltage_is_zero():
+    result = transient(_rc(), t_stop=1e-7, dt=1e-9, initial_conditions={"out": 1.2})
+    assert result.voltage("out").values[0] == 1.2
     ground = result.voltage("0")
     assert np.all(ground.values == 0.0)
 

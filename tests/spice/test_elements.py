@@ -1,4 +1,5 @@
-"""Tests for the linear elements, sources and waveforms via DC/transient runs.
+"""Tests for the element set: validation, DC behaviour, and the guard that
+the set is exactly what the VCO netlists build.
 
 The runs are one-lane lane-engine analyses (:mod:`tests.spice.one_lane`).
 """
@@ -6,83 +7,20 @@ The runs are one-lane lane-engine analyses (:mod:`tests.spice.one_lane`).
 import numpy as np
 import pytest
 
-from repro.spice import (
-    Capacitor,
-    Circuit,
-    CurrentSource,
-    Diode,
-    Inductor,
-    Resistor,
-    VCCS,
-    VCVS,
-    VoltageSource,
-)
-from repro.spice.elements import DCWaveform, PWLWaveform, PulseWaveform, SineWaveform
+import repro.spice
+from repro.circuits.topology import get_topology
+from repro.process.technology import TECH_012UM
+from repro.spice import MOSFET, NMOS_DEFAULT, Capacitor, Circuit, CircuitPlan, VoltageSource
 from repro.spice.exceptions import NetlistError
+from repro.spice.netlist import Element
 
 from tests.spice.one_lane import dc_operating_point, transient
 
-
-# -- waveforms -----------------------------------------------------------------------
-
-
-def test_dc_waveform():
-    wave = DCWaveform(2.5)
-    assert wave.value(0.0) == 2.5
-    assert wave.value(1e-3) == 2.5
-    assert wave.dc == 2.5
-
-
-def test_pulse_waveform_levels_and_edges():
-    wave = PulseWaveform(v1=0.0, v2=1.0, delay=1e-9, rise=1e-9, fall=1e-9, width=3e-9, period=10e-9)
-    assert wave.value(0.0) == 0.0
-    assert wave.value(1.5e-9) == pytest.approx(0.5)
-    assert wave.value(3e-9) == 1.0
-    assert wave.value(5.5e-9) == pytest.approx(0.5)
-    assert wave.value(8e-9) == 0.0
-    # Periodicity
-    assert wave.value(13e-9) == pytest.approx(wave.value(3e-9))
-    assert wave.dc == 0.0
-
-
-def test_sine_waveform():
-    wave = SineWaveform(offset=1.0, amplitude=0.5, frequency=1e6)
-    assert wave.value(0.0) == pytest.approx(1.0)
-    assert wave.value(0.25e-6) == pytest.approx(1.5)
-    assert wave.dc == 1.0
-
-
-def test_sine_waveform_delay_and_damping():
-    wave = SineWaveform(offset=0.0, amplitude=1.0, frequency=1e6, delay=1e-6, damping=1e6)
-    assert wave.value(0.5e-6) == 0.0
-    undamped = SineWaveform(offset=0.0, amplitude=1.0, frequency=1e6)
-    assert abs(wave.value(1.25e-6)) < abs(undamped.value(0.25e-6))
-
-
-def test_pwl_waveform_interpolation_and_clamping():
-    wave = PWLWaveform([(0.0, 0.0), (1e-9, 1.0), (2e-9, 0.5)])
-    assert wave.value(-1.0) == 0.0
-    assert wave.value(0.5e-9) == pytest.approx(0.5)
-    assert wave.value(1.5e-9) == pytest.approx(0.75)
-    assert wave.value(5e-9) == 0.5
-    assert wave.dc == 0.0
-
-
-def test_pwl_waveform_validation():
-    with pytest.raises(NetlistError):
-        PWLWaveform([])
-    with pytest.raises(NetlistError):
-        PWLWaveform([(0.0, 1.0), (0.0, 2.0)])
+#: The registered topologies whose test benches run the lane engine.
+TOPOLOGY_NAMES = ("ring-vco", "pseudodiff-vco")
 
 
 # -- element validation -----------------------------------------------------------------
-
-
-def test_resistor_requires_positive_resistance():
-    with pytest.raises(NetlistError):
-        Resistor("r1", "a", "b", 0.0)
-    with pytest.raises(NetlistError):
-        Resistor("r1", "a", "b", -1.0)
 
 
 def test_capacitor_rejects_negative_value():
@@ -90,173 +28,109 @@ def test_capacitor_rejects_negative_value():
         Capacitor("c1", "a", "b", -1e-12)
 
 
-def test_inductor_requires_positive_value():
-    with pytest.raises(NetlistError):
-        Inductor("l1", "a", "b", 0.0)
-
-
 def test_reactive_elements_take_no_initial_condition_argument():
     # Initial conditions go to the analysis (``initial_conditions=``); an
     # element-level ``ic=`` would be read by no engine, so it is refused.
     with pytest.raises(TypeError):
         Capacitor("c1", "a", "b", 1e-9, ic=1.0)
-    with pytest.raises(TypeError):
-        Inductor("l1", "a", "b", 1e-6, ic=1e-3)
-
-
-def test_diode_requires_positive_saturation_current():
-    with pytest.raises(NetlistError):
-        Diode("d1", "a", "b", saturation_current=0.0)
 
 
 # -- DC behaviour --------------------------------------------------------------------------
 
 
-def test_resistive_divider():
-    circuit = Circuit()
-    circuit.add(VoltageSource("v1", "in", "0", 1.2))
-    circuit.add(Resistor("r1", "in", "out", 2e3))
-    circuit.add(Resistor("r2", "out", "0", 1e3))
-    result = dc_operating_point(circuit)
-    assert result.voltage("out") == pytest.approx(0.4, rel=1e-6)
-    assert result.voltage("in") == pytest.approx(1.2, rel=1e-9)
-    # Source current = 1.2 V / 3 kOhm (positive = the source delivers current).
-    assert result.source_current("v1") == pytest.approx(1.2 / 3e3, rel=1e-6)
-    assert result.supply_current() == pytest.approx(1.2 / 3e3, rel=1e-6)
-
-
-def test_current_source_into_resistor():
-    circuit = Circuit()
-    circuit.add(CurrentSource("i1", "0", "out", 1e-3))
-    circuit.add(Resistor("r1", "out", "0", 1e3))
-    result = dc_operating_point(circuit)
-    assert abs(result.voltage("out")) == pytest.approx(1.0, rel=1e-6)
-
-
 def test_capacitor_is_open_in_dc():
+    # Only the capacitor joins "out" to the 1 V input, and a diode-connected
+    # NMOS ties "out" to ground: open, the capacitor leaves "out" at 0 V.
     circuit = Circuit()
     circuit.add(VoltageSource("v1", "in", "0", 1.0))
-    circuit.add(Resistor("r1", "in", "out", 1e3))
-    circuit.add(Capacitor("c1", "out", "0", 1e-12))
-    circuit.add(Resistor("rload", "out", "0", 1e6))
+    circuit.add(Capacitor("c1", "in", "out", 1e-12))
+    circuit.add(MOSFET("m1", "out", "out", "0", "0", NMOS_DEFAULT, 10e-6, 0.24e-6))
     result = dc_operating_point(circuit)
-    assert result.voltage("out") == pytest.approx(1.0 * 1e6 / (1e6 + 1e3), rel=1e-4)
+    assert result.voltage("in") == pytest.approx(1.0, rel=1e-9)
+    assert result.voltage("out") == pytest.approx(0.0, abs=1e-6)
 
 
-def test_inductor_is_short_in_dc():
+def test_source_current_is_the_load_current():
+    # The current a source delivers equals the channel current of the
+    # MOSFET it feeds (positive = the source delivers current).
+    device = MOSFET("m1", "d", "g", "0", "0", NMOS_DEFAULT, 10e-6, 0.24e-6)
     circuit = Circuit()
-    circuit.add(VoltageSource("v1", "in", "0", 1.0))
-    circuit.add(Resistor("r1", "in", "mid", 1e3))
-    circuit.add(Inductor("l1", "mid", "out", 1e-9))
-    circuit.add(Resistor("r2", "out", "0", 1e3))
+    circuit.add(VoltageSource("vd", "d", "0", 1.2))
+    circuit.add(VoltageSource("vg", "g", "0", 0.9))
+    circuit.add(device)
     result = dc_operating_point(circuit)
-    assert result.voltage("mid") == pytest.approx(result.voltage("out"), abs=1e-9)
-    assert result.voltage("out") == pytest.approx(0.5, rel=1e-6)
-
-
-def test_vcvs_gain():
-    circuit = Circuit()
-    circuit.add(VoltageSource("vin", "in", "0", 0.1))
-    circuit.add(Resistor("rin", "in", "0", 1e6))
-    circuit.add(VCVS("e1", "out", "0", "in", "0", 10.0))
-    circuit.add(Resistor("rload", "out", "0", 1e3))
-    result = dc_operating_point(circuit)
-    assert result.voltage("out") == pytest.approx(1.0, rel=1e-6)
-
-
-def test_vccs_transconductance():
-    circuit = Circuit()
-    circuit.add(VoltageSource("vin", "in", "0", 0.5))
-    circuit.add(Resistor("rin", "in", "0", 1e6))
-    circuit.add(VCCS("g1", "out", "0", "in", "0", 1e-3))
-    circuit.add(Resistor("rload", "out", "0", 2e3))
-    result = dc_operating_point(circuit)
-    # i = gm * vin = 0.5 mA flows out of node 'out' into the source, so the
-    # load sees -0.5 mA * 2 kOhm = -1 V.
-    assert abs(result.voltage("out")) == pytest.approx(1.0, rel=1e-6)
-
-
-def test_diode_forward_drop():
-    circuit = Circuit()
-    circuit.add(VoltageSource("v1", "in", "0", 1.0))
-    circuit.add(Resistor("r1", "in", "anode", 1e3))
-    circuit.add(Diode("d1", "anode", "0"))
-    result = dc_operating_point(circuit)
-    v_diode = result.voltage("anode")
-    assert 0.4 < v_diode < 0.8
-    # Current through the resistor equals the diode current.
-    i_r = (1.0 - v_diode) / 1e3
-    assert i_r > 0.0
-
-
-def test_diode_reverse_blocks():
-    circuit = Circuit()
-    circuit.add(VoltageSource("v1", "in", "0", -1.0))
-    circuit.add(Resistor("r1", "in", "anode", 1e3))
-    circuit.add(Diode("d1", "anode", "0"))
-    result = dc_operating_point(circuit)
-    # Almost the full supply appears across the diode (no current flows).
-    assert result.voltage("anode") == pytest.approx(-1.0, abs=0.01)
+    drain_current = device.drain_current(1.2, 0.9, 0.0, 0.0)
+    assert drain_current > 1e-4
+    assert result.source_current("vd") == pytest.approx(drain_current, rel=1e-6)
+    assert result.source_current("vg") == pytest.approx(0.0, abs=1e-9)
+    assert result.supply_current() == pytest.approx(drain_current, rel=1e-6)
 
 
 # -- transient behaviour ----------------------------------------------------------------------
 
 
-def test_rc_charging_time_constant():
+@pytest.mark.parametrize("integrator", ["be", "trap"])
+def test_capacitor_charge_balances_the_drain_current(integrator):
+    # An NMOS switch discharges its load from 1.2 V.  Every accepted step
+    # moves the node's charge by what the channel carried off: C dv/dt
+    # equals the drain current at the new point (backward Euler) or the
+    # mean of both points (trapezoidal, whose history starts at zero, so
+    # from the second step on).
+    device = MOSFET("m1", "d", "g", "0", "0", NMOS_DEFAULT, 10e-6, 0.24e-6)
     circuit = Circuit()
-    circuit.add(
-        VoltageSource(
-            "v1", "in", "0", PulseWaveform(0.0, 1.0, delay=0.0, rise=1e-12, width=1.0, period=2.0)
-        )
-    )
-    circuit.add(Resistor("r1", "in", "out", 1e3))
-    circuit.add(Capacitor("c1", "out", "0", 1e-9))
-    tau = 1e-6
-    result = transient(circuit, t_stop=5 * tau, dt=tau / 100, use_dc_start=False)
-    wave = result.voltage("out")
-    assert wave.at(tau) == pytest.approx(1.0 - np.exp(-1.0), abs=0.03)
-    assert wave.at(5 * tau) == pytest.approx(1.0, abs=0.02)
-
-
-def test_rc_discharge_with_initial_condition():
-    circuit = Circuit()
-    circuit.add(Resistor("r1", "out", "0", 1e3))
-    circuit.add(Capacitor("c1", "out", "0", 1e-9))
-    circuit.add(Resistor("rbig", "out", "0", 1e9))
+    circuit.add(VoltageSource("vg", "g", "0", 1.2))
+    circuit.add(device)
+    circuit.add(Capacitor("cl", "d", "0", 1e-12))
     result = transient(
-        circuit, t_stop=3e-6, dt=1e-8, initial_conditions={"out": 1.0}, use_dc_start=False
+        circuit, t_stop=20e-9, dt=0.2e-9, integrator=integrator, initial_conditions={"d": 1.2}
     )
-    wave = result.voltage("out")
-    assert wave.at(1e-6) == pytest.approx(np.exp(-1.0), abs=0.03)
+    # The load plus the device's capacitances from "d" to fixed nodes.
+    load = 1e-12 + sum(
+        value for pair, value in device.gate_capacitances().items() if "d" in pair
+    )
+    wave = result.voltage("d")
+    current = np.array([device.drain_current(v, 1.2, 0.0, 0.0) for v in wave.values])
+    charge_rate = load * np.diff(wave.values) / np.diff(wave.time)
+    carried = current[1:] if integrator == "be" else (current[1:] + current[:-1]) / 2.0
+    first = 0 if integrator == "be" else 1
+    assert wave.values[-1] < 0.1
+    np.testing.assert_allclose(-charge_rate[first:], carried[first:], rtol=1e-5, atol=1e-8)
 
 
-def test_rl_current_rise():
+# -- the element set is what the circuits build ---------------------------------------------
+
+
+def _test_bench_netlists():
+    """One netlist from the test bench of every topology with a SPICE evaluator."""
+    netlists = []
+    for name in TOPOLOGY_NAMES:
+        evaluator = get_topology(name).spice_evaluator(TECH_012UM, n_workers=1)
+        bench = evaluator._testbench(TECH_012UM)
+        netlists.append(bench._build_circuit(evaluator.design_cls(), TECH_012UM, vctrl=0.8))
+    return netlists
+
+
+def test_every_exported_element_kind_is_built_by_a_test_bench():
+    exported = {
+        value
+        for value in (getattr(repro.spice, name) for name in repro.spice.__all__)
+        if isinstance(value, type) and issubclass(value, Element)
+    }
+    assert exported == {Capacitor, VoltageSource, MOSFET}
+    built = {type(element) for circuit in _test_bench_netlists() for element in circuit}
+    assert exported <= built
+
+
+class _Unsupported(Element):
+    """A two-terminal element kind the lane engine does not compile."""
+
+    def __init__(self, name, node_pos, node_neg):
+        super().__init__(name, (node_pos, node_neg))
+
+
+def test_plan_rejects_an_element_kind_it_does_not_compile():
     circuit = Circuit()
-    circuit.add(VoltageSource("v1", "in", "0", 1.0))
-    circuit.add(Resistor("r1", "in", "out", 1e3))
-    circuit.add(Inductor("l1", "out", "0", 1e-3))
-    tau = 1e-6
-    result = transient(circuit, t_stop=5 * tau, dt=tau / 100, use_dc_start=False)
-    current = result.branch_current("l1")
-    assert current.values[-1] == pytest.approx(1e-3, rel=0.05)
-
-
-def test_trapezoidal_integrator_rc():
-    circuit = Circuit()
-    circuit.add(VoltageSource("v1", "in", "0", 1.0))
-    circuit.add(Resistor("r1", "in", "out", 1e3))
-    circuit.add(Capacitor("c1", "out", "0", 1e-9))
-    result = transient(circuit, t_stop=5e-6, dt=5e-8, integrator="trap", use_dc_start=False)
-    assert result.voltage("out").values[-1] == pytest.approx(1.0, abs=0.02)
-
-
-def test_sine_source_propagates_through_follower():
-    circuit = Circuit()
-    circuit.add(VoltageSource("v1", "in", "0", SineWaveform(0.0, 1.0, 1e6)))
-    circuit.add(Resistor("r1", "in", "out", 10.0))
-    circuit.add(Resistor("r2", "out", "0", 1e6))
-    result = transient(circuit, t_stop=3.6e-6, dt=1e-8, use_dc_start=False)
-    wave = result.voltage("out")
-    assert wave.maximum() == pytest.approx(1.0, abs=0.05)
-    assert wave.minimum() == pytest.approx(-1.0, abs=0.05)
-    assert wave.frequency() == pytest.approx(1e6, rel=0.05)
+    circuit.add(VoltageSource("v1", "a", "0", 1.0))
+    circuit.add(_Unsupported("x1", "a", "0"))
+    with pytest.raises(NetlistError, match="_Unsupported"):
+        CircuitPlan([circuit])

@@ -23,29 +23,36 @@ from repro.circuits.pseudodiff import (
     PseudoDiffTestbench,
     PseudoDiffVcoDesign,
 )
-from repro.circuits.ring_vco import VcoDesign
+from repro.circuits.ring_vco import VcoDesign, build_ring_vco
 from repro.circuits.testbench import VcoTestbench
 from repro.process.technology import TECH_012UM
 from repro.spice import (
     Capacitor,
     Circuit,
     CircuitPlan,
-    CurrentSource,
-    Diode,
-    Inductor,
     LaneTransientAnalysis,
     MOSFET,
     NMOS_DEFAULT,
-    Resistor,
-    VCCS,
-    VCVS,
+    PMOS_DEFAULT,
     VoltageSource,
 )
-from repro.spice.elements import PulseWaveform, SineWaveform
 from repro.spice.exceptions import AnalysisError, NetlistError
 
-from tests.spice.one_lane import dc_operating_point as _lane_dc
-from tests.spice.reference_engine import DCOperatingPoint, ReferenceTestbench, TransientAnalysis
+from tests.spice.one_lane import (
+    HARD_START_OPTIONS,
+    dc_operating_point as _lane_dc,
+    hard_start_circuit,
+    plain_newton_converges,
+)
+from tests.spice.reference_engine import (
+    ConvergenceError,
+    DCOperatingPoint,
+    NewtonSolver,
+    ReferenceTestbench,
+    TransientAnalysis,
+)
+
+VDD = TECH_012UM.vdd
 
 
 def _circuit(*elements):
@@ -54,88 +61,88 @@ def _circuit(*elements):
     return circuit
 
 
-# Netlists covering every element the lane engine stamps: passives,
-# branch elements (V, L), controlled sources, diodes and MOSFETs.
+def _nmos(name, drain, gate, source, width=10e-6):
+    return MOSFET(name, drain, gate, source, "0", NMOS_DEFAULT, width, 0.24e-6)
 
 
-def _ladder_divider():
-    # Resistive ladder with a VCVS buffer.
-    return _circuit(
-        VoltageSource("V1", "in", "0", 1.2),
-        Resistor("R1", "in", "a", 2e3),
-        Resistor("R2", "a", "b", 1e3),
-        Resistor("R3", "b", "0", 1e3),
-        VCVS("E1", "out", "0", "b", "0", 2.0),
-        Resistor("Rload", "out", "0", 10e3),
-    )
+def _pmos(name, drain, gate, source, width=20e-6):
+    return MOSFET(name, drain, gate, source, "vdd", PMOS_DEFAULT, width, 0.24e-6)
 
 
-def _diode_clamp():
-    # Forward-biased diode with series resistor.
-    return _circuit(
-        VoltageSource("V1", "in", "0", 0.9),
-        Resistor("R1", "in", "d", 1e3),
-        Diode("D1", "d", "0", saturation_current=1e-15, emission_coefficient=1.2),
-    )
+# Netlists built from the elements the VCO netlists use: MOSFETs,
+# capacitors and constant voltage sources.
 
 
 def _mos_inverter():
-    # NMOS inverter with resistive load.
-    nch = NMOS_DEFAULT.with_variation(name="nch", vth0=0.4, lambda_=0.1)
+    # Pseudo-NMOS inverter: an always-on PMOS load.
     return _circuit(
-        VoltageSource("VDD", "vdd", "0", 1.2),
+        VoltageSource("VDD", "vdd", "0", VDD),
         VoltageSource("VIN", "g", "0", 0.7),
-        Resistor("RD", "vdd", "d", 5e3),
-        MOSFET("M1", "d", "g", "0", "0", nch, 10e-6, 0.24e-6),
+        _nmos("M1", "d", "g", "0"),
+        _pmos("M2", "d", "0", "vdd", width=2e-6),
     )
 
 
-def _vccs_rc():
-    # VCCS-loaded RC with a current source.
+def _cmos_inverter():
+    # A CMOS inverter biased near its switching threshold.
     return _circuit(
-        CurrentSource("I1", "0", "a", 1e-3),
-        Resistor("R1", "a", "0", 2e3),
-        VCCS("G1", "b", "0", "a", "0", 0.5e-3),
-        Resistor("R2", "b", "0", 1e3),
-        Capacitor("C1", "b", "0", 1e-9),
+        VoltageSource("VDD", "vdd", "0", VDD),
+        VoltageSource("VIN", "in", "0", 0.55),
+        _nmos("MN", "out", "in", "0"),
+        _pmos("MP", "out", "in", "vdd"),
     )
 
 
-def _rlc_tank():
-    # Series RLC driven by a pulse.
+def _current_mirror(load=1e-12):
+    # The VCO bias network: vctrl sets the NMOS current, a diode-connected
+    # PMOS mirrors it into a capacitor-loaded output.  Starting the output
+    # at 0 V makes the mirror charge the load.
     return _circuit(
-        VoltageSource("V1", "in", "0", PulseWaveform(0.0, 1.0, 1e-9, 0.1e-9, 0.1e-9, 20e-9, 40e-9)),
-        Resistor("R1", "in", "m", 50.0),
-        Inductor("L1", "m", "out", 1e-6),
-        Capacitor("C1", "out", "0", 1e-9),
+        VoltageSource("VDD", "vdd", "0", VDD),
+        VoltageSource("VC", "vc", "0", 0.8),
+        _nmos("M1", "b", "vc", "0"),
+        _pmos("M2", "b", "b", "vdd"),
+        _pmos("M3", "o", "b", "vdd"),
+        Capacitor("CB", "b", "0", 0.1e-12),
+        Capacitor("CL", "o", "0", load),
     )
 
 
-def _rc_sine(resistance=1e3):
-    return _circuit(
-        VoltageSource("V1", "in", "0", SineWaveform(0.5, 0.4, 50e6)),
-        Resistor("R1", "in", "out", resistance),
-        Capacitor("C1", "out", "0", 1e-9),
-    )
+def _ring_vco():
+    return build_ring_vco(VcoDesign(), TECH_012UM, vctrl=0.8)
 
 
 def _mos_switch():
-    nch = NMOS_DEFAULT.with_variation(name="nch", vth0=0.4)
+    # An NMOS switch discharging its load against a weak PMOS pull-up.
     return _circuit(
-        VoltageSource("VDD", "vdd", "0", 1.2),
-        VoltageSource("VIN", "g", "0", PulseWaveform(0.0, 1.2, 2e-9, 0.2e-9, 0.2e-9, 8e-9, 16e-9)),
-        Resistor("RD", "vdd", "d", 10e3),
+        VoltageSource("VDD", "vdd", "0", VDD),
+        VoltageSource("VG", "g", "0", VDD),
+        VoltageSource("VB", "vb", "0", 0.6),
+        _nmos("M1", "d", "g", "0", width=20e-6),
+        _pmos("M2", "d", "vb", "vdd", width=2e-6),
         Capacitor("CL", "d", "0", 50e-15),
-        MOSFET("M1", "d", "g", "0", "0", nch, 20e-6, 0.24e-6),
+    )
+
+
+def _inverter_chain():
+    # Two capacitor-loaded CMOS inverters; the first is driven high.
+    return _circuit(
+        VoltageSource("VDD", "vdd", "0", VDD),
+        VoltageSource("VIN", "in", "0", VDD),
+        _nmos("MN1", "a", "in", "0"),
+        _pmos("MP1", "a", "in", "vdd"),
+        Capacitor("C1", "a", "0", 0.5e-12),
+        _nmos("MN2", "b", "a", "0"),
+        _pmos("MP2", "b", "a", "vdd"),
+        Capacitor("C2", "b", "0", 0.5e-12),
     )
 
 
 NETLISTS = {
-    "ladder_divider": _ladder_divider,
-    "diode_clamp": _diode_clamp,
     "mos_inverter": _mos_inverter,
-    "vccs_rc": _vccs_rc,
-    "rlc_tank": _rlc_tank,
+    "cmos_inverter": _cmos_inverter,
+    "current_mirror": _current_mirror,
+    "ring_vco": _ring_vco,
 }
 
 
@@ -148,73 +155,73 @@ def test_dc_compiled_matches_reference(name):
         assert lane[node] == pytest.approx(value, rel=1e-6, abs=1e-9)
 
 
-def _hard_start_circuit():
-    # Stacked diode-connected MOSFETs: the plain Newton solve from zeros
-    # fails and the homotopies must kick in (same circuit as the
-    # gmin-stepping test of test_analyses.py).
-    circuit = Circuit()
-    circuit.add(VoltageSource("vdd", "vdd", "0", 1.2))
-    circuit.add(MOSFET("m1", "vdd", "vdd", "mid", "0", NMOS_DEFAULT, 20e-6, 0.24e-6))
-    circuit.add(MOSFET("m2", "mid", "mid", "0", "0", NMOS_DEFAULT, 20e-6, 0.24e-6))
-    circuit.add(Resistor("rleak", "mid", "0", 1e9))
-    return circuit
+def test_hard_start_defeats_the_plain_newton_solve():
+    # The homotopy tests below only test something if the plain solve
+    # fails on their circuit, on both engines.
+    assert not plain_newton_converges(hard_start_circuit(), HARD_START_OPTIONS)
+    with pytest.raises(ConvergenceError):
+        NewtonSolver(hard_start_circuit(), HARD_START_OPTIONS).solve(analysis="dc")
 
 
 def test_compiled_gmin_stepping_matches_reference():
-    reference = DCOperatingPoint(_hard_start_circuit()).run()
-    lane = _lane_dc(_hard_start_circuit())
-    assert lane.voltage("mid") == pytest.approx(reference.voltage("mid"), rel=1e-6)
-    assert 0.0 < lane.voltage("mid") < 1.2
+    reference = DCOperatingPoint(hard_start_circuit(), HARD_START_OPTIONS, source_steps=0).run()
+    lane = _lane_dc(hard_start_circuit(), HARD_START_OPTIONS, source_steps=0)
+    for node in ("n1", "n2", "n3"):
+        assert lane.voltage(node) == pytest.approx(reference.voltage(node), rel=1e-6)
+    assert 0.0 < lane.voltage("n3") < lane.voltage("n2") < lane.voltage("n1") < VDD
 
 
 def test_compiled_source_stepping_fallback():
     # With the gmin ladder disabled the lane DC solve must fall through
     # to source stepping and still land on the same operating point.
-    full = _lane_dc(_hard_start_circuit())
-    stepped = _lane_dc(_hard_start_circuit(), gmin_steps=0)
-    assert stepped.voltage("mid") == pytest.approx(full.voltage("mid"), rel=1e-6)
+    full = _lane_dc(hard_start_circuit(), HARD_START_OPTIONS)
+    stepped = _lane_dc(hard_start_circuit(), HARD_START_OPTIONS, gmin_steps=0)
+    for node in ("n1", "n2", "n3"):
+        assert stepped.voltage(node) == pytest.approx(full.voltage(node), rel=1e-6)
 
 
-#: Transient case name -> (netlist, probed node).
+#: Transient case name -> (netlist, initial conditions, probed node).
+#: Constant sources hold a circuit at its DC point, so each case starts
+#: a node away from it.
 TRANSIENT_CASES = {
-    "rc_sine": (_rc_sine, "out"),
-    "rlc_tank": (_rlc_tank, "out"),
-    "mos_switch": (_mos_switch, "d"),
+    "mos_switch": (_mos_switch, {"d": VDD}, "d"),
+    "mirror_charge": (_current_mirror, {"o": 0.0}, "o"),
+    "inverter_chain": (_inverter_chain, {"a": VDD}, "b"),
 }
 
 
 @pytest.mark.parametrize("integrator", ["be", "trap"])
 @pytest.mark.parametrize("name", sorted(TRANSIENT_CASES))
 def test_transient_compiled_matches_reference(name, integrator):
-    netlist, probe = TRANSIENT_CASES[name]
-    settings = dict(t_stop=20e-9, dt=0.2e-9, integrator=integrator)
+    netlist, initial, probe = TRANSIENT_CASES[name]
+    settings = dict(t_stop=20e-9, dt=0.2e-9, integrator=integrator, initial_conditions=initial)
     reference = TransientAnalysis(netlist(), **settings).run().voltage(probe)
     (result,) = LaneTransientAnalysis([netlist()], **settings).run()
     lane = result.voltage(probe)
     assert np.array_equal(reference.time, lane.time)
+    assert np.ptp(reference.values) > 0.05  # the case really moves
     np.testing.assert_allclose(lane.values, reference.values, rtol=1e-5, atol=1e-8)
 
 
 def test_lane_batch_bitwise_equals_single_lane():
     # A lane's trajectory must not depend on what shares its batch: masked
     # Newton updates freeze converged/foreign lanes exactly.
-    resistances = (1e3, 2.2e3, 470.0)
-    batch = LaneTransientAnalysis(
-        [_rc_sine(resistance) for resistance in resistances], t_stop=10e-9, dt=0.1e-9
-    ).run()
-    for resistance, lane_result in zip(resistances, batch):
-        (single,) = LaneTransientAnalysis([_rc_sine(resistance)], t_stop=10e-9, dt=0.1e-9).run()
-        assert np.array_equal(lane_result.voltage("out").values, single.voltage("out").values)
+    loads = (1e-12, 2.2e-12, 0.47e-12)
+    settings = dict(t_stop=10e-9, dt=0.1e-9, initial_conditions={"o": 0.0})
+    batch = LaneTransientAnalysis([_current_mirror(load) for load in loads], **settings).run()
+    for load, lane_result in zip(loads, batch):
+        (single,) = LaneTransientAnalysis([_current_mirror(load)], **settings).run()
+        assert np.array_equal(lane_result.voltage("o").values, single.voltage("o").values)
 
 
 def test_lane_topology_mismatch_rejected():
-    circuits = [_ladder_divider(), _diode_clamp()]
+    circuits = [_mos_inverter(), _cmos_inverter()]
     with pytest.raises(NetlistError):
         CircuitPlan(circuits)
 
 
 def test_lane_initial_condition_validation():
-    circuits = [_vccs_rc() for _ in range(2)]
+    circuits = [_current_mirror() for _ in range(2)]
     with pytest.raises(AnalysisError):
         LaneTransientAnalysis(circuits, t_stop=1e-9, dt=1e-11, initial_conditions=[{}])
     bad_node = LaneTransientAnalysis(

@@ -23,9 +23,7 @@ from repro.spice import (
     PMOS_DEFAULT,
     Circuit,
     CircuitPlan,
-    Diode,
     LaneSystem,
-    Resistor,
     VoltageSource,
 )
 from repro.spice.mosfet import MOSFETArrays
@@ -87,7 +85,7 @@ def test_stacked_device_call_equals_five_calls():
 
 
 def _stamp_circuit():
-    """MOSFET stamps with duplicate cells, on the ground pad and a diode."""
+    """MOSFET stamps with duplicate cells and on the ground pad."""
     circuit = Circuit()
     circuit.add(VoltageSource("vdd", "vdd", "0", 1.2))
     # Diode-connected device: drain == gate, so its d-row hits one column twice.
@@ -95,8 +93,6 @@ def _stamp_circuit():
     # Bulk tied to source, source and bulk on ground: stamps land on the pad.
     circuit.add(MOSFET("m2", "mid", "g", "0", "0", NMOS_DEFAULT, 20e-6, 0.24e-6))
     circuit.add(MOSFET("m3", "g", "mid", "vdd", "vdd", PMOS_DEFAULT, 15e-6, 0.24e-6))
-    circuit.add(Resistor("rg", "g", "0", 1e6))
-    circuit.add(Diode("d1", "mid", "0", saturation_current=1e-15))
     return circuit
 
 
@@ -105,9 +101,9 @@ def test_scatter_equals_add_at(target):
     plan = CircuitPlan([_stamp_circuit() for _ in range(3)])
     L, P = plan.n_lanes, plan.pad_size
     if target == "jacobian":
-        blocks, size = [*plan.d_jac_idx, *plan.mos_jac_idx], P * P
+        blocks, size = list(plan.mos_jac_idx), P * P
     else:
-        blocks, size = [*plan.d_res_rows, *plan.mos_res_rows], P
+        blocks, size = list(plan.mos_res_rows), P
     columns = np.concatenate(blocks)
     assert np.unique(columns).size < columns.size  # duplicate cells
     pad_cells = [P * P - 1, P - 1]
@@ -140,7 +136,6 @@ class _FiveCallLaneSystem(LaneSystem):
 
     def assemble(self, x):
         plan = self.plan
-        assert not plan.n_diodes
         lane = np.arange(plan.n_lanes)[:, None]
         jac = self.a_step.copy()
         res = np.matmul(self.a_step, x[:, :, None])[:, :, 0]

@@ -6,7 +6,7 @@ Circuit-level checks run as one-lane lane-engine DC solves
 
 import pytest
 
-from repro.spice import Circuit, MOSFET, NMOS_DEFAULT, PMOS_DEFAULT, Resistor, VoltageSource
+from repro.spice import Circuit, MOSFET, NMOS_DEFAULT, PMOS_DEFAULT, VoltageSource
 from repro.spice.exceptions import NetlistError
 
 from tests.spice.one_lane import dc_operating_point
@@ -134,7 +134,8 @@ def test_nmos_inverter_transfer():
         circuit = Circuit()
         circuit.add(VoltageSource("vdd", "vdd", "0", 1.2))
         circuit.add(VoltageSource("vin", "in", "0", vin))
-        circuit.add(Resistor("rl", "vdd", "out", 10e3))
+        # Pseudo-NMOS: a weak, always-on PMOS load.
+        circuit.add(MOSFET("mp", "out", "0", "vdd", "vdd", PMOS_DEFAULT, 1e-6, 1e-6))
         circuit.add(MOSFET("mn", "out", "in", "0", "0", NMOS_DEFAULT, 5e-6, 0.24e-6))
         return dc_operating_point(circuit).voltage("out")
 
@@ -149,7 +150,6 @@ def test_cmos_inverter_switching_threshold():
         circuit.add(VoltageSource("vin", "in", "0", vin))
         circuit.add(MOSFET("mp", "out", "in", "vdd", "vdd", PMOS_DEFAULT, 20e-6, 0.24e-6))
         circuit.add(MOSFET("mn", "out", "in", "0", "0", NMOS_DEFAULT, 10e-6, 0.24e-6))
-        circuit.add(Resistor("rl", "out", "0", 1e9))
         return dc_operating_point(circuit).voltage("out")
 
     assert run(0.0) > 1.1
