@@ -17,6 +17,11 @@ Two ratios feed the CI regression gate (``merge_benchmarks.py`` fails any
 * ``speedup_spice_verification`` -- the Table-2 verification workload
   through the lane-parallel batch path, gated at the 5x target with the
   model-accuracy gates of ``bench_bottom_up_verification`` unchanged.
+
+The verification benchmark also records a ledger of the lane run, with no
+gate: ``spice_lane_seconds``, ``spice_newton_iterations`` (batched Newton
+iterations, counted by wrapping ``lane_newton`` here) and
+``spice_us_per_newton_iteration``.
 """
 
 import time
@@ -27,6 +32,7 @@ from repro.circuits.ring_vco import build_ring_vco
 from repro.core.verification import BottomUpVerification
 from repro.process import TECH_012UM
 from repro.spice import LaneTransientAnalysis
+from repro.spice.plan import lane_newton
 from tests.spice.reference_engine import ReferenceSpiceEvaluator, TransientAnalysis
 
 
@@ -67,7 +73,25 @@ def test_spice_transient_lane_vs_reference(benchmark):
     benchmark.pedantic(_ring_transient, args=("lanes",), rounds=1, iterations=1)
 
 
-def test_spice_verification_lanes_vs_reference(benchmark, combined_model):
+def _count_newton_iterations(monkeypatch):
+    """Wrap the lane engine's Newton solve; the returned list grows by one per solve.
+
+    Each entry is the solve's batched iteration count, the most iterations
+    any of its lanes took: one batched assembly and solve each.
+    """
+    counts = []
+
+    def counted(system, x, active, options):
+        converged, iterations = lane_newton(system, x, active, options)
+        counts.append(int(iterations.max(initial=0)))
+        return converged, iterations
+
+    monkeypatch.setattr("repro.spice.transient.lane_newton", counted)
+    monkeypatch.setattr("repro.spice.plan.lane_newton", counted)
+    return counts
+
+
+def test_spice_verification_lanes_vs_reference(benchmark, combined_model, monkeypatch):
     """The Table-2 verification stage through the lane-parallel batch path."""
 
     def verify(engine):
@@ -80,15 +104,22 @@ def test_spice_verification_lanes_vs_reference(benchmark, combined_model):
     reference_report = verify("reference")
     reference_seconds = time.perf_counter() - start
 
+    newton_iterations = _count_newton_iterations(monkeypatch)
     start = time.perf_counter()
     lanes_report = verify("lanes")
     lanes_seconds = time.perf_counter() - start
+    monkeypatch.undo()
     speedup = reference_seconds / lanes_seconds
+    iterations = sum(newton_iterations)
 
     print_header("Bottom-up verification: lane-parallel engine vs reference engine")
     print(f"reference engine : {reference_seconds:8.3f}s  ({reference_report.n_points} points)")
     print(f"lanes engine     : {lanes_seconds:8.3f}s  ({lanes_report.n_points} points)")
     print(f"speedup          : {speedup:8.2f}x")
+    print(
+        f"lane Newton      : {iterations} batched iterations, "
+        f"{lanes_seconds / iterations * 1e6:.1f} us each"
+    )
     summary = lanes_report.summary()
     for name in ("kvco", "jitter", "current", "fmin", "fmax"):
         print(f"  mean_error_{name:<8}: {summary[f'mean_error_{name}']:.2%}")
@@ -105,4 +136,7 @@ def test_spice_verification_lanes_vs_reference(benchmark, combined_model):
     assert summary["mean_error_current"] < 3.0
     assert speedup >= 5.0, f"verification speedup {speedup:.2f}x is below the 5x target"
     benchmark.extra_info["speedup_spice_verification"] = speedup
+    benchmark.extra_info["spice_lane_seconds"] = lanes_seconds
+    benchmark.extra_info["spice_newton_iterations"] = iterations
+    benchmark.extra_info["spice_us_per_newton_iteration"] = lanes_seconds / iterations * 1e6
     benchmark.pedantic(verify, args=("lanes",), rounds=1, iterations=1)

@@ -20,7 +20,8 @@ process parameters, which this model provides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -264,30 +265,70 @@ class MOSFETArrays:
             lambda_=stack(lambda dev: dev.model.lambda_),
         )
 
+    @cached_property
+    def _stack(self) -> "MOSFETArrays":
+        """The parameters broadcast to the five-point stack of :meth:`currents_and_derivatives`.
+
+        A ufunc whose operands all have the output's shape and layout runs
+        one flat loop, which is cheaper than broadcasting a smaller operand;
+        the values, and so every result, are unchanged.  The copies ask for
+        C order: a plain copy of a broadcast view keeps a layout that
+        matches no operand, which costs more than the broadcast saves.
+        """
+        shape = (5,) + self.beta.shape
+        return MOSFETArrays(
+            **{
+                item.name: np.array(
+                    np.broadcast_to(getattr(self, item.name), shape), dtype=float, order="C"
+                )
+                for item in fields(self)
+            }
+        )
+
     def _channel_current(
         self, vgs: np.ndarray, vds: np.ndarray, vbs: np.ndarray
     ) -> np.ndarray:
-        """Array transcription of :meth:`MOSFET._channel_current` (vds >= 0)."""
-        phi_minus_vbs = np.maximum(self.phi - vbs, 1e-6)
-        vth = self.vth0 + self.gamma * (np.sqrt(phi_minus_vbs) - self.sqrt_phi)
+        """Array transcription of :meth:`MOSFET._channel_current` (vds >= 0).
+
+        Every operation is the scalar model's on the same operands, at most
+        with the two swapped (which is exact); results overwrite arrays
+        that are no longer needed.
+        """
+        vth = self.phi - vbs
+        np.maximum(vth, 1e-6, out=vth)
+        np.sqrt(vth, out=vth)
+        vth -= self.sqrt_phi
+        vth *= self.gamma
+        vth += self.vth0
         vov = vgs - vth
         ratio = vov / self.n_vt
         # Clip before exponentiating so extreme lanes cannot overflow; the
-        # np.where selections reproduce the scalar model's three branches.
-        ratio_clipped = np.minimum(np.maximum(ratio, -745.0), 40.0)
-        exp_ratio = np.exp(ratio_clipped)
-        vov_eff = np.where(
-            ratio > 40.0,
-            vov,
-            np.where(ratio < -40.0, self.n_vt * exp_ratio, self.n_vt * np.log1p(exp_ratio)),
-        )
-        vov_eff = vov_eff / (1.0 + self.theta * vov_eff)
+        # two copies select the scalar model's three branches.
+        exp_ratio = np.maximum(ratio, -745.0)
+        np.minimum(exp_ratio, 40.0, out=exp_ratio)
+        exp_ratio = np.exp(exp_ratio)
+        vov_eff = np.log1p(exp_ratio)
+        np.copyto(vov_eff, exp_ratio, where=ratio < -40.0)
+        vov_eff *= self.n_vt
+        np.copyto(vov_eff, vov, where=ratio > 40.0)
+        # Velocity saturation reduces the usable overdrive for short channels.
+        denominator = self.theta * vov_eff
+        denominator += 1.0
+        vov_eff /= denominator
         vdsat = np.maximum(vov_eff, 1e-9)
-        clm = 1.0 + self.lambda_ * vds
-        triode = self.beta * (vov_eff * vds - 0.5 * vds * vds) * clm
-        saturation = 0.5 * self.beta * vov_eff * vov_eff * clm
-        ids = np.where(vds < vdsat, triode, saturation)
-        return np.maximum(ids, 0.0)
+        clm = self.lambda_ * vds
+        clm += 1.0
+        triode = vov_eff * vds
+        half_vds_squared = 0.5 * vds
+        half_vds_squared *= vds
+        triode -= half_vds_squared
+        triode *= self.beta
+        triode *= clm
+        saturation = 0.5 * self.beta * vov_eff
+        saturation *= vov_eff
+        saturation *= clm
+        np.copyto(saturation, triode, where=vds < vdsat)
+        return np.maximum(saturation, 0.0, out=saturation)
 
     def drain_current(
         self, vd: np.ndarray, vg: np.ndarray, vs: np.ndarray, vb: np.ndarray
@@ -299,17 +340,22 @@ class MOSFETArrays:
         # Source and drain swap roles when vds < 0 (NMOS-normalised frame).
         vref = np.where(forward, nvs, nvd)
         ids = self._channel_current(nvg - vref, np.abs(nvd - nvs), nvb - vref)
-        return np.where(forward, p * ids, -p * ids)
+        # The scalar model returns p * ids or -p * ids; a product with +-1 is
+        # exact, so one multiply by the selected sign gives the same bits.
+        ids *= np.where(forward, p, -p)
+        return ids
 
     def currents_and_derivatives(self, terminals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Drain currents plus the four finite-difference derivatives.
 
         ``terminals`` stacks the ``vd``, ``vg``, ``vs`` and ``vb`` arrays
-        on a leading axis of size 4.  The derivatives are forward
-        differences with ``delta = 1e-6``.  The base point and
-        its four perturbations go through one :meth:`drain_current` call
-        on a leading stack axis of size 5; every operation is elementwise,
-        so each slice equals its own separate call bit for bit.
+        (each of the parameters' ``(n_lanes, n_devices)`` shape) on a
+        leading axis of size 4.  The derivatives are forward differences
+        with ``delta = 1e-6``.  The base point and its four perturbations
+        go through one :meth:`drain_current` call on a leading stack axis
+        of size 5, with the parameters broadcast to that shape once; every
+        operation is elementwise, so each slice equals its own separate
+        call bit for bit.
 
         Returns ``(ids, derivatives)``: ``ids`` has the shape of one
         terminal array and ``derivatives`` stacks ``dI/dvd``, ``dI/dvg``,
@@ -317,10 +363,13 @@ class MOSFETArrays:
         """
         delta = 1e-6
         # stacked[t, k] holds terminal t's voltages at stack point k: the
-        # base point (k = 0), then terminal k - 1 raised by delta.
+        # base point (k = 0), then terminal k - 1 raised by delta.  The
+        # raised pairs (t, t + 1) are every sixth of the 20 (t, k) pairs.
         stacked = np.repeat(terminals[:, None], 5, axis=1)
-        terminal = np.arange(4)
-        stacked[terminal, terminal + 1] += delta
-        currents = self.drain_current(*stacked)
-        ids = currents[0]
-        return ids, (currents[1:] - ids) / delta
+        raised = stacked.reshape((20,) + terminals.shape[1:])[1::6]
+        raised += delta
+        currents = self._stack.drain_current(*stacked)
+        ids, derivatives = currents[0], currents[1:]
+        derivatives -= ids
+        derivatives /= delta
+        return ids, derivatives

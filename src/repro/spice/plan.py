@@ -279,6 +279,11 @@ class LaneSystem:
         self.a_step = np.zeros((L, P, P))
         self.b_step = np.zeros((L, P))
         self.identity = np.eye(plan.n_unknowns)
+        # The transient step's matrix, source vector and negated companion
+        # conductances, kept while its (dt, integrator, gmin, source_scale)
+        # repeat.
+        self._tran_key: Optional[Tuple[bytes, str, float, float]] = None
+        self._tran_a = self._tran_b = self._tran_neg_geq = np.zeros(0)
         self._node_diag = np.arange(plan.n_nodes)
         self._cap_jac = _Scatter(L, P * P, plan.cap_jac_idx)
         self._cap_res = _Scatter(L, P, plan.cap_res_rows)
@@ -292,18 +297,25 @@ class LaneSystem:
 
     # -- per-step constant terms -----------------------------------------------------
 
-    def _begin(self, gmin: float) -> None:
-        self.a_step[:] = self.plan.a_static
+    def _matrix(self, gmin: float) -> np.ndarray:
+        """The static stamps plus the gmin shunts, as a new array."""
+        a = self.plan.a_static.copy()
         if gmin > 0.0:
-            self.a_step[:, self._node_diag, self._node_diag] += gmin
-        self.b_step[:] = 0.0
+            a[:, self._node_diag, self._node_diag] += gmin
+        return a
+
+    def _sources(self, source_scale: float) -> np.ndarray:
+        """The constant vector of the voltage sources alone, as a new array."""
+        plan = self.plan
+        b = np.zeros((plan.n_lanes, plan.pad_size))
+        if plan.n_vsources:
+            b[:, plan.vs_k] -= source_scale * plan.vs_values
+        return b
 
     def begin_dc(self, gmin: float, source_scale: float = 1.0) -> None:
         """Prepare the linear part of a DC solve (all lanes)."""
-        plan = self.plan
-        self._begin(gmin)
-        if plan.n_vsources:
-            self.b_step[:, plan.vs_k] -= source_scale * plan.vs_values
+        self.a_step = self._matrix(gmin)
+        self.b_step = self._sources(source_scale)
 
     def begin_tran(
         self,
@@ -318,42 +330,54 @@ class LaneSystem:
 
         ``dt`` is a per-lane array so lanes may refine their time steps
         independently; ``x_prev`` is the padded solution at each
-        lane's previous accepted time point.
+        lane's previous accepted time point.  Only the capacitor history
+        term depends on ``x_prev``: the step matrix of the previous call
+        is reused while ``dt``, ``integrator``, ``gmin`` and
+        ``source_scale`` repeat.  No step array is written in place, so a
+        reused one keeps its values.
         """
         plan = self.plan
-        self._begin(gmin)
-        dt_col = dt[:, None]
+        key = (dt.tobytes(), integrator, gmin, source_scale)
+        if key != self._tran_key:
+            self._tran_key = key
+            self._tran_a = self._matrix(gmin)
+            self._tran_b = self._sources(source_scale)
+            if plan.n_caps:
+                factor = 2.0 if integrator == "trap" else 1.0
+                geq = factor * plan.cap_c / dt[:, None]
+                self._tran_a = self._cap_jac(self._tran_a, geq, geq, -geq, -geq)
+                self._tran_neg_geq = -geq
+        self.a_step = self._tran_a
+        self.b_step = self._tran_b
         if plan.n_caps:
-            factor = 2.0 if integrator == "trap" else 1.0
-            geq = factor * plan.cap_c / dt_col
-            self.a_step = self._cap_jac(self.a_step, geq, geq, -geq, -geq)
-            v_prev = x_prev[:, plan.cap_a] - x_prev[:, plan.cap_b]
-            const = -geq * v_prev
+            # Branch rows hold the sources and node rows the capacitor
+            # terms, so scattering onto the source vector gives the bytes
+            # of scattering onto zeros first.
+            const = self._tran_neg_geq * (x_prev[:, plan.cap_a] - x_prev[:, plan.cap_b])
             if integrator == "trap" and cap_i_prev is not None:
-                const = const - cap_i_prev
+                const -= cap_i_prev
             self.b_step = self._cap_res(self.b_step, const, -const)
-        if plan.n_vsources:
-            self.b_step[:, plan.vs_k] -= source_scale * plan.vs_values
 
     # -- assembly -----------------------------------------------------------------------
 
     def assemble(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Residual and Jacobian of every lane at the padded estimate ``x``.
 
-        Both are new arrays, so callers may overwrite them.
+        Both are new arrays, so callers may overwrite them.  Floating-point
+        warnings are left to the caller's ``np.errstate``: :func:`lane_newton`
+        silences them once for its whole solve, as a diverging lane's
+        overflow must not warn.
         """
         plan = self.plan
         res = np.matmul(self.a_step, x[:, :, None])[:, :, 0]
         res += self.b_step
-        res_stamps: List[np.ndarray] = []
-        jac_stamps: List[np.ndarray] = []
-        if plan.n_mosfets:
-            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                terminals = x.take(self._mos_terminals)
-                ids, derivatives = plan.mos_arrays.currents_and_derivatives(terminals)
-            res_stamps += [ids, -ids]
-            jac_stamps += [derivatives, -derivatives]
-        return self._device_res(res, *res_stamps), self._device_jac(self.a_step, *jac_stamps)
+        if not plan.n_mosfets:
+            return self._device_res(res), self._device_jac(self.a_step)
+        ids, derivatives = plan.mos_arrays.currents_and_derivatives(x.take(self._mos_terminals))
+        return (
+            self._device_res(res, ids, -ids),
+            self._device_jac(self.a_step, derivatives, -derivatives),
+        )
 
     def cap_currents(
         self,
@@ -385,30 +409,39 @@ def lane_newton(
     (shape ``(n_lanes, pad_size)``) is updated in place; lanes that fail
     (non-finite values, singular Jacobian, iteration limit) simply end up
     not converged.
+
+    ``pending`` (active, not yet converged, not failed) is carried from
+    one iteration to the next.  While every lane is pending, the masks
+    that keep finished lanes still are skipped: they would select every
+    element.
     """
     plan = system.plan
     L, n, n_nodes = plan.n_lanes, plan.n_unknowns, plan.n_nodes
+    limit = options.voltage_step_limit
     converged = np.zeros(L, dtype=bool)
-    failed = np.zeros(L, dtype=bool)
     iterations = np.zeros(L, dtype=int)
     last_residual = np.full(L, np.inf)
-    identity = system.identity
-    with np.errstate(invalid="ignore"):
+    pending = active.copy()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         for iteration in range(1, options.max_iterations + 1):
-            pending = active & ~converged & ~failed
             if not pending.any():
                 break
             res, jac = system.assemble(x)
             r = res[:, :n]
             j = jac[:, :n, :n]
+            # A row's max-norm is NaN or inf exactly when one of its
+            # entries is, so the norms double as the finiteness checks.
             residual_norm = np.abs(r).max(axis=1) if n else np.zeros(L)
-            bad = pending & ~np.isfinite(residual_norm)
-            failed |= bad
-            pending &= ~bad
-            # Inactive / failed lanes get an identity system so the batched
-            # factorisation cannot be poisoned by their (meaningless) rows.
-            j[~pending] = identity
-            rhs = np.where(pending[:, None], -r, 0.0)
+            finite = np.isfinite(residual_norm)
+            if not finite.all():
+                pending &= finite
+            if pending.all():
+                rhs = -r
+            else:
+                # Inactive / failed lanes get an identity system so the batched
+                # factorisation cannot be poisoned by their (meaningless) rows.
+                j[~pending] = system.identity
+                rhs = np.where(pending[:, None], -r, 0.0)
             try:
                 delta = np.linalg.solve(j, rhs[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
@@ -417,21 +450,24 @@ def lane_newton(
                     try:
                         delta[lane] = np.linalg.solve(j[lane], rhs[lane])
                     except np.linalg.LinAlgError:
-                        failed[lane] = True
                         pending[lane] = False
-            bad = pending & ~np.isfinite(delta).all(axis=1)
-            failed |= bad
-            pending &= ~bad
+            abs_delta = np.abs(delta)
+            delta_norm = abs_delta.max(axis=1) if n else np.zeros(L)
+            finite = np.isfinite(delta_norm)
+            if not finite.all():
+                pending &= finite
             if not pending.any():
                 continue
-            voltage_step = np.abs(delta[:, :n_nodes]).max(axis=1) if n_nodes else np.zeros(L)
-            scale = np.ones(L)
-            if options.voltage_step_limit > 0.0:
-                limited = voltage_step > options.voltage_step_limit
-                scale[limited] = options.voltage_step_limit / voltage_step[limited]
-            step = (options.damping * scale)[:, None] * delta
-            x[:, :n] += np.where(pending[:, None], step, 0.0)
-            delta_norm = np.abs(delta).max(axis=1) if n else np.zeros(L)
+            factor = options.damping
+            if limit > 0.0 and n_nodes:
+                voltage_step = abs_delta[:, :n_nodes].max(axis=1)
+                limited = voltage_step > limit
+                if limited.any():
+                    scale = np.ones(L)
+                    scale[limited] = limit / voltage_step[limited]
+                    factor = (options.damping * scale)[:, None]
+            step = factor * delta
+            x[:, :n] += step if pending.all() else np.where(pending[:, None], step, 0.0)
             x_norm = np.abs(x[:, :n]).max(axis=1) if n else np.zeros(L)
             iterations[pending] = iteration
             now_converged = (
@@ -443,7 +479,8 @@ def lane_newton(
                 )
             )
             converged |= pending & now_converged
-            last_residual = np.where(pending, residual_norm, last_residual)
+            np.copyto(last_residual, residual_norm, where=pending)
+            pending &= ~now_converged
     return converged, iterations
 
 

@@ -15,7 +15,7 @@ current as a :class:`~repro.spice.waveform.Waveform`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -158,13 +158,13 @@ class LaneTransientAnalysis:
         options = self.newton_options
         n_lanes, n = plan.n_lanes, plan.n_unknowns
         x = self._initial_state(system)
-        times: List[List[float]] = [[] for _ in range(n_lanes)]
-        solutions: List[List[np.ndarray]] = [[] for _ in range(n_lanes)]
-        if self.t_start_recording <= 0.0:
-            for lane in range(n_lanes):
-                times[lane].append(0.0)
-                solutions[lane].append(x[lane, :n].copy())
         t = np.zeros(n_lanes)
+        # Room for the base steps, the start point and one step that float
+        # rounding may leave before t_stop; refined steps grow the buffers.
+        span = max(self.t_stop - max(self.t_start_recording, 0.0), 0.0)
+        recording = _Recording(int(span / self.dt) + 3, n_lanes, n)
+        if self.t_start_recording <= 0.0:
+            recording.add(x[:, :n], t, np.ones(n_lanes, dtype=bool))
         pending_step = np.full(n_lanes, self.dt)
         refinements = np.zeros(n_lanes, dtype=int)
         alive = np.ones(n_lanes, dtype=bool)
@@ -194,28 +194,55 @@ class LaneTransientAnalysis:
                 retry = rejected & ~dead
                 pending_step[retry] = attempt[retry] * 0.5
             if accepted.any():
+                row = accepted[:, None]
                 if self.integrator == "trap" and plan.n_caps:
                     committed = system.cap_currents(x_trial, x, step, cap_i_prev)
-                    cap_i_prev[accepted] = committed[accepted]
-                t[accepted] += step[accepted]
-                x[accepted] = x_trial[accepted]
-                pending_step[accepted] = self.dt
-                refinements[accepted] = 0
-                for lane in np.flatnonzero(accepted):
-                    if t[lane] >= self.t_start_recording:
-                        times[lane].append(float(t[lane]))
-                        solutions[lane].append(x[lane, :n].copy())
+                    np.copyto(cap_i_prev, committed, where=row)
+                np.add(t, step, out=t, where=accepted)
+                np.copyto(x, x_trial, where=row)
+                np.copyto(pending_step, self.dt, where=accepted)
+                np.copyto(refinements, 0, where=accepted)
+                record = accepted & (t >= self.t_start_recording)
+                if record.any():
+                    recording.add(x[:, :n], t, record)
             marching = alive & (t < self.t_stop - 1e-21)
         results: List[Optional[TransientResult]] = []
-        for lane in range(n_lanes):
+        for lane, circuit in enumerate(plan.circuits):
             if not alive[lane]:
                 results.append(None)
                 continue
-            if not times[lane]:
+            time, solution = recording.lane(lane)
+            if not time.size:
                 raise AnalysisError("no time points were recorded; check t_start_recording")
-            results.append(
-                TransientResult(
-                    plan.circuits[lane], np.asarray(times[lane]), np.vstack(solutions[lane])
-                )
-            )
+            results.append(TransientResult(circuit, time, solution))
         return results
+
+
+class _Recording:
+    """Every lane's time and solution, one row per recorded step.
+
+    A row holds all lanes, and ``recorded`` marks the lanes that its step
+    records.  The buffers start at ``rows`` rows and double when full.
+    """
+
+    def __init__(self, rows: int, n_lanes: int, n: int) -> None:
+        self.count = 0
+        self.time = np.empty((rows, n_lanes))
+        self.solution = np.empty((rows, n_lanes, n))
+        self.recorded = np.zeros((rows, n_lanes), dtype=bool)
+
+    def add(self, x: np.ndarray, t: np.ndarray, recorded: np.ndarray) -> None:
+        if self.count == len(self.time):
+            self.time, self.solution, self.recorded = (
+                np.concatenate((array, np.zeros_like(array)))
+                for array in (self.time, self.solution, self.recorded)
+            )
+        self.time[self.count] = t
+        self.solution[self.count] = x
+        self.recorded[self.count] = recorded
+        self.count += 1
+
+    def lane(self, lane: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The recorded times and solution rows of one lane, as new arrays."""
+        rows = self.recorded[: self.count, lane]
+        return self.time[: self.count][rows, lane], self.solution[: self.count][rows, lane]

@@ -11,6 +11,8 @@ import pytest
 from repro.spice import (
     Capacitor,
     Circuit,
+    CircuitPlan,
+    LaneSystem,
     MOSFET,
     NMOS_DEFAULT,
     PMOS_DEFAULT,
@@ -18,6 +20,7 @@ from repro.spice import (
     Waveform,
 )
 from repro.spice.exceptions import AnalysisError, NetlistError
+from repro.spice.plan import NewtonOptions, lane_newton
 
 from tests.spice.one_lane import (
     HARD_START_OPTIONS,
@@ -78,6 +81,30 @@ def test_dc_result_voltages_dictionary():
     voltages = dc_operating_point(circuit).voltages
     assert set(voltages) == {"a", "b"}
     assert voltages["b"] == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="lane_newton counts residual < abs_tolerance as convergence; a tiny device's "
+    "currents stay below 1e-9 A far from its operating point",
+)
+def test_dc_newton_does_not_accept_a_non_solution():
+    # A PMOS pull-up into a diode-connected 0.2/10 um NMOS: no operating
+    # point puts the output above the supply.  At 10 % of the supply the
+    # solve from zero stops after two iterations at v(o) ~ 0.72 V against
+    # v(vdd) = 0.12 V, because every current in the residual is below
+    # abs_tolerance there.
+    circuit = Circuit()
+    circuit.add(VoltageSource("vdd", "vdd", "0", 1.2))
+    circuit.add(MOSFET("mp", "o", "0", "vdd", "vdd", PMOS_DEFAULT, 20e-6, 0.24e-6))
+    circuit.add(MOSFET("mn", "o", "o", "0", "0", NMOS_DEFAULT, 0.2e-6, 10e-6))
+    plan = CircuitPlan([circuit])
+    system = LaneSystem(plan)
+    system.begin_dc(gmin=1e-12, source_scale=0.1)
+    x = np.zeros((1, plan.pad_size))
+    converged, _ = lane_newton(system, x, np.ones(1, dtype=bool), NewtonOptions())
+    node = circuit.node_index()
+    assert not converged[0] or x[0, node["o"]] <= x[0, node["vdd"]] + 1e-6
 
 
 # -- transient configuration ------------------------------------------------------------

@@ -8,6 +8,12 @@ promised to be *bit-identical* to the straightforward forms they replace
 compare with ``np.array_equal`` rather than a tolerance.  The oracles
 compare arrays computed on the same machine, so they hold on any numpy
 build or CPU.
+
+The whole time loop (the in-place device kernel, the Newton masks carried
+across iterations, the reused step matrix and the per-step recording) is
+held to the plain loop of :mod:`tests.spice.lane_oracle` the same way:
+every lane's ``time`` and ``solution`` bytes, including lanes that refine
+their steps and a lane that is given up.
 """
 
 import itertools
@@ -15,6 +21,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.circuits.pseudodiff import PseudoDiffVcoDesign, build_pseudodiff_vco
 from repro.circuits.ring_vco import VcoDesign, build_ring_vco
 from repro.process.technology import TECH_012UM
 from repro.spice import (
@@ -27,8 +34,10 @@ from repro.spice import (
     VoltageSource,
 )
 from repro.spice.mosfet import MOSFETArrays
-from repro.spice.plan import _Scatter
+from repro.spice.plan import NewtonOptions, _Scatter
 from repro.spice.transient import LaneTransientAnalysis
+
+from tests.spice import lane_oracle
 
 DELTA = 1e-6
 
@@ -173,3 +182,104 @@ def test_ring_vco_lanes_equal_five_call_assembly(monkeypatch):
         assert got is not None and want is not None
         assert np.array_equal(got.time, want.time)
         assert np.array_equal(got.solution, want.solution)
+
+
+# -- the whole time loop against the plain loop of tests/spice/lane_oracle.py ----------
+
+VDD = TECH_012UM.vdd
+RING_KICK = {"n0": VDD, "n1": 0.0, "n2": VDD, "n3": 0.0}
+
+
+def _ring_lanes():
+    designs = [VcoDesign(), VcoDesign(nmos_width=20e-6, pmos_width=40e-6)]
+    circuits = [
+        build_ring_vco(design, TECH_012UM, vctrl=vctrl)
+        for design in designs
+        for vctrl in (0.6, 1.1)
+    ]
+    return circuits, RING_KICK
+
+
+def _pseudodiff_lanes():
+    designs = [PseudoDiffVcoDesign(), PseudoDiffVcoDesign(cross_width=20e-6)]
+    circuits = [
+        build_pseudodiff_vco(design, TECH_012UM, vctrl=vctrl)
+        for design in designs
+        for vctrl in (0.7, 1.1)
+    ]
+    kick = {f"a{stage}": VDD * (stage % 2 == 0) for stage in range(5)}
+    kick.update({f"b{stage}": VDD * (stage % 2 == 1) for stage in range(5)})
+    kick["a4"] = VDD / 2.0
+    return circuits, kick
+
+
+def _assert_same_bytes(results, expected):
+    assert [result is None for result in results] == [want is None for want in expected]
+    for got, want in zip(results, expected):
+        if want is None:
+            continue
+        for name in ("time", "solution"):
+            got_array, want_array = getattr(got, name), getattr(want, name)
+            assert got_array.dtype == want_array.dtype
+            assert got_array.shape == want_array.shape
+            assert got_array.tobytes() == want_array.tobytes(), name
+
+
+@pytest.mark.parametrize("integrator", ["be", "trap"])
+@pytest.mark.parametrize("lanes", [_ring_lanes, _pseudodiff_lanes], ids=["ring", "pseudodiff"])
+def test_time_loop_equals_plain_loop_bit_for_bit(lanes, integrator):
+    # DC start, then kicked lanes; recording starts mid-run.
+    circuits, kick = lanes()
+    analysis = LaneTransientAnalysis(
+        circuits,
+        t_stop=1.2e-9,
+        dt=20e-12,
+        integrator=integrator,
+        t_start_recording=0.3e-9,
+        initial_conditions=kick,
+    )
+    results = analysis.run()
+    assert all(result is not None for result in results)
+    assert all(result.time[0] >= 0.3e-9 for result in results)
+    _assert_same_bytes(results, lane_oracle.run(analysis))
+
+
+def test_refined_and_dead_lanes_equal_plain_loop_and_their_one_lane_runs(monkeypatch):
+    # Eight Newton iterations per time point are too few for some 100 ps
+    # steps, so lanes halve their steps independently; with one refinement
+    # allowed, two of the four lanes run out and are given up.  (At three
+    # iterations every ring-VCO lane is given up.)
+    circuits, kick = _ring_lanes()
+    settings = dict(
+        t_stop=1.5e-9,
+        dt=100e-12,
+        initial_conditions=kick,
+        use_dc_start=False,
+        newton_options=NewtonOptions(max_iterations=8, voltage_step_limit=1.0),
+        max_step_refinements=1,
+    )
+    analysis = LaneTransientAnalysis(circuits, **settings)
+    expected = lane_oracle.run(analysis)
+
+    steps = []
+    begin_tran = LaneSystem.begin_tran
+
+    def recording_begin_tran(self, dt, *args, **kwargs):
+        steps.append(dt.copy())
+        return begin_tran(self, dt, *args, **kwargs)
+
+    monkeypatch.setattr(LaneSystem, "begin_tran", recording_begin_tran)
+    results = analysis.run()
+    monkeypatch.undo()
+
+    survivors = [lane for lane, result in enumerate(results) if result is not None]
+    assert 0 < len(survivors) < len(results)
+    assert any(np.unique(dt).size > 1 for dt in steps)  # lanes stepped with mixed dt
+    for lane in survivors:
+        # Halved steps: more time points than the base step gives.
+        assert np.diff(results[lane].time).min() < 0.75 * settings["dt"]
+        assert len(results[lane].time) > settings["t_stop"] / settings["dt"] + 1
+    _assert_same_bytes(results, expected)
+    for lane in survivors:
+        (alone,) = LaneTransientAnalysis([circuits[lane]], **settings).run()
+        _assert_same_bytes([alone], [results[lane]])
