@@ -154,26 +154,29 @@ def _softplus_overdrive(vov: np.ndarray, n_vt: np.ndarray) -> np.ndarray:
     """Elementwise smoothed overdrive of the MOSFET model.
 
     This is the softplus transition of
-    :meth:`repro.spice.mosfet.MOSFET._channel_current`.  It deliberately
-    calls ``math.exp`` / ``math.log1p`` per element instead of the numpy
-    ufuncs: numpy's SIMD transcendentals can differ from libm by an ulp,
-    which is enough to push a seeded NSGA-II run onto a different
-    trajectory.  The recorded artefact digests (``table2`` and the
-    smoke-scenario stage pickles) were computed with libm, so switching
-    to the ufuncs is a byte-changing edit that re-records them.
+    :meth:`repro.spice.mosfet.MOSFET._channel_current`.  The ratio, the
+    branch selection and the final products run in numpy, which rounds
+    them like the scalar code; the transcendentals deliberately go
+    through ``math.exp`` / ``math.log1p``, mapped over the elements,
+    instead of the numpy ufuncs: numpy's SIMD transcendentals can differ
+    from libm by an ulp, which is enough to push a seeded NSGA-II run
+    onto a different trajectory.  The recorded artefact digests
+    (``table2`` and the smoke-scenario stage pickles) were computed with
+    libm, so switching to the ufuncs is a byte-changing edit that
+    re-records them.
+
+    Every element gets the scalar code's branch: the overdrive itself
+    above a ratio of 40, ``n_vt * exp(ratio)`` below -40, and
+    ``n_vt * log1p(exp(ratio))`` otherwise, a NaN ratio (``inf / inf``
+    included) too.  The ratio is capped at 40 before ``exp`` so that the
+    values the first branch discards cannot overflow.
     """
-    vov_b, nvt_b = np.broadcast_arrays(np.asarray(vov, float), np.asarray(n_vt, float))
-    out = np.empty(vov_b.shape, dtype=float)
-    flat = out.ravel()
-    for index, (v, nvt) in enumerate(zip(vov_b.ravel().tolist(), nvt_b.ravel().tolist())):
-        ratio = v / nvt
-        if ratio > 40.0:
-            flat[index] = v
-        elif ratio < -40.0:
-            flat[index] = nvt * math.exp(ratio)
-        else:
-            flat[index] = nvt * math.log1p(math.exp(ratio))
-    return out
+    with np.errstate(invalid="ignore"):
+        ratio = np.divide(vov, n_vt, dtype=float)
+    exp = np.fromiter(map(math.exp, np.minimum(ratio, 40.0).ravel().tolist()), float, ratio.size)
+    log1p_exp = np.fromiter(map(math.log1p, exp.tolist()), float, ratio.size)
+    smooth = n_vt * np.where(ratio.ravel() < -40.0, exp, log1p_exp).reshape(ratio.shape)
+    return np.where(ratio > 40.0, vov, smooth)
 
 
 @dataclass
@@ -181,9 +184,10 @@ class _DeviceArrays:
     """Model-card and geometry parameters of one device type, as arrays.
 
     Every field mirrors an attribute consumed by the scalar
-    :meth:`repro.spice.mosfet.MOSFET._channel_current`; values are either
-    scalars or length-N arrays (N = batch size), so the same expressions
-    evaluate the whole batch at once.
+    :meth:`repro.spice.mosfet.MOSFET._channel_current`; values are
+    scalars, length-N arrays (N = batch size) or stacks of several
+    devices with the batch on the last axis, so the same expressions
+    evaluate them all at once.
     """
 
     polarity: int
@@ -200,12 +204,14 @@ class _DeviceArrays:
     ld: np.ndarray
     temperature: np.ndarray
 
-    def channel_current(self, vgs: float, vds: float, vbs: float) -> np.ndarray:
+    def channel_current(self, vgs, vds, vbs) -> np.ndarray:
         """Vectorised transcription of :meth:`MOSFET._channel_current`.
 
         The expressions below keep the scalar code's operation order so
         results stay bit-identical (IEEE arithmetic is deterministic for a
-        fixed evaluation order).
+        fixed evaluation order).  The biases broadcast against the
+        parameters like any other operand: the stage kernel passes them
+        constant over the batch axis.
         """
         effective_length = np.maximum(self.length - 2.0 * self.ld, 1.0e-9)
         cox = _EPS_OX / self.tox
@@ -226,20 +232,10 @@ class _DeviceArrays:
         ids = np.where(vds < vdsat, triode, saturation)
         return np.maximum(ids, 0.0)
 
-    def drain_current(self, vd: float, vg: float, vs: float, vb: float) -> np.ndarray:
-        """Vectorised transcription of :meth:`MOSFET.drain_current`.
 
-        Bias voltages are scalars in every call site, so the source/drain
-        swap resolves to one branch for the whole batch.
-        """
-        p = self.polarity
-        nvd, nvg, nvs, nvb = p * vd, p * vg, p * vs, p * vb
-        if nvd >= nvs:
-            ids = self.channel_current(nvg - nvs, nvd - nvs, nvb - nvs)
-            return p * ids
-        ids = self.channel_current(nvg - nvd, nvs - nvd, nvb - nvd)
-        return -p * ids
-
+#: Model-card attributes passed unchanged to every row of a stacked
+#: :class:`_DeviceArrays` (``vth0`` and ``u0`` carry the mismatch).
+_CHANNEL_ATTRIBUTES = ("tox", "lambda_", "gamma", "phi", "n_sub", "e_crit", "ld", "temperature")
 
 #: Model-card attributes consumed by the vectorised kernel.
 _CARD_ATTRIBUTES = (
@@ -273,29 +269,41 @@ def _sample_card(samples: SampleBatch, polarity: str) -> Dict:
     return values
 
 
-def _device_arrays(card: Dict, width, length, deltas) -> _DeviceArrays:
-    """Build the batch device parameters, applying mismatch like `_device`."""
-    vth0 = card["vth0"]
-    u0 = card["u0"]
-    if deltas is not None:
-        delta_vth0, delta_u0 = deltas
-        vth0 = vth0 + delta_vth0
-        u0 = u0 * (1.0 + delta_u0)
-    return _DeviceArrays(
-        polarity=card["polarity"],
-        width=width,
-        length=length,
-        vth0=vth0,
-        u0=u0,
-        tox=card["tox"],
-        lambda_=card["lambda_"],
-        gamma=card["gamma"],
-        phi=card["phi"],
-        n_sub=card["n_sub"],
-        e_crit=card["e_crit"],
-        ld=card["ld"],
-        temperature=card["temperature"],
-    )
+#: The four devices of a starved inverter stage, per polarity: mismatch
+#: name prefix, width and length design parameters, and the terminal
+#: voltages ``(vd, vg, vs, vb)`` at control voltage ``vctrl`` and supply
+#: ``vdd``.  The NMOS tail sets the discharge current; the PMOS tail
+#: mirrors the bias branch (its gate sits near the diode's ``|Vgs|``);
+#: the inverter devices limit the current when smaller than the tails.
+_STAGE_ROLES = {
+    "nmos": (
+        ("mtn", "tail_nmos_width", "tail_length", lambda vctrl, vdd, half: (half, vctrl, 0.0, 0.0)),
+        ("mn", "nmos_width", "nmos_length", lambda vctrl, vdd, half: (half, vdd, 0.0, 0.0)),
+    ),
+    "pmos": (
+        (
+            "mtp",
+            "tail_pmos_width",
+            "tail_length",
+            lambda vctrl, vdd, half: (half, half - vdd + half, vdd, vdd),
+        ),
+        ("mp", "pmos_width", "pmos_length", lambda vctrl, vdd, half: (half, 0.0 - 0.0, vdd, vdd)),
+    ),
+}
+
+
+def _forward_bias(polarity: int, vd: float, vg: float, vs: float, vb: float):
+    """``(vgs, vds, vbs)`` of :meth:`MOSFET.drain_current` in the NMOS frame.
+
+    Every stage role has its drain at ``vdd / 2`` and its source at a
+    rail (0 for NMOS, ``vdd`` for PMOS), so for any ``vdd > 0`` all four
+    take the forward (``vd >= vs``) branch and none swaps source and
+    drain.
+    """
+    nvd, nvg, nvs, nvb = polarity * vd, polarity * vg, polarity * vs, polarity * vb
+    if nvd < nvs:
+        raise ValueError("the stage-bias kernel needs vdd > 0")
+    return nvg - nvs, nvd - nvs, nvb - nvs
 
 
 class RingVcoAnalyticalEvaluator(VcoEvaluator):
@@ -452,17 +460,9 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         pmos = _sample_card(samples, "pmos")
         params = self._design_arrays(designs_b, reference)
         load = self._batch_stage_capacitance(params, nmos, pmos, reference)
-
-        def stage_biases(vctrl: float) -> List[np.ndarray]:
-            if not samples.device_names:
-                current = self._batch_stage_current(
-                    params, nmos, pmos, reference, vctrl, samples, 0
-                )
-                return [current] * self.n_stages
-            return [
-                self._batch_stage_current(params, nmos, pmos, reference, vctrl, samples, stage)
-                for stage in range(self.n_stages)
-            ]
+        currents_min, currents_max = self._batch_stage_currents(
+            params, {"nmos": nmos, "pmos": pmos}, reference, samples
+        )
 
         def frequency(currents: List[np.ndarray]) -> np.ndarray:
             delays = [load * (reference.vdd / 2.0) / current for current in currents]
@@ -470,8 +470,6 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(period > 0.0, self.frequency_scale / period, 0.0)
 
-        currents_min = stage_biases(self.vctrl_min)
-        currents_max = stage_biases(self.vctrl_max)
         fmin = frequency(currents_min)
         fmax = frequency(currents_max)
         span = self.vctrl_max - self.vctrl_min
@@ -552,38 +550,78 @@ class RingVcoAnalyticalEvaluator(VcoEvaluator):
         junction = junction + pmos["cj"] * params["tail_pmos_width"] * pmos["drain_extension"] * 0.5
         return gate + overlap + junction + technology.stage_load_capacitance
 
-    def _batch_stage_current(
-        self, params, nmos, pmos, technology: Technology, vctrl, samples: SampleBatch, stage: int
-    ) -> np.ndarray:
-        """Starving current of one stage, floored at 1 nA.
+    def _batch_stage_currents(
+        self, params, cards: Dict[str, Dict], technology: Technology, samples: SampleBatch
+    ) -> Tuple[List, List]:
+        """Starving current of every stage at ``vctrl_min`` and ``vctrl_max``,
+        floored at 1 nA.
 
-        The NMOS tail sets the discharge current; the PMOS tail mirrors
-        the bias branch (its gate sits near the diode's ``|Vgs|``); the
-        inverter devices limit the current when smaller than the tails.
+        Every (vctrl, stage, role) row of one polarity is evaluated by one
+        stacked :meth:`_DeviceArrays.channel_current` call.  The rows are
+        the leading axes ``(vctrl, stage, role)`` and the batch is the last
+        axis; each input varies only along the axes it depends on (the
+        biases along vctrl and role, the geometry along role, the mismatch
+        deltas along stage and role), and numpy broadcasting evaluates
+        every row.  A row without mismatch adds ``0.0`` to ``vth0`` and
+        multiplies ``u0`` by ``1.0``, both exact, so every element keeps
+        the operation sequence of a per-device call.  Without mismatch the
+        stages are identical and only stage 0 is evaluated.
+
+        When no input varies over the batch, each stage current is a
+        numpy scalar, as per-device calls on scalars made it: the jitter's
+        ``** 2`` rounds differently on scalars (``pow``) than on arrays (a
+        multiply).
         """
-        mismatch_of = samples.mismatch_columns
         vdd = technology.vdd
         half = vdd / 2.0
-        tail_n = _device_arrays(
-            nmos, params["tail_nmos_width"], params["tail_length"], mismatch_of(f"mtn{stage}")
+        stages = range(self.n_stages) if samples.device_names else range(1)
+        scalar = not any(
+            isinstance(value, np.ndarray)
+            for value in (*params.values(), *cards["nmos"].values(), *cards["pmos"].values())
         )
-        i_tail_n = tail_n.drain_current(half, vctrl, 0.0, 0.0)
-        tail_p = _device_arrays(
-            pmos, params["tail_pmos_width"], params["tail_length"], mismatch_of(f"mtp{stage}")
-        )
-        i_tail_p = np.abs(tail_p.drain_current(half, half - vdd + half, vdd, vdd))
-        inv_n = _device_arrays(
-            nmos, params["nmos_width"], params["nmos_length"], mismatch_of(f"mn{stage}")
-        )
-        i_inv_n = inv_n.drain_current(half, vdd, 0.0, 0.0)
-        inv_p = _device_arrays(
-            pmos, params["pmos_width"], params["pmos_length"], mismatch_of(f"mp{stage}")
-        )
-        i_inv_p = np.abs(inv_p.drain_current(half, 0.0 - 0.0, vdd, vdd))
+        ids = {}
+        for polarity, roles in _STAGE_ROLES.items():
+            card = cards[polarity]
+            sign = card["polarity"]
+            biases = np.array(
+                [
+                    [_forward_bias(sign, *bias(vctrl, vdd, half)) for *_, bias in roles]
+                    for vctrl in (self.vctrl_min, self.vctrl_max)
+                ]
+            )
+            if np.array_equal(biases[0], biases[1]):
+                biases = biases[:1]  # no role of this polarity depends on vctrl
+            # (vctrl, stage, role, batch) axes, biases constant over the batch.
+            vgs, vds, vbs = (biases[:, None, :, column, None] for column in range(3))
+            deltas = np.zeros((2, 1, len(stages), len(roles), len(samples)))
+            for s, stage in enumerate(stages):
+                for r, (prefix, *_) in enumerate(roles):
+                    columns = samples.mismatch_columns(f"{prefix}{stage}")
+                    if columns is not None:
+                        deltas[:, 0, s, r] = columns
+                        scalar = False
+            geometry = [
+                np.array([params[role[index]] for role in roles]).reshape(1, 1, len(roles), -1)
+                for index in (1, 2)
+            ]
+            device = _DeviceArrays(
+                polarity=sign,
+                width=geometry[0],
+                length=geometry[1],
+                vth0=card["vth0"] + deltas[0],
+                u0=card["u0"] * (1.0 + deltas[1]),
+                **{attr: card[attr] for attr in _CHANNEL_ATTRIBUTES},
+            )
+            ids[polarity] = sign * device.channel_current(vgs, vds, vbs)
+        i_tail_n, i_inv_n = ids["nmos"][:, :, 0], ids["nmos"][:, :, 1]
+        i_tail_p, i_inv_p = np.abs(ids["pmos"][:, :, 0]), np.abs(ids["pmos"][:, :, 1])
         pull_down = np.minimum(i_tail_n, i_inv_n)
         pull_up = np.minimum(np.maximum(i_tail_p, 0.3 * i_tail_n), i_inv_p)
-        current = 0.5 * (pull_down + pull_up)
-        return np.maximum(current, 1e-9)
+        current = np.maximum(0.5 * (pull_down + pull_up), 1e-9)
+        if scalar:
+            current = current[..., 0]
+        repeat = self.n_stages // len(stages)
+        return list(current[0]) * repeat, list(current[-1]) * repeat
 
 
 # The worker-side evaluator is installed once per pool through the executor

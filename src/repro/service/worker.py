@@ -55,7 +55,7 @@ from repro.experiments.artifacts import (
     HttpArtifactStore,
     LocalArtifactStore,
 )
-from repro.experiments.runner import DEFAULT_YIELD_BATCH, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
 from repro.obs import trace as obs_trace
 from repro.service import base
 from repro.service.base import Job
@@ -211,18 +211,6 @@ class _JobEvents:
             self.poll()
 
 
-def _yield_batch_for(n_samples: int) -> int:
-    """Yield Monte Carlo batch size for a service-executed job.
-
-    Service jobs stream their progress, so even a tiny scenario should
-    emit a handful of per-batch yield events rather than finishing in one
-    silent batch.  The batch size never changes the result (sample math
-    is batch-invariant -- see :meth:`YieldAnalysis.run`), only how often
-    progress is persisted and streamed.
-    """
-    return max(1, min(DEFAULT_YIELD_BATCH, n_samples // 4))
-
-
 def execute_job(
     store: base.JobStore,
     job: Job,
@@ -243,9 +231,13 @@ def execute_job(
     So a crashed or partitioned worker stops computing within one lease
     TTL, plus one heartbeat interval, plus one checkpoint boundary of its
     last acknowledged beat.  The scenario executes exactly like
-    ``repro run``: same runner, same content-addressed cache -- so
-    service artefacts are bit-identical to CLI artefacts, and two jobs
-    differing only in execution fields share cache entries.
+    ``repro run``: same runner, same yield batch of
+    :data:`~repro.experiments.runner.DEFAULT_YIELD_BATCH` samples, same
+    content-addressed cache -- so service artefacts are bit-identical to
+    CLI artefacts, and two jobs differing only in execution fields share
+    cache entries.  A yield of at most one batch streams only its
+    stage-completion event; a longer one streams a progress event per
+    persisted batch.
 
     ``cache_dir`` may be a plain path (wrapped in a
     :class:`~repro.experiments.artifacts.LocalArtifactStore`) or any
@@ -339,11 +331,7 @@ def execute_job(
     )
     beat.start()
     try:
-        runner = ExperimentRunner(
-            scenario,
-            artifacts=artifacts,
-            yield_batch_size=_yield_batch_for(scenario.yield_samples),
-        )
+        runner = ExperimentRunner(scenario, artifacts=artifacts)
         # The worker owns the job's trace, so spans carry the worker
         # identity and the runner's nested start_trace joins this one.
         # The id defaults to the job id (== the scenario's config hash);

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import RingVcoAnalyticalEvaluator, VcoDesign, vco_device_geometries
-from repro.circuits.evaluators import VcoEvaluator
+from repro.circuits.evaluators import VcoEvaluator, _DeviceArrays, _sample_card
 from repro.circuits.pseudodiff import (
     PseudoDiffAnalyticalEvaluator,
     PseudoDiffVcoDesign,
@@ -19,6 +19,7 @@ from repro.circuits.pseudodiff import (
 )
 from repro.process import TECH_012UM, MonteCarloEngine
 from repro.process.mismatch import MismatchSample
+from repro.process.montecarlo import SampleBatch
 from tests.circuits.analytical_oracle import ScalarAnalyticalOracle
 
 
@@ -160,6 +161,71 @@ def test_base_class_batch_fallback_loops_scalar(evaluator):
     vectorised = evaluator.evaluate_batch(designs)
     for a, b in zip(generic, vectorised):
         assert a.as_dict() == b.as_dict()
+
+
+# -- the stacked device call ----------------------------------------------------------
+
+
+def _batch_kinds():
+    """(evaluator, designs, samples) of the three batch kinds, per topology."""
+    rng = np.random.default_rng(45)
+    for evaluator, make_design, geometries in (
+        (RingVcoAnalyticalEvaluator(TECH_012UM), random_design, vco_device_geometries),
+        (
+            PseudoDiffAnalyticalEvaluator(TECH_012UM),
+            random_pseudodiff_design,
+            pseudodiff_device_geometries,
+        ),
+    ):
+        design = make_design(rng)
+        technology = MonteCarloEngine(TECH_012UM, n_samples=6, seed=5, include_mismatch=False)
+        mismatch = MonteCarloEngine(TECH_012UM, n_samples=6, seed=5)
+        yield evaluator, [make_design(rng) for _ in range(6)], None
+        yield evaluator, [design], technology.sample_batch()
+        yield evaluator, [design], mismatch.sample_batch(geometries(design))
+
+
+@pytest.mark.parametrize(
+    "evaluator, designs, samples",
+    list(_batch_kinds()),
+    ids=[
+        f"{topology}-{kind}"
+        for topology in ("ring", "pseudodiff")
+        for kind in ("nominal", "technology", "mismatch")
+    ],
+)
+def test_a_batch_makes_one_device_call_per_polarity(monkeypatch, evaluator, designs, samples):
+    """Every (vctrl, stage, role) row of a polarity is one stacked call."""
+    polarities = []
+    channel_current = _DeviceArrays.channel_current
+
+    def counting(self, vgs, vds, vbs):
+        polarities.append(self.polarity)
+        return channel_current(self, vgs, vds, vbs)
+
+    monkeypatch.setattr(_DeviceArrays, "channel_current", counting)
+    evaluator.evaluate_batch(designs, samples=samples)
+    assert sorted(polarities) == [-1, 1]
+
+
+def test_stage_currents_stay_numpy_scalars_when_nothing_varies(evaluator):
+    """A lone nominal design keeps numpy-scalar stage currents, as the
+    per-device calls on scalars gave them: ``np.float64 ** 2`` calls libm
+    ``pow``, which can round differently from an array's multiply, so the
+    jitter's bits depend on it.  Any varied input makes them arrays."""
+    lone = SampleBatch.nominal(TECH_012UM)
+    cards = {polarity: _sample_card(lone, polarity) for polarity in ("nmos", "pmos")}
+    params = evaluator._design_arrays([VcoDesign()], TECH_012UM)
+    low, high = evaluator._batch_stage_currents(params, cards, TECH_012UM, lone)
+    assert len(low) == len(high) == evaluator.n_stages
+    assert all(type(current) is np.float64 for current in low + high)
+
+    samples = MonteCarloEngine(TECH_012UM, n_samples=1, seed=3).sample_batch(
+        vco_device_geometries(VcoDesign())
+    )
+    cards = {polarity: _sample_card(samples, polarity) for polarity in ("nmos", "pmos")}
+    low, high = evaluator._batch_stage_currents(params, cards, TECH_012UM, samples)
+    assert all(isinstance(current, np.ndarray) for current in low + high)
 
 
 # -- SPICE evaluator process pool -----------------------------------------------------

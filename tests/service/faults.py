@@ -19,15 +19,19 @@ Both keep a ``log`` of what they did to each call, so tests can assert
 that faults actually fired (a fault test that never faulted is green
 noise).  :class:`CountingTransport` injects nothing: it only logs each
 exchange, for tests that pin a worker's wire traffic.
+:class:`PartialGate` injects no fault either: it holds a run at a known
+checkpoint until the test releases it, so what a test observes does not
+depend on how fast the host computes.
 """
 
 import random
 import re
+import threading
 import time
 
-from repro.experiments.artifacts import ArtifactTransportError
+from repro.experiments.artifacts import ArtifactStore, ArtifactTransportError
 
-__all__ = ["CountingTransport", "FlakyStore", "FlakyTransport", "Partition"]
+__all__ = ["CountingTransport", "FlakyStore", "FlakyTransport", "Partition", "PartialGate"]
 
 
 class CountingTransport:
@@ -71,6 +75,69 @@ class Partition:
 
     def __exit__(self, *exc_info) -> None:
         self.heal()
+
+
+class PartialGate(ArtifactStore):
+    """An artifact store that holds a run at one NSGA-II generation.
+
+    Wraps any :class:`~repro.experiments.artifacts.ArtifactStore` and
+    observes the mid-stage partials stored through its entries.  It
+    records when each ``stage`` generation was first stored (``stored``,
+    on the monotonic clock); once the partial of ``generation`` is
+    persisted, the storing thread sets ``held`` and waits until
+    :meth:`release` -- before the run reaches its checkpoint boundary's
+    cancel check.  The run's heartbeat thread keeps beating and
+    publishing meanwhile.
+    """
+
+    def __init__(self, inner, stage, generation, timeout=60.0) -> None:
+        self.inner = inner
+        self.root = inner.root
+        self.stage = stage
+        self.generation = generation
+        self.timeout = timeout
+        self.stored = {}
+        self.held = threading.Event()
+        self._released = threading.Event()
+
+    def entry(self, config_hash):
+        return _GatedEntry(self.inner.entry(config_hash), self)
+
+    def publish(self, config_hash) -> None:
+        self.inner.publish(config_hash)
+
+    def release(self) -> None:
+        self._released.set()
+
+    def observe(self, stage, state) -> None:
+        if stage != self.stage:
+            return
+        generation = state.get("generation")
+        self.stored.setdefault(generation, time.monotonic())
+        if generation == self.generation and not self.held.is_set():
+            self.held.set()
+            if not self._released.wait(self.timeout):
+                raise RuntimeError(f"gate at generation {generation} was never released")
+
+    def generation_s(self, first, last):
+        """Mean time per generation between two stored generations."""
+        return (self.stored[last] - self.stored[first]) / (last - first)
+
+
+class _GatedEntry:
+    """An entry of a :class:`PartialGate`: the inner entry, observed."""
+
+    def __init__(self, inner, gate) -> None:
+        self._inner = inner
+        self._gate = gate
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def store_partial(self, stage, state):
+        path = self._inner.store_partial(stage, state)
+        self._gate.observe(stage, state)
+        return path
 
 
 class FlakyTransport:

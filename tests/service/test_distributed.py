@@ -17,7 +17,7 @@ import time
 import pytest
 
 from conftest import assert_artefacts_byte_identical, tiny_scenario
-from faults import CountingTransport, FlakyStore, FlakyTransport, Partition
+from faults import CountingTransport, FlakyStore, FlakyTransport, PartialGate, Partition
 from repro.experiments.artifacts import HttpArtifactStore, HttpTransport
 from repro.experiments.cache import ArtefactCache
 from repro.experiments.registry import get_scenario
@@ -476,6 +476,16 @@ def test_sigkill_remote_worker_reclaims_bit_identically_under_faults(tmp_path):
     )
 
 
+class BeatWatchingStore(RemoteJobStore):
+    """Remembers the thread that sends the job's heartbeats."""
+
+    beat_thread = None
+
+    def heartbeat(self, job_id, worker):
+        self.beat_thread = threading.current_thread()
+        return super().heartbeat(job_id, worker)
+
+
 @pytest.mark.slow
 def test_partitioned_worker_loses_lease_and_peer_resumes_from_partial(tmp_path):
     """A network partition mid-circuit-stage: the cut worker cannot
@@ -485,10 +495,12 @@ def test_partitioned_worker_loses_lease_and_peer_resumes_from_partial(tmp_path):
     resumes from the last partial the coordinator received --
     bit-identically.
 
-    The cut worker's last publication came with its last live heartbeat;
-    the job is sized so that the peer still has at least 50 of its 200
-    generations to compute from it."""
+    A gate holds the cut worker after it stored generation ``held_at``
+    until its heartbeat thread has declared the lease lost, so the
+    generation it stops at does not depend on host speed: the peer still
+    has at least 50 of the job's 200 generations to compute."""
     generations = 200
+    held_at = 8
     scenario = tiny_scenario(
         "distributed-partition", seed=55, circuit_population=40, circuit_generations=generations
     )
@@ -508,6 +520,20 @@ def test_partitioned_worker_loses_lease_and_peer_resumes_from_partial(tmp_path):
         artifact_transport = FlakyTransport(
             HttpTransport(url), seed=2, partition=partition
         )
+        store_a = BeatWatchingStore(
+            url, transport=store_transport, retries=2, retry_delay=0.01
+        )
+        gate = PartialGate(
+            HttpArtifactStore(
+                url,
+                tmp_path / "cache-a",
+                transport=artifact_transport,
+                retries=2,
+                retry_delay=0.01,
+            ),
+            "circuit",
+            held_at,
+        )
         stop = threading.Event()
         result = {}
         worker_a = threading.Thread(
@@ -519,31 +545,26 @@ def test_partitioned_worker_loses_lease_and_peer_resumes_from_partial(tmp_path):
                     poll_interval=0.05,
                     stop_event=stop,
                     worker_name="worker-a",
-                    store=RemoteJobStore(
-                        url, transport=store_transport, retries=2, retry_delay=0.01
-                    ),
-                    artifacts=HttpArtifactStore(
-                        url,
-                        tmp_path / "cache-a",
-                        transport=artifact_transport,
-                        retries=2,
-                        retry_delay=0.01,
-                    ),
+                    store=store_a,
+                    artifacts=gate,
                 )
             ),
             daemon=True,
         )
         worker_a.start()
-        wait_for_partial_generation(coordinator_entry, 3)
-        # One generation's duration, timed on worker A's local partials.
+        assert gate.held.wait(60.0), "worker never reached the held generation"
+        # One generation's duration, timed on worker A's partial stores.
+        generation_s = gate.generation_s(1, held_at)
+        # The held generation reaches the coordinator on a live beat.
+        wait_for_partial_generation(coordinator_entry, held_at)
         local_a = ArtefactCache(tmp_path / "cache-a").entry_for(scenario)
-        first = wait_for_partial_generation(local_a, 0)["generation"]
-        timed_from = time.monotonic()
-        later = wait_for_partial_generation(local_a, first + 5)["generation"]
-        generation_s = (time.monotonic() - timed_from) / (later - first)
         partition.cut()
         cut_at = time.monotonic()
         stop.set()
+        # The heartbeat thread ends only once it has declared the lease lost.
+        store_a.beat_thread.join(timeout=30.0)
+        assert not store_a.beat_thread.is_alive()
+        gate.release()
         worker_a.join(timeout=30.0)
         returned_s = time.monotonic() - cut_at
         assert not worker_a.is_alive()

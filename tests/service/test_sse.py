@@ -209,7 +209,9 @@ def test_sse_wire_format_over_raw_http(live):
 def test_streamed_job_executed_by_a_worker_end_to_end(live):
     """Integration: subscribe first, then let a real worker pass execute
     the job -- generation fronts and yield batches arrive live, the end
-    frame reports ``done``, and the persisted log equals the streamed one."""
+    frame reports ``done``, and the persisted log equals the streamed one.
+    The yield spans three batches of the runner's default size, so it
+    streams per-batch events."""
     client, store, cache = live
     job = client.submit("fast-smoke", {
         "circuit_population": 8,
@@ -217,7 +219,7 @@ def test_streamed_job_executed_by_a_worker_end_to_end(live):
         "system_population": 8,
         "system_generations": 2,
         "mc_samples_per_point": 4,
-        "yield_samples": 10,
+        "yield_samples": 130,
         "max_model_points": 6,
         "seed": 53,
     })

@@ -8,9 +8,12 @@ import time
 
 import pytest
 
-from repro.experiments.cache import ArtefactCache
+from faults import PartialGate
+from repro.experiments.artifacts import LocalArtifactStore
+from repro.experiments.cache import ArtefactCache, CacheEntry
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.registry import get_scenario
+from repro.experiments.runner import ExperimentRunner
 import repro.service.worker as worker_module
 from repro.service.store import SqliteJobStore
 from repro.service.worker import Autoscaler, execute_job, worker_loop
@@ -419,9 +422,11 @@ def test_execute_job_records_per_generation_progress(tmp_path):
     """A worker-executed job leaves a progress trail: one event per
     NSGA-II generation (with the live Pareto front) and per Monte Carlo
     batch, interleaved with the stage-completed markers, all on one
-    gapless monotonic sequence."""
+    gapless monotonic sequence.  The yield spans three batches of the
+    runner's default size, so it streams per-batch events."""
+    scenario = TINY.with_overrides(yield_samples=130)
     store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
-    job, _ = store.submit(TINY)
+    job, _ = store.submit(scenario)
     assert worker_loop(store.path, tmp_path / "cache", lease_ttl=30.0, max_jobs=1) == 1
     assert store.get(job.id).state == "done"
 
@@ -445,10 +450,42 @@ def test_execute_job_records_per_generation_progress(tmp_path):
     assert yield_progress, "no per-batch yield events"
     done_counts = [e["payload"]["samples_done"] for e in yield_progress]
     assert done_counts == sorted(done_counts)
-    assert all(e["payload"]["n_samples"] == TINY.yield_samples for e in yield_progress)
+    assert all(e["payload"]["n_samples"] == scenario.yield_samples for e in yield_progress)
 
     completed = [e["stage"] for e in events if e["status"] == "completed"]
     assert completed == ["circuit", "system", "yield"]
+
+
+def test_a_small_service_yield_runs_in_one_batch_like_repro_run(tmp_path, monkeypatch):
+    """A worker runs a job's yield in the runner's default batch, like
+    ``repro run``: a 20-sample yield is one batch, so the job stores no
+    yield partial and streams no yield progress event, and its stage
+    pickles equal a direct run's byte for byte."""
+    stored = []
+    store_partial = CacheEntry.store_partial
+
+    def recording_store_partial(self, stage, state):
+        stored.append(stage)
+        return store_partial(self, stage, state)
+
+    monkeypatch.setattr(CacheEntry, "store_partial", recording_store_partial)
+    scenario = TINY.with_overrides(yield_samples=20)
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
+    job, _ = store.submit(scenario)
+    assert worker_loop(store.path, tmp_path / "cache", lease_ttl=30.0, max_jobs=1) == 1
+    assert store.get(job.id).state == "done"
+    assert "circuit" in stored and "yield" not in stored
+    assert ("yield", "progress") not in [
+        (event["stage"], event["status"]) for event in store.events(job.id)
+    ]
+
+    ExperimentRunner(scenario, cache_dir=tmp_path / "direct").run()
+    served = ArtefactCache(tmp_path / "cache").entry_for(scenario)
+    direct = ArtefactCache(tmp_path / "direct").entry_for(scenario)
+    assert served.stages_present() == direct.stages_present() == ["circuit", "system", "yield"]
+    for stage in direct.stages_present():
+        name = f"{stage}.pkl"
+        assert (served.directory / name).read_bytes() == (direct.directory / name).read_bytes()
 
 
 def test_worker_job_records_one_circuit_event_per_generation(tmp_path):
@@ -499,12 +536,14 @@ class LeaseLosingStore(SqliteJobStore):
         self.lose_after = lose_after
         self.lost_at_generation = None
         self.after_lost = []
+        self.beat_thread = None
 
     def _exchange(self, name):
         if self.lost_at_generation is not None:
             self.after_lost.append(name)
 
     def heartbeat(self, job_id, worker):
+        self.beat_thread = threading.current_thread()
         self._exchange("heartbeat")
         partial = self.entry.load_partial("circuit")
         if (
@@ -536,15 +575,38 @@ class LeaseLosingStore(SqliteJobStore):
 def test_a_beat_answered_lost_ends_the_job_at_the_next_boundary(tmp_path):
     """A worker whose beat answers "lost" stops its run at the next
     checkpoint boundary and tells the store nothing more: no event, no
-    outcome; the job is left to whoever reclaims it."""
+    outcome; the job is left to whoever reclaims it.
+
+    A gate holds the run after it stored generation ``lose_after`` until
+    the heartbeat thread has answered "lost" and ended, so the generation
+    the run stops at does not depend on host speed."""
+    lose_after = 5
     scenario = TINY.with_overrides(
         name="worker-lost-lease", circuit_population=40, circuit_generations=200
     )
     entry = ArtefactCache(tmp_path / "cache").entry_for(scenario)
-    store = LeaseLosingStore(tmp_path / "service.db", entry, lose_after=5)
+    store = LeaseLosingStore(tmp_path / "service.db", entry, lose_after=lose_after)
     store.submit(scenario)
     job = store.claim("w1")
-    executed = execute_job(store, job, tmp_path / "cache", "w1", heartbeat_interval=0.05)
+    gate = PartialGate(LocalArtifactStore(tmp_path / "cache"), "circuit", lose_after)
+    result = {}
+    run = threading.Thread(
+        target=lambda: result.update(
+            executed=execute_job(store, job, gate, "w1", heartbeat_interval=0.05)
+        )
+    )
+    run.start()
+    assert gate.held.wait(60.0), "the run never reached the held generation"
+    deadline = time.monotonic() + 30.0
+    while store.lost_at_generation is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    # The heartbeat thread ends only once it has declared the lease lost.
+    store.beat_thread.join(timeout=30.0)
+    assert not store.beat_thread.is_alive()
+    gate.release()
+    run.join(timeout=60.0)
+    assert not run.is_alive()
+    executed = result["executed"]
     assert executed is None
     assert store.lost_at_generation is not None
     assert store.after_lost == []
