@@ -134,6 +134,8 @@ class ExperimentRunner:
         artifacts: Optional[Any] = None,
     ) -> None:
         self.scenario = scenario
+        #: Computed once: it keys the cache entry, the trace and the result.
+        self.config_hash = scenario.config_hash()
         self.cache = artifacts if artifacts is not None else ArtefactCache(cache_dir)
         self.force = force
         self.yield_batch_size = yield_batch_size
@@ -193,16 +195,16 @@ class ExperimentRunner:
             skipped.
         """
         scenario = self.scenario
-        entry = self.cache.entry_for(scenario)
+        entry = self.cache.entry(self.config_hash)
         # Tracing wraps the run but never feeds back into it: spans only
         # read clocks, so artefact bytes are identical with or without
         # observability (asserted by tests and the overhead benchmark).
         # When a worker already activated the job's trace, start_trace
         # yields None and our spans join the outer trace (which the
         # owner persists); otherwise this runner owns trace + persist.
-        with obs_trace.start_trace(scenario.config_hash()) as trace:
+        with obs_trace.start_trace(self.config_hash) as trace:
             with obs_trace.span(
-                "runner.run", scenario=scenario.name, config_hash=scenario.config_hash()
+                "runner.run", scenario=scenario.name, config_hash=self.config_hash
             ):
                 result = self._execute(
                     entry,
@@ -267,7 +269,7 @@ class ExperimentRunner:
         )
         result = ExperimentResult(
             scenario=scenario,
-            config_hash=scenario.config_hash(),
+            config_hash=self.config_hash,
             report=report,
             outcomes=[
                 stages.outcomes.get(stage, StageOutcome(stage, SKIPPED)) for stage in STAGES

@@ -131,7 +131,15 @@ def parameters_matrix(population: Sequence["Individual"]) -> np.ndarray:
 
 
 def violations_vector(population: Sequence["Individual"]) -> np.ndarray:
-    """Total constraint violation of every individual as an ``(n,)`` vector."""
+    """Total constraint violation of every individual as an ``(n,)`` vector.
+
+    Stacked row sums give the bytes of :attr:`Individual.constraint_violation`;
+    missing, empty or ragged constraint vectors fall back to that property.
+    """
+    rows = [individual.constraints for individual in population]
+    size = rows[0].size if rows and rows[0] is not None else 0
+    if size and all(row is not None and row.shape == (size,) for row in rows):
+        return np.clip(-np.array(rows), 0.0, None).sum(axis=1)
     return np.array(
         [individual.constraint_violation for individual in population], dtype=float
     )

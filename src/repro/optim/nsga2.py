@@ -25,7 +25,7 @@ from repro.optim.evaluation import (
     BatchEvaluator,
     create_evaluator,
 )
-from repro.optim.individual import Individual
+from repro.optim.individual import Individual, objectives_matrix, violations_vector
 from repro.optim.operators import PolynomialMutation, SBXCrossover, binary_tournament
 from repro.optim.pareto import ParetoFront
 from repro.optim.problem import Problem
@@ -373,10 +373,6 @@ class NSGA2:
 
     # -- internals -------------------------------------------------------------
 
-    def _evaluate(self, vector: np.ndarray) -> Individual:
-        """Evaluate a single vector (kept for tooling; batches use the backend)."""
-        return self._evaluate_batch([vector])[0]
-
     def _evaluate_batch(self, vectors: List[np.ndarray]) -> List[Individual]:
         """Evaluate a whole batch of vectors through the configured backend."""
         return self.evaluator.evaluate(self.problem, vectors)
@@ -432,13 +428,11 @@ class NSGA2:
     def _stats(
         self, generation: int, evaluations: int, population: List[Individual]
     ) -> GenerationStats:
-        first_front = [ind for ind in population if ind.rank == 0]
-        objectives = np.vstack([ind.objectives for ind in population])
-        feasible = sum(1 for ind in population if ind.is_feasible)
+        feasible = int(np.count_nonzero(violations_vector(population) == 0.0))
         return GenerationStats(
             generation=generation,
             evaluations=evaluations,
-            front_size=len(first_front),
-            best_objectives=objectives.min(axis=0),
+            front_size=sum(1 for ind in population if ind.rank == 0),
+            best_objectives=objectives_matrix(population).min(axis=0),
             feasible_fraction=feasible / len(population),
         )

@@ -18,6 +18,7 @@ from repro.optim.individual import Individual
 __all__ = [
     "dominates",
     "pareto_filter",
+    "pareto_matrix",
     "ParetoFront",
     "hypervolume",
     "knee_point",
@@ -34,23 +35,31 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def pareto_matrix(objectives: np.ndarray) -> np.ndarray:
+    """``matrix[i, j]`` is :func:`dominates` of rows ``i`` and ``j``.
+
+    One ``(n, n)`` comparison per objective.  A NaN compares False, so a
+    row holding one neither dominates nor is dominated.  When row ``i`` is
+    no worse than row ``j`` and ``j`` no worse than ``i``, the rows are
+    equal, so "strictly better somewhere" is "``j`` not no worse than ``i``".
+    """
+    n = objectives.shape[0]
+    no_worse = np.ones((n, n), dtype=bool)
+    for column in objectives.T:
+        no_worse &= column[:, None] <= column
+    return no_worse & ~no_worse.T
+
+
 def pareto_filter(points) -> np.ndarray:
-    """Indices of the non-dominated rows of ``points`` (minimisation)."""
+    """Indices of the non-dominated rows of ``points`` (minimisation).
+
+    Dominance is transitive, so every dominated row is dominated by some
+    non-dominated one: the rows that no row dominates are the front.
+    """
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2:
         raise ValueError("points must be a 2-D array of shape (n_points, n_objectives)")
-    n = arr.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        for j in range(n):
-            if i == j or not keep[j]:
-                continue
-            if dominates(arr[j], arr[i]):
-                keep[i] = False
-                break
-    return np.flatnonzero(keep)
+    return np.flatnonzero(~pareto_matrix(arr).any(axis=0))
 
 
 class ParetoFront:

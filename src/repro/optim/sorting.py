@@ -5,13 +5,16 @@ paper: "Non-dominated sorting and crowding distance sorting are applied to
 the solution for each generation in order to determine the final set of
 Pareto-fronts."
 
-Both operations are vectorised: the O(n^2) pairwise constraint-domination
-comparisons are a handful of numpy broadcasts over the stacked objective
-matrix (see :func:`domination_matrix`) instead of n*(n-1)/2 Python method
-calls, and the crowding-distance accumulation is per-objective array math.
-The results are bit-identical to the original per-pair loops -- including
-the order of indices inside every front -- so seeded optimisation runs
-reproduce exactly.
+Both operations work on the population's stacked arrays: constraint
+domination is one ``(n, n)`` comparison per objective plus the feasibility
+rule (see :func:`domination_matrix`), fronts are peeled with array
+operations, and the crowding-distance accumulation is per-objective array
+math.  The results are bit-identical to the original per-pair loops --
+including the order of indices inside every front, which is the loop's
+append order: freed indices sorted by the position of their last dominator
+in the current front, then by index -- so seeded optimisation runs
+reproduce exactly.  The RNG-consuming operators stay per-individual (see
+:mod:`repro.optim.operators`): their draw counts depend on the data.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.optim.individual import (
     objectives_matrix,
     violations_vector,
 )
+from repro.optim.pareto import pareto_matrix
 
 __all__ = [
     "domination_matrix",
@@ -43,19 +47,14 @@ def domination_matrix(population: Sequence[Individual]) -> np.ndarray:
     smaller total violation beats larger, and ordinary Pareto dominance
     applies between two feasible solutions.
     """
-    objectives = objectives_matrix(population)
     violations = violations_vector(population)
-    feasible = violations == 0.0
-    # Pareto dominance in minimisation convention: no objective worse, at
-    # least one strictly better.
-    no_worse = (objectives[:, None, :] <= objectives[None, :, :]).all(axis=2)
-    strictly_better = (objectives[:, None, :] < objectives[None, :, :]).any(axis=2)
-    pareto = no_worse & strictly_better
-    matrix = pareto & feasible[:, None] & feasible[None, :]
-    matrix |= feasible[:, None] & ~feasible[None, :]
-    infeasible_pair = ~feasible[:, None] & ~feasible[None, :]
-    matrix |= infeasible_pair & (violations[:, None] < violations[None, :])
-    np.fill_diagonal(matrix, False)
+    infeasible = ~(violations == 0.0)
+    matrix = pareto_matrix(objectives_matrix(population))
+    # A feasible row beats every infeasible column; an infeasible row (a
+    # total violation > 0 or NaN) beats only larger violations, so never a
+    # feasible column, and a NaN beats and loses to nothing.
+    matrix |= infeasible
+    matrix[infeasible] = violations[infeasible, None] < violations
     return matrix
 
 
@@ -68,35 +67,24 @@ def fast_non_dominated_sort(population: Sequence[Individual]) -> List[List[int]]
     Constraint-domination is used so infeasible individuals are pushed to
     later fronts.
     """
-    n = len(population)
-    if n == 0:
+    if len(population) == 0:
         return []
     matrix = domination_matrix(population)
-    domination_counts = matrix.sum(axis=0).astype(int)
-    # Reconstruct each dominated set in the exact order the historical
-    # pairwise loop produced (indices below i first, then above, both
-    # ascending) so the front-peeling below emits identical index orders.
-    dominated_sets: List[List[int]] = []
-    for i in range(n):
-        dominated = np.nonzero(matrix[i])[0]
-        dominated_sets.append(
-            np.concatenate((dominated[dominated < i], dominated[dominated > i])).tolist()
-        )
+    domination_counts = matrix.sum(axis=0)
     fronts: List[List[int]] = []
-    current = np.nonzero(domination_counts == 0)[0].tolist()
-    rank = 0
-    while current:
-        for index in current:
+    current = np.flatnonzero(domination_counts == 0)
+    while current.size:
+        rank = len(fronts)
+        fronts.append(current.tolist())
+        for index in fronts[-1]:
             population[index].rank = rank
-        fronts.append(current)
-        next_front: List[int] = []
-        for index in current:
-            for dominated in dominated_sets[index]:
-                domination_counts[dominated] -= 1
-                if domination_counts[dominated] == 0:
-                    next_front.append(dominated)
-        current = next_front
-        rank += 1
+        dominated = matrix[current]
+        domination_counts -= dominated.sum(axis=0)
+        freed = np.flatnonzero((domination_counts == 0) & dominated.any(axis=0))
+        # Deb's loop appends an individual when its last dominator in the
+        # current front is processed, in ascending order per dominator.
+        last = current.size - 1 - dominated[::-1, freed].argmax(axis=0)
+        current = freed[np.argsort(last, kind="stable")]
     return fronts
 
 

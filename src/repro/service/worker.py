@@ -132,9 +132,7 @@ def _heartbeat(
         publish()
 
 
-def _persist_trace(
-    runner: ExperimentRunner, scenario, trace, job_id: str
-) -> None:
+def _persist_trace(runner: ExperimentRunner, trace, job_id: str) -> None:
     """Write the finished trace next to the job's stage artefacts.
 
     Best-effort: a trace is a diagnostic artefact, so an unwritable cache
@@ -145,7 +143,7 @@ def _persist_trace(
     if trace is None:
         return
     try:
-        runner.cache.entry_for(scenario).write_trace(trace.spans)
+        runner.cache.entry(runner.config_hash).write_trace(trace.spans)
     except Exception as error:  # noqa: BLE001 - diagnostics only
         _log.warning("job %s: could not persist trace: %s", job_id, error)
 
@@ -282,7 +280,8 @@ def execute_job(
 
     interval = heartbeat_interval if heartbeat_interval is not None else store.lease_ttl / 3.0
     stop = threading.Event()
-    config_hash = scenario.config_hash()
+    runner = ExperimentRunner(scenario, artifacts=artifacts)
+    config_hash = runner.config_hash
     cancel = CancelToken(
         should_cancel=events.poll,
         poll_interval=(
@@ -331,7 +330,6 @@ def execute_job(
     )
     beat.start()
     try:
-        runner = ExperimentRunner(scenario, artifacts=artifacts)
         # The worker owns the job's trace, so spans carry the worker
         # identity and the runner's nested start_trace joins this one.
         # The id defaults to the job id (== the scenario's config hash);
@@ -358,7 +356,7 @@ def execute_job(
                         ),
                     )
             finally:
-                _persist_trace(runner, scenario, trace, job.id)
+                _persist_trace(runner, trace, job.id)
         # The terminal updates are ownership-checked: False means the
         # lease expired mid-run and a peer reclaimed (and will finish)
         # the job -- this worker's result must not count as an execution.

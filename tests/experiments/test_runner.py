@@ -64,6 +64,23 @@ def test_cold_run_computes_and_checkpoints_every_stage(tmp_path):
     assert entry.read_report_summary()["config_hash"] == TINY.config_hash()
 
 
+def test_a_run_computes_the_config_hash_once(tmp_path, monkeypatch):
+    # The hash keys the cache entry, the trace and the result: one JSON
+    # dump and SHA-256 of the resolved scenario per run, not one per use.
+    calls = []
+    config_hash = ScenarioConfig.config_hash
+
+    def counted(self):
+        calls.append(self.name)
+        return config_hash(self)
+
+    monkeypatch.setattr(ScenarioConfig, "config_hash", counted)
+    result = ExperimentRunner(TINY, cache_dir=tmp_path).run()
+    assert calls == [TINY.name]
+    assert result.config_hash == config_hash(TINY)
+    assert result.cache_dir == ArtefactCache(tmp_path).entry(config_hash(TINY)).directory
+
+
 def test_second_run_resumes_fully_and_is_bit_identical(tmp_path):
     cold = ExperimentRunner(TINY, cache_dir=tmp_path).run()
     warm = ExperimentRunner(TINY, cache_dir=tmp_path).run()

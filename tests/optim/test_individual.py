@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.optim.individual import Individual
+from repro.optim.individual import Individual, violations_vector
 
 
 def _evaluated(objectives, constraints=None):
@@ -107,3 +107,46 @@ def test_as_dict_default_parameter_names():
     ind.raw_objectives = {}
     record = ind.as_dict()
     assert record == {"x0": 1.0, "x1": 2.0}
+
+
+def _property_violations(population):
+    return np.array([ind.constraint_violation for ind in population], dtype=float)
+
+
+@pytest.mark.parametrize("n_constraints", range(40))
+def test_violations_vector_matches_property_bit_for_bit(n_constraints):
+    # The stacked row sums must give the property's bytes, signed zeros,
+    # infinities and NaN included.
+    rng = np.random.default_rng(n_constraints)
+    rows = rng.uniform(-1.0, 1.0, size=(64, n_constraints))
+    mask = rng.random(rows.shape) < 0.15
+    rows[mask] = rng.choice([-0.0, 0.0, np.inf, -np.inf, np.nan], size=mask.sum())
+    rows[0] = -0.0
+    population = [_evaluated([0.0], row) for row in rows]
+    expected = _property_violations(population)
+    assert np.array_equal(
+        violations_vector(population).view(np.uint64), expected.view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [
+        [None, None],
+        [None, [-1.0, 2.0]],
+        [[], [-1.0, 2.0]],
+        [[-1.0], [-1.0, -2.0]],
+        [[-1.0, -2.0], [[-1.0, -2.0]]],
+    ],
+    ids=["none", "none-and-vector", "empty-and-vector", "ragged", "ndim"],
+)
+def test_violations_vector_falls_back_on_missing_or_ragged_constraints(constraints):
+    population = [_evaluated([0.0], row) for row in constraints]
+    assert np.array_equal(
+        violations_vector(population).view(np.uint64),
+        _property_violations(population).view(np.uint64),
+    )
+
+
+def test_violations_vector_of_empty_population():
+    assert violations_vector([]).shape == (0,)

@@ -12,8 +12,26 @@ from repro.optim.pareto import (
     hypervolume,
     knee_point,
     pareto_filter,
+    pareto_matrix,
     spacing,
 )
+
+
+def reference_pareto_filter(points):
+    """The per-pair loop ``pareto_filter`` used to run, kept as the test oracle."""
+    arr = np.asarray(points, dtype=float)
+    n = arr.shape[0]
+    keep = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not keep[i]:
+            continue
+        for j in range(n):
+            if i == j or not keep[j]:
+                continue
+            if dominates(arr[j], arr[i]):
+                keep[i] = False
+                break
+    return np.flatnonzero(keep)
 
 
 def test_dominates_basic():
@@ -173,6 +191,30 @@ def test_property_pareto_filter_result_is_mutually_non_dominated(n, seed):
         for j in keep:
             if i != j:
                 assert not dominates(points[j], points[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=50),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from(["uniform", "integer", "nonfinite", "duplicated"]),
+    st.integers(0, 10_000),
+)
+def test_pareto_filter_matches_loop_oracle(n, m, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        # Few distinct values: exact ties and long domination chains.
+        points = rng.integers(0, 4, size=(n, m)).astype(float)
+    else:
+        points = rng.uniform(0.0, 1.0, size=(n, m))
+    if kind == "nonfinite":
+        mask = rng.random((n, m)) < 0.15
+        points[mask] = rng.choice([np.nan, np.inf, -np.inf], size=mask.sum())
+    if kind == "duplicated" and n:
+        points = points[rng.integers(0, n, size=n)]
+    assert np.array_equal(pareto_filter(points), reference_pareto_filter(points))
+    expected = [[dominates(a, b) for b in points] for a in points]
+    assert np.array_equal(pareto_matrix(points), np.array(expected, dtype=bool).reshape(n, n))
 
 
 @settings(max_examples=25, deadline=None)

@@ -72,7 +72,10 @@ def make_population(objective_rows, constraint_rows=None):
         individual = Individual(parameters=np.array([float(index)]))
         individual.objectives = np.asarray(row, dtype=float)
         if constraint_rows is not None:
-            individual.constraints = np.asarray(constraint_rows[index], dtype=float)
+            constraint_row = constraint_rows[index]
+            individual.constraints = (
+                None if constraint_row is None else np.asarray(constraint_row, dtype=float)
+            )
         else:
             individual.constraints = np.array([])
         population.append(individual)
@@ -240,6 +243,91 @@ def test_vectorised_crowding_matches_loop_implementation(n, m, seed):
     reference = reference_crowding_distance(make_population(objective_rows), front)
     distances = crowding_distance(population, front)
     assert np.array_equal(distances, reference)
+
+
+def reference_domination_matrix(population):
+    """Deb's rule pair by pair through :meth:`Individual.constrained_dominates`."""
+    n = len(population)
+    return np.array(
+        [
+            [i != j and population[i].constrained_dominates(population[j]) for j in range(n)]
+            for i in range(n)
+        ],
+        dtype=bool,
+    )
+
+
+def fuzz_rows(rng, n, m, objectives, constraints):
+    """Objective and constraint rows of one oracle-fuzz population.
+
+    ``objectives``: ``"uniform"``; ``"integer"`` (few distinct values, so
+    long domination chains and exact ties); ``"nonfinite"`` (some NaN and
+    +-inf entries).  ``constraints``: ``"none"`` (empty vectors);
+    ``"uniform"``; ``"equal"`` (values from a small set, so many
+    infeasible individuals share one total violation); ``"mixed"`` (empty,
+    ``None`` and two-element vectors in one population).
+    """
+    if objectives == "integer":
+        objective_rows = rng.integers(0, 6, size=(n, m)).astype(float)
+    else:
+        objective_rows = rng.uniform(0.0, 1.0, size=(n, m))
+    if objectives == "nonfinite":
+        mask = rng.random((n, m)) < 0.15
+        objective_rows[mask] = rng.choice([np.nan, np.inf, -np.inf], size=mask.sum())
+    if n >= 4:
+        objective_rows[n // 2] = objective_rows[0]
+    if constraints == "none":
+        return objective_rows, None
+    if constraints == "equal":
+        return objective_rows, rng.choice([-1.0, -0.5, 0.0, 0.5], size=(n, 2))
+    constraint_rows = list(rng.uniform(-0.5, 0.5, size=(n, 2)))
+    if constraints == "mixed":
+        for index in np.flatnonzero(rng.random(n) < 0.4):
+            constraint_rows[index] = None if index % 2 else []
+    return objective_rows, constraint_rows
+
+
+def assert_sort_matches_oracle(objective_rows, constraint_rows):
+    """Fronts (in-front order too), ranks and the domination matrix equal
+    the per-pair loops'."""
+    population = make_population(objective_rows, constraint_rows)
+    oracle = make_population(objective_rows, constraint_rows)
+    reference = reference_fast_non_dominated_sort(oracle)
+    assert fast_non_dominated_sort(population) == reference
+    ranks = np.empty(len(population), dtype=int)
+    for rank, front in enumerate(reference):
+        ranks[front] = rank
+    assert [ind.rank for ind in population] == ranks.tolist()
+    assert np.array_equal(domination_matrix(population), reference_domination_matrix(oracle))
+
+
+OBJECTIVE_KINDS = ["uniform", "integer", "nonfinite"]
+CONSTRAINT_KINDS = ["none", "uniform", "equal", "mixed"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(OBJECTIVE_KINDS),
+    st.sampled_from(CONSTRAINT_KINDS),
+    st.integers(0, 10_000),
+)
+def test_sort_matches_loop_oracle_on_ties_nonfinite_and_mixed_constraints(
+    n, m, objectives, constraints, seed
+):
+    rng = np.random.default_rng(seed)
+    assert_sort_matches_oracle(*fuzz_rows(rng, n, m, objectives, constraints))
+
+
+@pytest.mark.parametrize(
+    "objectives, constraints",
+    [("uniform", "uniform"), ("integer", "equal"), ("nonfinite", "mixed")],
+)
+def test_sort_matches_loop_oracle_on_a_table2_sized_merge(objectives, constraints):
+    # Survival sorts parents plus offspring: 2 x 100 at the paper's scale.
+    rng = np.random.default_rng(200)
+    assert_sort_matches_oracle(*fuzz_rows(rng, 200, 5, objectives, constraints))
 
 
 def test_domination_matrix_matches_pairwise_method():

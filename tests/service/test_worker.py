@@ -488,6 +488,25 @@ def test_a_small_service_yield_runs_in_one_batch_like_repro_run(tmp_path, monkey
         assert (served.directory / name).read_bytes() == (direct.directory / name).read_bytes()
 
 
+def test_a_service_job_computes_the_config_hash_once(tmp_path, monkeypatch):
+    """The worker publishes, traces and runs the job under the runner's
+    one config hash."""
+    store = SqliteJobStore(tmp_path / "service.db", lease_ttl=30.0)
+    job, _ = store.submit(TINY)
+    calls = []
+    config_hash = ScenarioConfig.config_hash
+
+    def counted(self):
+        calls.append(self.name)
+        return config_hash(self)
+
+    monkeypatch.setattr(ScenarioConfig, "config_hash", counted)
+    assert worker_loop(store.path, tmp_path / "cache", lease_ttl=30.0, max_jobs=1) == 1
+    assert store.get(job.id).state == "done"
+    assert calls == [TINY.name]
+    assert ArtefactCache(tmp_path / "cache").entry(job.id).read_trace()
+
+
 def test_worker_job_records_one_circuit_event_per_generation(tmp_path):
     """The model build's Monte Carlo checkpoints share the circuit
     partial but are no new generation: a fast-smoke job whose front has
